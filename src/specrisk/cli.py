@@ -65,8 +65,8 @@ def _parse_ints(text: str, what: str, parser: argparse.ArgumentParser) -> tuple[
 
 def _parse_k_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     k_grid = _parse_floats(text, "k", parser)
-    if any(k < 0 for k in k_grid):
-        parser.error(f"k values must be nonnegative: {text!r}")
+    if not all(math.isfinite(k) and k >= 0 for k in k_grid):
+        parser.error(f"k values must be finite and nonnegative: {text!r}")
     return k_grid
 
 
@@ -121,6 +121,10 @@ def _jsonable_config(config: dict) -> dict:
 
 
 def _cmd_estimate(args, parser) -> int:
+    if args.bootstrap < 1:
+        parser.error(f"--bootstrap must be at least 1, got {args.bootstrap}")
+    if not 0.0 < args.level < 1.0:
+        parser.error(f"--level must lie in (0, 1), got {args.level:g}")
     scheme = None
     family = None
     x0 = None

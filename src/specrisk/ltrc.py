@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -234,62 +235,70 @@ def fit_pl(sample: LtrcSample, exact: bool | None = None) -> StepDistribution:
     ts = np.sort(sample.t)
     # risk-set size at each sorted y: #{t_j <= y_i} - #{y_j < y_i}; >= 1 always
     risk = np.searchsorted(ts, ys, side="right") - np.searchsorted(ys, ys, side="left")
+    zero_factors = int(np.count_nonzero((ds == 1) & (risk == 1) & (ys < ys[-1])))
+    # one knot per run of equal y, at the run's first sorted position
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
 
+    if exact:
+        vals_exact = _exact_cdf(ys, ds, risk)
+        vals = np.array([float(v) for v in vals_exact])
+    else:
+        vals = _log_space_cdf(ds, risk, starts)
+
+    # keep only knots that add mass, i.e. exceed every earlier value; the last
+    # group (y_max) always has value 1
+    keep = np.concatenate(([True], vals[1:] > np.maximum.accumulate(vals)[:-1]))
+
+    return StepDistribution(
+        knots=ys[starts][keep],
+        values=vals[keep],
+        left_value=0.0,
+        exact_values=tuple(compress(vals_exact, keep)) if exact else None,
+        zero_factor_count=zero_factors,
+        n=n,
+    )
+
+
+def _exact_cdf(ys: np.ndarray, ds: np.ndarray, risk: np.ndarray) -> list[Fraction]:
+    """CDF value at each run of equal sorted y, as an exact rational."""
+    n = ys.size
     y_max = ys[-1]
-    knots: list[float] = []
-    vals_float: list[float] = []
     vals_exact: list[Fraction] = []
-    zero_factors = 0
-
     surv_frac = Fraction(1)
-    log_surv = 0.0
-    surv_hit_zero = False
-
     i = 0
     while i < n:
         j = i
         while j < n and ys[j] == ys[i]:
             if ds[j] == 1:
                 r = int(risk[j])
-                if r == 1 and ys[j] < y_max:
-                    zero_factors += 1
-                if exact:
-                    surv_frac *= Fraction(r - 1, r)
-                elif r == 1:
-                    surv_hit_zero = True
-                else:
-                    log_surv += np.log1p(-1.0 / r)
+                surv_frac *= Fraction(r - 1, r)
             j += 1
-        at_max = ys[i] == y_max
-        if exact:
-            if at_max:
-                surv_frac = Fraction(0)
-            cdf_exact = 1 - surv_frac
-            cdf_val = float(cdf_exact)
-        else:
-            if at_max:
-                surv_hit_zero = True
-            cdf_val = 1.0 if surv_hit_zero else float(-np.expm1(log_surv))
-            cdf_exact = Fraction(0)
-        knots.append(float(ys[i]))
-        vals_float.append(cdf_val)
-        vals_exact.append(cdf_exact)
+        if ys[i] == y_max:
+            surv_frac = Fraction(0)
+        vals_exact.append(1 - surv_frac)
         i = j
+    return vals_exact
 
-    # keep only knots that add mass; the last group (y_max) always has value 1
-    keep = [0]
-    for idx in range(1, len(knots)):
-        if vals_float[idx] > vals_float[keep[-1]]:
-            keep.append(idx)
 
-    return StepDistribution(
-        knots=np.array([knots[idx] for idx in keep]),
-        values=np.array([vals_float[idx] for idx in keep]),
-        left_value=0.0,
-        exact_values=tuple(vals_exact[idx] for idx in keep) if exact else None,
-        zero_factor_count=zero_factors,
-        n=n,
-    )
+def _log_space_cdf(ds: np.ndarray, risk: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """CDF value at each run of equal sorted y, from the survival product in log space.
+
+    ``np.cumsum`` adds sequentially in sorted order, and adding the zero
+    terms of censored points leaves a float sum unchanged, so every partial
+    sum is the float an observation-by-observation loop would reach.  Once
+    a factor is zero (a risk set of one at an uncensored point) the CDF is
+    1 from that group on, as it is at the largest y.
+    """
+    unc = ds == 1
+    factor = unc & (risk > 1)
+    terms = np.zeros(risk.size)
+    terms[factor] = np.log1p(-1.0 / risk[factor])
+    ends = np.concatenate((starts[1:], [risk.size])) - 1
+    vals = -np.expm1(np.cumsum(terms)[ends])
+    hit_zero = np.cumsum(unc & (risk == 1))[ends] > 0
+    vals[hit_zero] = 1.0
+    vals[-1] = 1.0
+    return vals
 
 
 def pl_quantile(dist: StepDistribution) -> QuantileFunction:

@@ -186,6 +186,27 @@ class TestCli:
             main(["simulate", "--design", "iid-exp", "--k", "-3", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "nan"], "k values must be finite and nonnegative"),
+            (["--k", "1,inf"], "k values must be finite and nonnegative"),
+            (["--bootstrap", "0"], "--bootstrap must be at least 1"),
+            (["--level", "1.5"], "--level must lie in (0, 1)"),
+        ],
+    )
+    def test_invalid_estimate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        # the input file does not exist: the flags are refused before it is read
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["estimate", "--input", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "x"), *flags]
+            )
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert message in lines[-1]
+        assert not any(line.startswith("Traceback") for line in lines)
+
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)
         with pytest.raises(SystemExit) as err:

@@ -10,6 +10,7 @@ from specrisk import (
     BootstrapError,
     BootstrapPlan,
     EdgeworthDiagnostics,
+    ExpectedShortfallSpectrum,
     ExponentialSpectrum,
     LtrcSample,
     ProdEstimator,
@@ -20,7 +21,10 @@ from specrisk import (
     edgeworth_cdf,
     edgeworth_diagnostics,
     estimate_sigma2,
+    fit_pl,
+    pl_quantile,
 )
+from specrisk import harness, inference
 
 from conftest import random_ltrc_sample
 
@@ -166,6 +170,81 @@ class TestSigma2:
         s = LtrcSample.from_complete_data(rng.exponential(1.0, 50))
         with pytest.raises(SingularDensityError, match="below"):
             estimate_sigma2(s, ExponentialSpectrum(1.0), VariancePlugin(density_floor=1e6))
+
+
+def _dense_epanechnikov_density(dist, at, h, chunk=256):
+    """The kernel sum over every knot: the reference for the banded version."""
+    jumps = dist.jumps()
+    knots = dist.knots
+    out = np.empty(at.size)
+    for start in range(0, at.size, chunk):
+        block = at[start : start + chunk, None]
+        v = (block - knots[None, :]) / h
+        kern = np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
+        out[start : start + chunk] = kern @ jumps / h
+    return out
+
+
+@pytest.fixture(scope="module")
+def density_samples():
+    cfg = harness.default_dependent_config()
+    return {
+        "iid-exp-2000": harness._generate_sample("iid-exp", "random-truncation", None, 2000, 31),
+        "dependent-10500": harness._generate_sample(
+            "dependent", "random-truncation", cfg, 10_500, 32
+        ),
+        "ties": random_ltrc_sample(np.random.default_rng(33), 400, tie_prob=0.8),
+    }
+
+
+class TestBandedDensity:
+    @pytest.mark.parametrize(
+        "name, bandwidth",
+        [
+            ("iid-exp-2000", "default"),
+            ("dependent-10500", "default"),
+            ("ties", "default"),
+            ("iid-exp-2000", "tiny"),
+            ("ties", "tiny"),
+            ("iid-exp-2000", "wider-than-range"),
+        ],
+    )
+    def test_matches_dense_kernel_sum(self, density_samples, name, bandwidth):
+        s = density_samples[name]
+        dist = fit_pl(s)
+        q = pl_quantile(dist)
+        span = float(q.values[-1] - q.values[0])
+        h = {
+            "default": len(s) ** -0.2 * float(q(0.75) - q(0.25)) / 1.349,
+            "tiny": 1e-6 * span,
+            "wider-than-range": 2.0 * span,
+        }[bandwidth]
+        # quantile values, the midpoints between them and points beyond the data
+        at = np.sort(
+            np.concatenate(
+                (
+                    q.values,
+                    0.5 * (q.values[1:] + q.values[:-1]),
+                    [q.values[0] - 3.0 * h, q.values[-1] + 3.0 * h],
+                )
+            )
+        )
+        oracle = _dense_epanechnikov_density(dist, at, h)
+        banded = inference._epanechnikov_density(dist, at, h)
+        assert np.all(banded[oracle == 0.0] == 0.0)
+        assert np.all(np.abs(banded - oracle) <= 1e-13 * np.abs(oracle))
+
+    @pytest.mark.parametrize("name", ["iid-exp-2000", "ties"])
+    @pytest.mark.parametrize("form", ["pathwise-min", "literal-product"])
+    def test_sigma2_matches_dense_kernel_sum(self, density_samples, monkeypatch, name, form):
+        s = density_samples[name]
+        plugin = VariancePlugin(covariance_form=form)
+        spectra = [ExponentialSpectrum(k) for k in (0.0, 1.0, 200.0)]
+        spectra.append(ExpectedShortfallSpectrum(0.9))
+        banded = [estimate_sigma2(s, spec, plugin) for spec in spectra]
+        monkeypatch.setattr(inference, "_epanechnikov_density", _dense_epanechnikov_density)
+        dense = [estimate_sigma2(s, spec, plugin) for spec in spectra]
+        assert banded == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 class TestBootstrap:

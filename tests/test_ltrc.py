@@ -161,6 +161,78 @@ class TestFitPl:
         assert d.cdf(2.0) == 1.0
 
 
+def _log_space_fit_loop(sample):
+    """Observation-by-observation log-space product-limit fit.
+
+    The reference for ``fit_pl(..., exact=False)``: returns the knots, the
+    CDF values and the zero-factor count.
+    """
+    order = sample.sorted_order()
+    ys = sample.y[order]
+    ds = sample.delta[order]
+    ts = np.sort(sample.t)
+    risk = np.searchsorted(ts, ys, side="right") - np.searchsorted(ys, ys, side="left")
+    n = ys.size
+    y_max = ys[-1]
+    knots, vals = [], []
+    zero_factors = 0
+    log_surv = 0.0
+    hit_zero = False
+    i = 0
+    while i < n:
+        j = i
+        while j < n and ys[j] == ys[i]:
+            if ds[j] == 1:
+                r = int(risk[j])
+                if r == 1 and ys[j] < y_max:
+                    zero_factors += 1
+                if r == 1:
+                    hit_zero = True
+                else:
+                    log_surv += np.log1p(-1.0 / r)
+            j += 1
+        if ys[i] == y_max:
+            hit_zero = True
+        knots.append(float(ys[i]))
+        vals.append(1.0 if hit_zero else float(-np.expm1(log_surv)))
+        i = j
+    keep = [0]
+    for idx in range(1, len(knots)):
+        if vals[idx] > vals[keep[-1]]:
+            keep.append(idx)
+    return np.array([knots[i] for i in keep]), np.array([vals[i] for i in keep]), zero_factors
+
+
+class TestLogSpaceFit:
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            LtrcSample([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0.0] * 7, [1, 0, 1, 1, 0, 1, 1]),
+            LtrcSample([1.0, 2.0, 2.5, 3.0], [0.0] * 4, [1, 1, 1, 0]),
+            LtrcSample([1.0, 2.0, 3.0], [0.0, 1.5, 1.5], [1, 1, 0]),
+            LtrcSample([2.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1]),
+            LtrcSample([4.0], [1.0], [1]),
+        ],
+        ids=["tied-mixed-delta", "censored-max", "zero-factor", "all-tied", "n=1"],
+    )
+    def test_matches_loop_on_edge_cases(self, sample):
+        d = fit_pl(sample, exact=False)
+        knots, values, zero_factors = _log_space_fit_loop(sample)
+        assert np.array_equal(d.knots, knots)
+        assert np.array_equal(d.values, values)
+        assert d.zero_factor_count == zero_factors
+
+    def test_matches_loop_on_large_sample_default_path(self):
+        rng = np.random.default_rng(10)
+        s = random_ltrc_sample(rng, 10_500, tie_prob=0.2)
+        d = fit_pl(s)
+        assert d.exact_values is None  # above EXACT_PRODUCT_LIMIT
+        knots, values, zero_factors = _log_space_fit_loop(s)
+        assert np.array_equal(d.knots, knots)
+        assert np.array_equal(d.values, values)
+        assert d.zero_factor_count == zero_factors
+
+
 class TestQuantile:
     def test_two_point_inverse(self):
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
