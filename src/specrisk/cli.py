@@ -120,11 +120,22 @@ def _jsonable_config(config: dict) -> dict:
 # subcommands
 
 
-def _cmd_estimate(args, parser) -> int:
+def _check_bootstrap_flags(args, parser) -> None:
     if args.bootstrap < 1:
         parser.error(f"--bootstrap must be at least 1, got {args.bootstrap}")
     if not 0.0 < args.level < 1.0:
         parser.error(f"--level must lie in (0, 1), got {args.level:g}")
+
+
+def _check_reps(args, parser, least: int) -> None:
+    if args.reps < least:
+        parser.error(f"--reps must be at least {least}, got {args.reps}")
+
+
+def _cmd_estimate(args, parser) -> int:
+    _check_bootstrap_flags(args, parser)
+    if not 0.0 < args.p1 < 1.0:
+        parser.error(f"--p1 must lie in (0, 1), got {args.p1:g}")
     scheme = None
     family = None
     x0 = None
@@ -243,6 +254,7 @@ def _cmd_estimate(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    _check_reps(args, parser, 2)
     estimators = tuple(args.estimators.split(",")) if args.estimators else None
     if estimators:
         for name in estimators:
@@ -319,6 +331,8 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_coverage(args, parser) -> int:
+    _check_reps(args, parser, 1)
+    _check_bootstrap_flags(args, parser)
     plan = ExperimentPlan(
         design=args.design,
         n_grid=_parse_ints(args.n, "n", parser),
@@ -483,6 +497,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         return _HANDLERS[args.command](args, parser)
     except SpecriskError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import EstimationError
-from .ltrc import LtrcSample, QuantileFunction, fit_pl, pl_quantile
+from .ltrc import LtrcSample, QuantileFunction, SortedSample, fit_pl, pl_quantile
 from .severity import ModelFamily, WindowScheme
 
 __all__ = [
@@ -301,6 +301,10 @@ class ProdEstimator:
     def evaluate(self, ctx, spectrum) -> float:
         return srm_from_quantile(ctx, spectrum)
 
+    def replicate_levels(self, sorted_sample: SortedSample, weights: np.ndarray):
+        """Quantile values and, per row of ``weights``, the CDF level reached at each."""
+        return sorted_sample.y[sorted_sample.starts], sorted_sample.pl_cdf(weights)
+
     def __call__(self, sample: LtrcSample, spectrum) -> float:
         return self.evaluate(self.prepare(sample), spectrum)
 
@@ -314,6 +318,11 @@ class EmpEstimator:
 
     def evaluate(self, ctx, spectrum) -> float:
         return srm_from_sorted(ctx, spectrum)
+
+    def replicate_levels(self, sorted_sample: SortedSample, weights: np.ndarray):
+        """Sorted values and, per row of ``weights``, the empirical level reached at each."""
+        n = sorted_sample.y.size
+        return sorted_sample.y, np.cumsum(weights[:, sorted_sample.order], axis=1) / n
 
     def __call__(self, sample: LtrcSample, spectrum) -> float:
         return self.evaluate(self.prepare(sample), spectrum)

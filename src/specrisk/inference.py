@@ -21,7 +21,7 @@ from scipy import stats
 
 from .errors import BootstrapError, EstimationError, NumericalError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
-from .ltrc import LtrcSample, fit_pl, pl_quantile
+from .ltrc import LtrcSample, SortedSample, fit_pl, pl_quantile
 from .rng import derive_rng
 
 __all__ = [
@@ -308,28 +308,13 @@ def bootstrap_ci_many(
     replicate and integrated against every spectrum, so the reports are
     identical to running :func:`bootstrap_ci` per spectrum with the same
     plan, at a fraction of the cost when the spectrum grid is wide.
+    Estimators with ``replicate_levels`` (``prod`` and ``emp``) refit no
+    resample: every replicate is a row of integer weights on the sorted
+    original sample, see :func:`_weighted_replicates`.
     """
     spectra = tuple(spectra)
     n = len(sample)
     can_share = hasattr(estimator, "prepare") and hasattr(estimator, "evaluate")
-
-    def evaluate_all(s: LtrcSample) -> list[float | None]:
-        if can_share:
-            ctx = estimator.prepare(s)  # failure here fails every spectrum
-            values = []
-            for spec in spectra:
-                try:
-                    values.append(estimator.evaluate(ctx, spec))
-                except (EstimationError, NumericalError):
-                    values.append(None)
-            return values
-        values = []
-        for spec in spectra:
-            try:
-                values.append(estimator(s, spec))
-            except (EstimationError, NumericalError):
-                values.append(None)
-        return values
 
     # point estimates on the original sample: failures propagate
     if can_share:
@@ -337,21 +322,11 @@ def bootstrap_ci_many(
         points = [estimator.evaluate(ctx0, spec) for spec in spectra]
     else:
         points = [estimator(sample, spec) for spec in spectra]
-    estimates: list[list[float]] = [[] for _ in spectra]
-    failures = [0] * len(spectra)
-    for b in range(plan.replicates):
-        rng = derive_rng(plan.seed, b)
-        idx = rng.integers(0, n, n)
-        resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
-        try:
-            values = evaluate_all(resampled)
-        except (EstimationError, NumericalError):
-            values = [None] * len(spectra)
-        for i, value in enumerate(values):
-            if value is None:
-                failures[i] += 1
-            else:
-                estimates[i].append(value)
+    if hasattr(estimator, "replicate_levels"):
+        estimates = list(_weighted_replicates(sample, estimator, spectra, plan))
+        failures = [0] * len(spectra)
+    else:
+        estimates, failures = _refit_replicates(sample, estimator, spectra, plan, can_share)
 
     reports = []
     for i, spectrum in enumerate(spectra):
@@ -383,6 +358,85 @@ def bootstrap_ci_many(
             )
         )
     return reports
+
+
+def _resample_indices(plan: BootstrapPlan, b: int, n: int) -> np.ndarray:
+    """Indices of replicate ``b``: a stream of its own, so order never matters."""
+    return derive_rng(plan.seed, b).integers(0, n, n)
+
+
+# upper bound on replicates x observations per block of weighted replicates
+_REPLICATE_BLOCK_CELLS = 1 << 17
+
+
+def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan) -> np.ndarray:
+    """Replicate estimates, one row per spectrum, without building a resample.
+
+    Replicate b holds observation j ``w_bj`` times, the count of j among its
+    indices.  ``estimator.replicate_levels`` turns a block of weight rows
+    into the quantile value of each sorted group g and the level F_bg the
+    replicate's CDF reaches there, and the estimate is
+    sum_g x_g * spectrum.segment_integral(F_b,g-1, F_bg).  Groups a replicate
+    misses have F_bg = F_b,g-1 and add nothing.  Each spectrum is integrated
+    on its own and each row is summed on its own, so a value depends neither
+    on the other spectra nor on the block it falls in.
+    """
+    n = len(sample)
+    sorted_sample = SortedSample.from_sample(sample)
+    out = np.empty((len(spectra), plan.replicates))
+    rows = max(1, _REPLICATE_BLOCK_CELLS // n)
+    for start in range(0, plan.replicates, rows):
+        stop = min(start + rows, plan.replicates)
+        idx = np.stack([_resample_indices(plan, b, n) for b in range(start, stop)])
+        idx += n * np.arange(stop - start)[:, None]
+        weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
+        x, levels = estimator.replicate_levels(sorted_sample, weights)
+        # column gathers can return Fortran order, in which np.sum along a
+        # row does not add pairwise and its rounding depends on the block
+        levels = np.ascontiguousarray(levels)
+        lower = np.concatenate((np.zeros((levels.shape[0], 1)), levels[:, :-1]), axis=1)
+        for i, spectrum in enumerate(spectra):
+            out[i, start:stop] = np.sum(x * spectrum.segment_integral(lower, levels), axis=1)
+    return out
+
+
+def _refit_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan, can_share: bool):
+    """Replicate estimates and failure counts per spectrum, refitting every resample."""
+    n = len(sample)
+
+    def evaluate_all(s: LtrcSample) -> list[float | None]:
+        if can_share:
+            ctx = estimator.prepare(s)  # failure here fails every spectrum
+            values = []
+            for spec in spectra:
+                try:
+                    values.append(estimator.evaluate(ctx, spec))
+                except (EstimationError, NumericalError):
+                    values.append(None)
+            return values
+        values = []
+        for spec in spectra:
+            try:
+                values.append(estimator(s, spec))
+            except (EstimationError, NumericalError):
+                values.append(None)
+        return values
+
+    estimates: list[list[float]] = [[] for _ in spectra]
+    failures = [0] * len(spectra)
+    for b in range(plan.replicates):
+        idx = _resample_indices(plan, b, n)
+        resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
+        try:
+            values = evaluate_all(resampled)
+        except (EstimationError, NumericalError):
+            values = [None] * len(spectra)
+        for i, value in enumerate(values):
+            if value is None:
+                failures[i] += 1
+            else:
+                estimates[i].append(value)
+    return estimates, failures
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> float:

@@ -22,6 +22,7 @@ __all__ = [
     "LtrcSample",
     "StepDistribution",
     "QuantileFunction",
+    "SortedSample",
     "risk_set_fraction",
     "uncensored_subdist",
     "fit_pl",
@@ -209,6 +210,64 @@ class QuantileFunction:
         return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class SortedSample:
+    """An LTRC sample sorted once, for product-limit fits under integer weights.
+
+    A bootstrap resample is the original sample with integer weights: the
+    number of times each observation was drawn.  The risk set of a weighted
+    sample at a sorted y_i is a weighted count,
+    R(i) = sum_j w_j 1{t_j <= y_i} - sum_j w_j 1{y_j < y_i}, so it comes from
+    cumulative weight sums at positions that depend on the sample alone and
+    are found here once.  With unit weights, R(i) = entered[i] - passed[i].
+    """
+
+    order: np.ndarray  # original index at each sorted position
+    y: np.ndarray  # y in sorted order: by y, uncensored first on ties
+    delta: np.ndarray
+    starts: np.ndarray  # first sorted position of each run of equal y
+    t_order: np.ndarray  # original indices by increasing t
+    entered: np.ndarray  # #{t_j <= y_i} at each sorted position
+    passed: np.ndarray  # #{y_j < y_i} at each sorted position
+
+    @classmethod
+    def from_sample(cls, sample: LtrcSample) -> "SortedSample":
+        order = sample.sorted_order()
+        ys = sample.y[order]
+        # tied t need no order: prefix sums are read only past the last of a tie
+        t_order = np.argsort(sample.t)
+        return cls(
+            order=order,
+            y=ys,
+            delta=sample.delta[order],
+            starts=np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))),
+            t_order=t_order,
+            entered=np.searchsorted(sample.t[t_order], ys, side="right"),
+            passed=np.searchsorted(ys, ys, side="left"),
+        )
+
+    def pl_cdf(self, weights: np.ndarray) -> np.ndarray:
+        """Product-limit CDF at each run of equal y, one row per row of ``weights``.
+
+        ``weights`` is a (rows, n) integer array indexed like the original
+        sample.  Each row is fitted as the sample that holds observation j
+        ``weights[row, j]`` times, in the log-space convention of ``fit_pl``.
+        """
+        w_sorted = weights[:, self.order]
+        risk = (
+            _prefix_sums(weights[:, self.t_order])[:, self.entered]
+            - _prefix_sums(w_sorted)[:, self.passed]
+        )
+        return _log_space_cdf(self.delta, risk, self.starts, w_sorted)
+
+
+def _prefix_sums(w: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums with a leading zero column: out[:, m] = sum of w[:, :m]."""
+    out = np.zeros((w.shape[0], w.shape[1] + 1), dtype=w.dtype)
+    np.cumsum(w, axis=1, out=out[:, 1:])
+    return out
+
+
 def fit_pl(sample: LtrcSample, exact: bool | None = None) -> StepDistribution:
     """Fit the product-limit CDF of an LTRC sample.
 
@@ -229,21 +288,17 @@ def fit_pl(sample: LtrcSample, exact: bool | None = None) -> StepDistribution:
     if exact is None:
         exact = n <= EXACT_PRODUCT_LIMIT
 
-    order = sample.sorted_order()
-    ys = sample.y[order]
-    ds = sample.delta[order]
-    ts = np.sort(sample.t)
-    # risk-set size at each sorted y: #{t_j <= y_i} - #{y_j < y_i}; >= 1 always
-    risk = np.searchsorted(ts, ys, side="right") - np.searchsorted(ys, ys, side="left")
+    s = SortedSample.from_sample(sample)
+    ys, ds, starts = s.y, s.delta, s.starts
+    # risk-set size at each sorted y; >= 1 always
+    risk = s.entered - s.passed
     zero_factors = int(np.count_nonzero((ds == 1) & (risk == 1) & (ys < ys[-1])))
-    # one knot per run of equal y, at the run's first sorted position
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
 
     if exact:
         vals_exact = _exact_cdf(ys, ds, risk)
         vals = np.array([float(v) for v in vals_exact])
     else:
-        vals = _log_space_cdf(ds, risk, starts)
+        vals = _log_space_cdf(ds, risk[None, :], starts, np.ones((1, n), dtype=np.int64))[0]
 
     # keep only knots that add mass, i.e. exceed every earlier value; the last
     # group (y_max) always has value 1
@@ -280,24 +335,36 @@ def _exact_cdf(ys: np.ndarray, ds: np.ndarray, risk: np.ndarray) -> list[Fractio
     return vals_exact
 
 
-def _log_space_cdf(ds: np.ndarray, risk: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _log_space_cdf(
+    ds: np.ndarray, risk: np.ndarray, starts: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
     """CDF value at each run of equal sorted y, from the survival product in log space.
 
+    Each row of the (rows, n) arrays ``risk`` and ``weights`` is one
+    weighting of the sorted sample; a plain fit is one row of unit weights.
+    An uncensored point of weight w adds w * log(1 - 1/R), for its w tied
+    copies at the shared risk set R, and a point of weight 0 adds nothing.
     ``np.cumsum`` adds sequentially in sorted order, and adding the zero
-    terms of censored points leaves a float sum unchanged, so every partial
-    sum is the float an observation-by-observation loop would reach.  Once
-    a factor is zero (a risk set of one at an uncensored point) the CDF is
-    1 from that group on, as it is at the largest y.
+    terms of censored points leaves a float sum unchanged, so with unit
+    weights every partial sum is the float an observation-by-observation
+    loop would reach.  Once a factor is zero (a risk set of one at a present
+    uncensored point) the CDF is 1 from that group on, as it is from the
+    group of the largest present y on.
     """
     unc = ds == 1
-    factor = unc & (risk > 1)
-    terms = np.zeros(risk.size)
-    terms[factor] = np.log1p(-1.0 / risk[factor])
-    ends = np.concatenate((starts[1:], [risk.size])) - 1
-    vals = -np.expm1(np.cumsum(terms)[ends])
-    hit_zero = np.cumsum(unc & (risk == 1))[ends] > 0
+    present = weights > 0
+    # log(1 - 1/r) for every risk-set size r >= 2; sizes 0 (absent points)
+    # and 1 (zero factors, handled below) add 0
+    log_factor = np.zeros(int(risk.max()) + 1)
+    log_factor[2:] = np.log1p(-1.0 / np.arange(2, log_factor.size))
+    terms = np.where(unc, weights * log_factor[risk], 0.0)
+    ends = np.concatenate((starts[1:], [ds.size])) - 1
+    vals = -np.expm1(np.cumsum(terms, axis=1)[:, ends])
+    hit_zero = np.cumsum(unc & present & (risk == 1), axis=1)[:, ends] > 0
     vals[hit_zero] = 1.0
-    vals[-1] = 1.0
+    last_present = ds.size - 1 - np.argmax(present[:, ::-1], axis=1)
+    last_group = np.searchsorted(starts, last_present, side="right") - 1
+    vals[np.arange(starts.size) >= last_group[:, None]] = 1.0
     return vals
 
 

@@ -204,7 +204,6 @@ def test_criterion_06_table_orderings():
     assert elapsed < 600.0
 
 
-@pytest.mark.slow
 def test_criterion_07_bootstrap_coverage():
     """Percentile-interval coverage on the identifiable design at desk scale."""
     t0 = time.perf_counter()

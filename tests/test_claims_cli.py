@@ -193,6 +193,8 @@ class TestCli:
             (["--k", "1,inf"], "k values must be finite and nonnegative"),
             (["--bootstrap", "0"], "--bootstrap must be at least 1"),
             (["--level", "1.5"], "--level must lie in (0, 1)"),
+            (["--p1", "2"], "--p1 must lie in (0, 1)"),
+            (["--workers", "0"], "--workers must be at least 1"),
         ],
     )
     def test_invalid_estimate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -206,6 +208,27 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert message in lines[-1]
         assert not any(line.startswith("Traceback") for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coverage", "--bootstrap", "0"], "--bootstrap must be at least 1"),
+            (["coverage", "--level", "1.5"], "--level must lie in (0, 1)"),
+            (["coverage", "--reps", "0"], "--reps must be at least 1"),
+            (["simulate", "--design", "iid-exp", "--reps", "1"], "--reps must be at least 2"),
+            (["simulate", "--design", "iid-exp", "--workers", "0"], "--workers must be at least 1"),
+            (["coverage", "--workers", "0"], "--workers must be at least 1"),
+        ],
+    )
+    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):
+        # refused before any sample is drawn or any worker is started
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--n", "30", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert message in lines[-1]
+        assert not any(line.startswith("Traceback") for line in lines)
+        assert not (tmp_path / "x").exists()
 
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)

@@ -10,6 +10,7 @@ from specrisk import (
     BootstrapError,
     BootstrapPlan,
     EdgeworthDiagnostics,
+    EmpEstimator,
     ExpectedShortfallSpectrum,
     ExponentialSpectrum,
     LtrcSample,
@@ -18,6 +19,7 @@ from specrisk import (
     VariancePlugin,
     asymptotic_ci,
     bootstrap_ci,
+    bootstrap_ci_many,
     edgeworth_cdf,
     edgeworth_diagnostics,
     estimate_sigma2,
@@ -25,6 +27,7 @@ from specrisk import (
     pl_quantile,
 )
 from specrisk import harness, inference
+from specrisk.rng import derive_rng
 
 from conftest import random_ltrc_sample
 
@@ -332,6 +335,85 @@ class TestBootstrap:
         s = LtrcSample([1.0, 2.0, 2.0, 2.0], [0.0] * 4, [1] * 4)
         with pytest.raises(BootstrapError, match="interval refused"):
             bootstrap_ci(s, SometimesFailing(), ExponentialSpectrum(1.0), BootstrapPlan(replicates=100, seed=2))
+
+
+def _refit_loop(sample, estimator, spectra, plan):
+    """Replicate estimates by refitting every resample: one row per spectrum.
+
+    The reference for the weighted replicates of ``prod`` and ``emp``; also
+    returns, per replicate, whether the resample misses the largest y and
+    whether its product-limit fit has a zero factor.
+    """
+    n = len(sample)
+    values = np.empty((len(spectra), plan.replicates))
+    misses_max = np.zeros(plan.replicates, dtype=bool)
+    zero_factor = np.zeros(plan.replicates, dtype=bool)
+    for b in range(plan.replicates):
+        idx = derive_rng(plan.seed, b).integers(0, n, n)
+        resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
+        ctx = estimator.prepare(resampled)
+        values[:, b] = [estimator.evaluate(ctx, spec) for spec in spectra]
+        misses_max[b] = resampled.y.max() < sample.y.max()
+        zero_factor[b] = fit_pl(resampled).zero_factor_count > 0
+    return values, misses_max, zero_factor
+
+
+_REPLICATE_SPECTRA = (
+    ExponentialSpectrum(0.0),
+    ExponentialSpectrum(1.0),
+    ExponentialSpectrum(200.0),
+    ExpectedShortfallSpectrum(0.9),
+)
+
+_REPLICATE_SAMPLES = {
+    "tied-mixed-delta": LtrcSample([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0.0] * 7, [1, 0, 1, 1, 0, 1, 1]),
+    "censored-max": LtrcSample([1.0, 2.0, 2.5, 3.0], [0.0] * 4, [1, 1, 1, 0]),
+    "zero-factor": LtrcSample([1.0, 2.0, 3.0], [0.0, 1.5, 1.5], [1, 1, 0]),
+    "all-tied": LtrcSample([2.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1]),
+    "n=1": LtrcSample([4.0], [1.0], [1]),
+    "n=2": LtrcSample([1.0, 3.0], [0.0, 0.5], [1, 0]),
+    "random-ties": random_ltrc_sample(np.random.default_rng(41), 40, tie_prob=0.3),
+}
+
+
+class TestWeightedReplicates:
+    @pytest.mark.parametrize("estimator", [ProdEstimator(), EmpEstimator()], ids=["prod", "emp"])
+    @pytest.mark.parametrize("name", list(_REPLICATE_SAMPLES))
+    def test_matches_refit_loop(self, name, estimator):
+        s = _REPLICATE_SAMPLES[name]
+        plan = BootstrapPlan(replicates=60, seed=17)
+        fast = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
+        slow, _, _ = _refit_loop(s, estimator, _REPLICATE_SPECTRA, plan)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+        reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
+        for report in reports:
+            assert report.replicates_used == plan.replicates
+            assert report.replicate_failures == 0
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [("censored-max", "misses_max"), ("random-ties", "misses_max"), ("zero-factor", "zero_factor")],
+    )
+    def test_cases_reach_their_edge(self, name, flag):
+        # the equivalence cases above do exercise these resamples
+        _, misses_max, zero_factor = _refit_loop(
+            _REPLICATE_SAMPLES[name], ProdEstimator(), _REPLICATE_SPECTRA[:1],
+            BootstrapPlan(replicates=60, seed=17),
+        )
+        seen = {"misses_max": misses_max, "zero_factor": zero_factor}[flag]
+        assert seen.any() and not seen.all()
+
+    @pytest.mark.parametrize("estimator", [ProdEstimator(), EmpEstimator()], ids=["prod", "emp"])
+    def test_blocks_do_not_change_values(self, monkeypatch, estimator):
+        s = _REPLICATE_SAMPLES["random-ties"]
+        plan = BootstrapPlan(replicates=70, seed=5)
+        one_block = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
+        one_block_reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
+        monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", 3 * len(s))  # 24 blocks
+        blocked = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
+        assert np.array_equal(blocked, one_block)
+        assert bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan) == one_block_reports
 
 
 class TestAsymptoticCi:
