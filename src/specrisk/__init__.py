@@ -20,8 +20,8 @@ from .errors import (
     SpecriskError,
 )
 from .ltrc import (
-    LtrcObservation,
     LtrcSample,
+    PlFit,
     QuantileFunction,
     StepDistribution,
     fit_pl,

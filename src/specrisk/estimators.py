@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import EstimationError
-from .ltrc import LtrcSample, QuantileFunction, SortedSample, fit_pl, pl_quantile
+from .ltrc import LtrcSample, PlFit, QuantileFunction, SortedSample, fit_pl, pl_quantile
 from .severity import ModelFamily, WindowScheme
 
 __all__ = [
@@ -295,11 +295,11 @@ class SrmEstimator(Protocol):
 class ProdEstimator:
     name: str = "prod"
 
-    def prepare(self, sample: LtrcSample):
-        return pl_quantile(fit_pl(sample))
+    def prepare(self, sample: LtrcSample) -> PlFit:
+        return PlFit.from_sample(sample)
 
-    def evaluate(self, ctx, spectrum) -> float:
-        return srm_from_quantile(ctx, spectrum)
+    def evaluate(self, ctx: PlFit, spectrum) -> float:
+        return srm_from_quantile(ctx.quantile, spectrum)
 
     def replicate_levels(self, sorted_sample: SortedSample, weights: np.ndarray):
         """Quantile values and, per row of ``weights``, the CDF level reached at each."""

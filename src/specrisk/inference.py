@@ -21,7 +21,7 @@ from scipy import stats
 
 from .errors import BootstrapError, EstimationError, NumericalError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
-from .ltrc import LtrcSample, SortedSample, fit_pl, pl_quantile
+from .ltrc import LtrcSample, PlFit, SortedSample, fit_pl  # noqa: F401 (perfbench tests read it)
 from .rng import derive_rng
 
 __all__ = [
@@ -69,26 +69,13 @@ class VariancePlugin:
 _DENSITY_BLOCK = 64
 
 
-def _risk_counts(sample: LtrcSample, at: np.ndarray) -> np.ndarray:
-    """n * C_n evaluated at the given points."""
-    ts = np.sort(sample.t)
-    ys = np.sort(sample.y)
-    return np.searchsorted(ts, at, side="right") - np.searchsorted(ys, at, side="left")
-
-
-def _pl_ingredients(sample: LtrcSample):
-    """Sorted uncensored values with their risk-set counts, plus the PL fit."""
-    dist = fit_pl(sample)
-    order = sample.sorted_order()
-    ys = sample.y[order]
-    ds = sample.delta[order]
-    risk = _risk_counts(sample, ys)
-    unc = ds == 1
-    return dist, ys[unc], risk[unc]
+def _pl_fit(sample: LtrcSample | PlFit) -> PlFit:
+    """``sample`` itself if it is already fitted, else its product-limit fit."""
+    return sample if isinstance(sample, PlFit) else PlFit.from_sample(sample)
 
 
 def estimate_sigma2(
-    sample: LtrcSample,
+    sample: LtrcSample | PlFit,
     spectrum,
     plugin: VariancePlugin | None = None,
 ) -> float:
@@ -97,16 +84,17 @@ def estimate_sigma2(
     Returns the variance of the sqrt(n)-normalized estimator.  Degenerate
     single-atom fits return 0.  Raises
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
-    falls below the floor inside the clipped integration range.
+    falls below the floor inside the clipped integration range.  Given a
+    sample's :class:`~specrisk.ltrc.PlFit`, it does not fit again.
     """
     plugin = plugin or VariancePlugin()
-    n = len(sample)
-    dist, y_unc, risk_unc = _pl_ingredients(sample)
-    q = pl_quantile(dist)
+    fit = _pl_fit(sample)
+    n = fit.dist.n
+    q = fit.quantile
     if q.values.size < 2:
         return 0.0
-    if np.any(risk_unc == 0):
-        raise EstimationError("vanishing risk set at an uncensored point")
+    unc = fit.sorted_sample.delta == 1
+    y_unc, risk_unc = fit.sorted_sample.y[unc], fit.risk[unc]
 
     # cumulative risk-weighted uncensored mass G(w) = (1/n) sum C_n^{-2},
     # evaluated at the quantile segment values
@@ -124,7 +112,7 @@ def estimate_sigma2(
         if iqr == 0.0:
             return 0.0
         h = n ** (-0.2) * iqr / 1.349
-    f_hat = _epanechnikov_density(dist, q.values, h)
+    f_hat = _epanechnikov_density(fit.dist, q.values, h)
 
     lo = np.maximum(q.segment_lo, plugin.clip)
     hi = np.minimum(q.segment_hi, 1.0 - plugin.clip)
@@ -161,11 +149,15 @@ def estimate_sigma2(
 def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
     """Kernel smoothing of a step distribution's jumps, evaluated at ``at``.
 
-    The kernel vanishes beyond +-h, so each block of evaluation points sums
-    only over the contiguous slice of knots within h of the block.  The
-    slice is widened by a relative 1e-9, far above rounding, so that no
-    knot the kernel reaches is dropped.  With ``at`` sorted, as quantile
-    values are, the cost is O(m * band) instead of O(m * knots).
+    The kernel vanishes beyond +-h, so a block of evaluation points reaches
+    only the band of knots within h of it (widened by a relative 1e-9, far
+    above rounding).  The kernel is quadratic in the point x, so a block
+    spanning at most h is summed by prefix moments (Fan & Marron 1994): with
+    c its midpoint, z = (x - c)/h and u = (k - c)/h, the kernel sum at x is
+    (1 - z^2) S0 + 2z S1 - S2, where Sp sums w u^p over the knots within h of
+    x, at O(band + block log band).  The span limit keeps |z| <= 1/2 and the
+    cancellation small; a wider block, found where knots are sparse and its
+    band is small, sums the band directly at O(block * band).
     """
     jumps = dist.jumps()
     knots = dist.knots
@@ -173,11 +165,24 @@ def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
     out = np.empty(at.size)
     for start in range(0, at.size, _DENSITY_BLOCK):
         block = at[start : start + _DENSITY_BLOCK]
-        lo = np.searchsorted(knots, block.min() - reach, side="left")
-        hi = np.searchsorted(knots, block.max() + reach, side="right")
-        v = (block[:, None] - knots[None, lo:hi]) / h
-        kern = np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
-        out[start : start + _DENSITY_BLOCK] = kern @ jumps[lo:hi] / h
+        first, last = float(block.min()), float(block.max())
+        lo = np.searchsorted(knots, first - reach, side="left")
+        hi = np.searchsorted(knots, last + reach, side="right")
+        k, w = knots[lo:hi], jumps[lo:hi]
+        if last - first <= h:
+            c = 0.5 * (first + last)
+            u = (k - c) / h
+            prefix = np.zeros((3, k.size + 1))
+            np.cumsum([w, w * u, w * u * u], axis=1, out=prefix[:, 1:])
+            # the kernel is zero at |x - k| = h, so each window is open
+            upper = prefix[:, np.searchsorted(k, block + h, side="left")]
+            s0, s1, s2 = upper - prefix[:, np.searchsorted(k, block - h, side="right")]
+            z = (block - c) / h
+            out[start : start + _DENSITY_BLOCK] = 0.75 * ((1.0 - z * z) * s0 + 2.0 * z * s1 - s2) / h
+        else:
+            v = (block[:, None] - k[None, :]) / h
+            kern = np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
+            out[start : start + _DENSITY_BLOCK] = kern @ w / h
     return out
 
 
@@ -189,7 +194,7 @@ class EdgeworthDiagnostics:
     fitted quantile of ``level``; ``kappa3`` is the skewness coefficient
     built from the same mass with a cubed risk weight; ``sigma0_sq`` is the
     full-range analogue and ``sigma1_sq`` the (1-level)^2-scaled variant.
-    Both are recorded for diagnostic completeness and have no consumer here.
+    ``edgeworth_cdf`` reads neither; acceptance criterion 8 builds and reads both.
     """
 
     sigma01_sq: float
@@ -206,22 +211,22 @@ class EdgeworthDiagnostics:
             raise ValueError("sigma01_sq must be nonnegative")
 
 
-def edgeworth_diagnostics(sample: LtrcSample, level: float) -> EdgeworthDiagnostics:
-    """Evaluate the expansion ingredients on a sample at one probability level."""
+def edgeworth_diagnostics(sample: LtrcSample | PlFit, level: float) -> EdgeworthDiagnostics:
+    """Evaluate the expansion ingredients on a sample, or its PlFit, at one level."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    n = len(sample)
-    dist, y_unc, risk_unc = _pl_ingredients(sample)
-    bound = pl_quantile(dist)(level)
-    if bound >= float(np.max(sample.y)):
+    fit = _pl_fit(sample)
+    n = fit.dist.n
+    s = fit.sorted_sample
+    bound = fit.quantile(level)
+    if bound >= s.y[-1]:
         raise ValueError(
             f"fitted quantile at level {level} reaches the largest observation; "
             "the expansion ingredients are not defined there"
         )
-    if np.any(risk_unc == 0):
-        raise EstimationError("vanishing risk set at an uncensored point")
-    c_inv = n / risk_unc.astype(float)  # 1 / C_n at uncensored points
-    in_range = y_unc <= bound
+    unc = s.delta == 1
+    c_inv = n / fit.risk[unc].astype(float)  # 1 / C_n at uncensored points
+    in_range = s.y[unc] <= bound
     sigma01_sq = float(np.sum(c_inv[in_range] ** 2)) / n
     i3 = float(np.sum(c_inv[in_range] ** 3)) / n
     sigma0_sq = float(np.sum(c_inv**2)) / n
@@ -447,17 +452,21 @@ def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
 
 
 def asymptotic_ci(
-    sample: LtrcSample,
+    sample: LtrcSample | PlFit,
     spectrum,
     plugin: VariancePlugin | None = None,
     level: float = 0.90,
 ) -> EstimateReport:
-    """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n)."""
+    """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n).
+
+    Point and variance share one fit, made here unless ``sample`` is a PlFit.
+    """
     if not 0.0 <= level < 1.0:
         raise ValueError("level must lie in [0, 1)")
-    n = len(sample)
-    point = ProdEstimator()(sample, spectrum)
-    sigma2 = estimate_sigma2(sample, spectrum, plugin)
+    fit = _pl_fit(sample)
+    n = fit.dist.n
+    point = ProdEstimator().evaluate(fit, spectrum)
+    sigma2 = estimate_sigma2(fit, spectrum, plugin)
     half = float(stats.norm.ppf(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)
     return EstimateReport(
         estimator="prod",

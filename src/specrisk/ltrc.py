@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "LtrcObservation",
     "LtrcSample",
     "StepDistribution",
     "QuantileFunction",
     "SortedSample",
+    "PlFit",
     "risk_set_fraction",
     "uncensored_subdist",
     "fit_pl",
@@ -34,21 +34,6 @@ __all__ = [
 # (max relative error ~n*eps < 1e-12 at the sizes that path serves); at or
 # below it the product is carried as an exact rational.
 EXACT_PRODUCT_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class LtrcObservation:
-    """One (y, t, delta) triple."""
-
-    y: float
-    t: float
-    delta: int
-
-    def __post_init__(self) -> None:
-        if self.delta not in (0, 1):
-            raise ValueError(f"delta must be 0 or 1, got {self.delta!r}")
-        if not self.t <= self.y:
-            raise ValueError(f"truncation value {self.t} exceeds observed value {self.y}")
 
 
 class LtrcSample:
@@ -78,11 +63,6 @@ class LtrcSample:
         object.__setattr__(self, "delta", d_arr)
 
     @classmethod
-    def from_observations(cls, observations: Iterable[LtrcObservation]) -> "LtrcSample":
-        obs = list(observations)
-        return cls([o.y for o in obs], [o.t for o in obs], [o.delta for o in obs])
-
-    @classmethod
     def from_complete_data(cls, values: Sequence[float]) -> "LtrcSample":
         """Wrap fully observed data: no truncation, no censoring."""
         values = np.asarray(values, dtype=float)
@@ -90,10 +70,6 @@ class LtrcSample:
 
     def __len__(self) -> int:
         return self.y.size
-
-    def __iter__(self):
-        for yi, ti, di in zip(self.y, self.t, self.delta):
-            yield LtrcObservation(float(yi), float(ti), int(di))
 
     def sorted_order(self) -> np.ndarray:
         """Indices sorting by y, uncensored before censored at equal y."""
@@ -163,13 +139,6 @@ class StepDistribution:
     def jumps(self) -> np.ndarray:
         """Probability mass at each knot."""
         return np.diff(np.concatenate(([self.left_value], self.values)))
-
-    def write_csv(self, path) -> None:
-        """Dump knot/value pairs (debugging aid)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("knot,value\n")
-            for k, v in zip(self.knots, self.values):
-                fh.write(f"{k:.17g},{v:.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -268,7 +237,7 @@ def _prefix_sums(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pl(sample: LtrcSample, exact: bool | None = None) -> StepDistribution:
+def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> StepDistribution:
     """Fit the product-limit CDF of an LTRC sample.
 
     The estimate multiplies, over uncensored observations with value <= x,
@@ -282,13 +251,14 @@ def fit_pl(sample: LtrcSample, exact: bool | None = None) -> StepDistribution:
     log space above.  A factor can be exactly zero before the largest y
     (risk set of size one at an uncensored point); the fit then absorbs all
     remaining mass at that knot and reports the event in
-    ``zero_factor_count``.
+    ``zero_factor_count``.  Given a sample's :class:`SortedSample`, it
+    fits without sorting again.
     """
-    n = len(sample)
+    s = sample if isinstance(sample, SortedSample) else SortedSample.from_sample(sample)
+    n = s.y.size
     if exact is None:
         exact = n <= EXACT_PRODUCT_LIMIT
 
-    s = SortedSample.from_sample(sample)
     ys, ds, starts = s.y, s.delta, s.starts
     # risk-set size at each sorted y; >= 1 always
     risk = s.entered - s.passed
@@ -376,3 +346,24 @@ def pl_quantile(dist: StepDistribution) -> QuantileFunction:
     x = dist.knots[keep]
     lo = np.concatenate(([0.0], hi[:-1]))
     return QuantileFunction(segment_lo=lo, segment_hi=hi, values=x)
+
+
+@dataclass(frozen=True)
+class PlFit:
+    """A sample's product-limit fit with the sorted sample it was fitted on.
+
+    ``risk`` is the risk-set count entered - passed at each sorted point, at
+    least 1 as every observation is in its own risk set.  The asymptotic
+    inference takes a ``PlFit`` in place of a sample, so an analysis fits once.
+    """
+
+    sorted_sample: SortedSample
+    risk: np.ndarray
+    dist: StepDistribution
+    quantile: QuantileFunction
+
+    @classmethod
+    def from_sample(cls, sample: LtrcSample) -> "PlFit":
+        s = SortedSample.from_sample(sample)
+        dist = fit_pl(s)
+        return cls(sorted_sample=s, risk=s.entered - s.passed, dist=dist, quantile=pl_quantile(dist))

@@ -25,15 +25,15 @@ class TestParseClaims:
         path = tmp_path / "claims.csv"
         path.write_text("claim\n0.5\n")
         out = parse_claims(path, "raw", WindowScheme.fixed(0.018, 31904.2))
-        obs = list(out.groups["all"])[0]
-        assert (obs.y, obs.t, obs.delta) == (0.5, 0.018, 1)
+        s = out.groups["all"]
+        assert (s.y.tolist(), s.t.tolist(), s.delta.tolist()) == ([0.5], [0.018], [1])
 
     def test_raw_claim_at_limit_is_censored(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text("claim\n40000\n")
         out = parse_claims(path, "raw", WindowScheme.fixed(0.018, 31904.2))
-        obs = list(out.groups["all"])[0]
-        assert (obs.y, obs.delta) == (31904.2, 0)
+        s = out.groups["all"]
+        assert (s.y.tolist(), s.delta.tolist()) == ([31904.2], [0])
 
     def test_grouping_column(self, tmp_path):
         path = tmp_path / "claims.csv"

@@ -1,6 +1,7 @@
 """Tests for the variance plug-in, the normal refinement and the bootstrap."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from specrisk import (
     ExpectedShortfallSpectrum,
     ExponentialSpectrum,
     LtrcSample,
+    PlFit,
     ProdEstimator,
     SingularDensityError,
     VariancePlugin,
@@ -26,7 +28,7 @@ from specrisk import (
     fit_pl,
     pl_quantile,
 )
-from specrisk import harness, inference
+from specrisk import estimators, harness, inference, ltrc
 from specrisk.rng import derive_rng
 
 from conftest import random_ltrc_sample
@@ -250,6 +252,67 @@ class TestBandedDensity:
         assert banded == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
+def _fraction_density(dist, x, h):
+    """The kernel sum at ``x`` of the same float knots, jumps and h, in exact rationals."""
+    knots, jumps = dist.knots, dist.jumps()
+    lo, hi = np.searchsorted(knots, [x - 2.0 * h, x + 2.0 * h])
+    x, h = Fraction(x), Fraction(h)
+    total = Fraction(0)
+    for k, w in zip(knots[lo:hi].tolist(), jumps[lo:hi].tolist()):
+        v = (x - Fraction(k)) / h
+        if v * v < 1:
+            total += Fraction(w) * (1 - v * v)
+    return 3 * total / (4 * h)
+
+
+class TestDensityOracle:
+    @pytest.mark.parametrize(
+        "name, bandwidth, kinds",
+        [
+            ("iid-exp-2000", "default", {"moments", "direct"}),
+            ("dependent-10500", "default", {"moments", "direct"}),
+            ("ties", "default", {"direct"}),
+            ("iid-exp-2000", "tiny", {"direct"}),
+            ("ties", "tiny", {"direct"}),
+            ("ties", "wider-than-range", {"moments", "direct"}),
+        ],
+    )
+    def test_matches_exact_kernel_sum(self, density_samples, name, bandwidth, kinds):
+        s = density_samples[name]
+        dist = fit_pl(s)
+        q = pl_quantile(dist)
+        span = float(q.values[-1] - q.values[0])
+        h = {
+            "default": len(s) ** -0.2 * float(q(0.75) - q(0.25)) / 1.349,
+            "tiny": 1e-6 * span,
+            "wider-than-range": 2.0 * span,
+        }[bandwidth]
+        lo, hi = float(q.values[0]), float(q.values[-1])
+        beyond = [lo - 3.0 * h, lo - 0.5 * h, hi + 0.5 * h, hi + 3.0 * h]
+        at = np.sort(np.concatenate((q.values, 0.5 * (q.values[1:] + q.values[:-1]), beyond)))
+        density = inference._epanechnikov_density(dist, at, h)
+
+        # a block of sorted points spanning at most h is summed by moments
+        block = inference._DENSITY_BLOCK
+        starts = np.arange(0, at.size, block)
+        spans = np.maximum.reduceat(at, starts) - np.minimum.reduceat(at, starts)
+        by_moments = np.repeat(spans <= h, block)[: at.size]
+        rng = np.random.default_rng(61)
+        checked = [np.flatnonzero(np.isin(at, beyond))]
+        for pool in (np.flatnonzero(by_moments), np.flatnonzero(~by_moments)):
+            checked.append(rng.choice(pool, min(pool.size, 16), replace=False))
+        checked = np.concatenate(checked)
+        seen = {"moments" if by_moments[i] else "direct" for i in checked}
+        assert seen == kinds
+
+        for i in checked:
+            exact = _fraction_density(dist, float(at[i]), h)
+            if exact == 0:
+                assert density[i] == 0.0
+            else:
+                assert abs(Fraction(float(density[i])) - exact) <= Fraction(1e-12) * abs(exact)
+
+
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
@@ -435,3 +498,75 @@ class TestAsymptoticCi:
         z = 1.6448536269514722  # 95th standard normal percentile
         assert rep.ci_high - rep.point == pytest.approx(z * rep.std_error, rel=1e-9)
         assert rep.point - rep.ci_low == pytest.approx(z * rep.std_error, rel=1e-9)
+
+
+def _zero_factor_sample():
+    # y = 1.0 is uncensored and alone in its risk set: every later y enters above it
+    rng = np.random.default_rng(52)
+    y = np.concatenate((rng.uniform(0.0, 1.0, 100), [1.0], rng.uniform(2.0, 5.0, 200)))
+    t = np.concatenate((np.zeros(101), np.full(200, 1.5)))
+    d = np.concatenate((np.ones(101, dtype=int), rng.random(200) < 0.8))
+    return LtrcSample(y, t, d)
+
+
+def _tied_mixed_delta_sample():
+    rng = np.random.default_rng(51)
+    y = 0.1 + np.round(rng.exponential(1.0, 400), 1)
+    return LtrcSample(y, rng.uniform(0.0, 0.1, 400), (rng.random(400) < 0.7).astype(int))
+
+
+@pytest.fixture(scope="module")
+def context_samples(density_samples):
+    return {
+        "tied-mixed-delta": _tied_mixed_delta_sample(),
+        "zero-factor": _zero_factor_sample(),
+        "above-exact-limit": density_samples["dependent-10500"],
+    }
+
+
+class TestSharedFit:
+    def test_cases_reach_their_edge(self, context_samples):
+        tied = context_samples["tied-mixed-delta"]
+        mixed = [set(tied.delta[tied.y == v]) == {0, 1} for v in np.unique(tied.y)]
+        assert any(mixed)
+        assert fit_pl(context_samples["zero-factor"]).zero_factor_count > 0
+        assert len(context_samples["above-exact-limit"]) > ltrc.EXACT_PRODUCT_LIMIT
+
+    @pytest.mark.parametrize("name", ["tied-mixed-delta", "zero-factor", "above-exact-limit"])
+    def test_fit_gives_the_sample_results(self, context_samples, name):
+        s = context_samples[name]
+        fit = ProdEstimator().prepare(s)
+        assert isinstance(fit, PlFit)
+        for spec in _REPLICATE_SPECTRA:
+            assert asymptotic_ci(s, spec) == asymptotic_ci(fit, spec)
+            for form in ("pathwise-min", "literal-product"):
+                plugin = VariancePlugin(covariance_form=form)
+                assert estimate_sigma2(s, spec, plugin) == estimate_sigma2(fit, spec, plugin)
+        for level in (0.5, 0.9):
+            assert edgeworth_diagnostics(s, level) == edgeworth_diagnostics(fit, level)
+
+    def test_each_analysis_fits_once(self, context_samples, monkeypatch):
+        s = context_samples["tied-mixed-delta"]
+        calls = []
+        original = ltrc.fit_pl
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (ltrc, estimators, inference):
+            monkeypatch.setattr(module, "fit_pl", counting_fit)
+        spec = ExponentialSpectrum(1.0)
+
+        def fits(call):
+            calls.clear()
+            call()
+            return len(calls)
+
+        assert fits(lambda: asymptotic_ci(s, spec)) == 1
+        assert fits(lambda: estimate_sigma2(s, spec)) == 1
+        assert fits(lambda: edgeworth_diagnostics(s, 0.5)) == 1
+        fit = ProdEstimator().prepare(s)
+        assert fits(lambda: asymptotic_ci(fit, spec)) == 0
+        assert fits(lambda: estimate_sigma2(fit, spec)) == 0
+        assert fits(lambda: edgeworth_diagnostics(fit, 0.9)) == 0

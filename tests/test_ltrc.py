@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from specrisk import (
-    LtrcObservation,
     LtrcSample,
     StepDistribution,
     fit_pl,
@@ -19,12 +18,6 @@ from conftest import pl_cdf_bruteforce, random_ltrc_sample
 
 
 class TestSampleTypes:
-    def test_observation_validates(self):
-        with pytest.raises(ValueError, match="delta"):
-            LtrcObservation(y=1.0, t=0.0, delta=2)
-        with pytest.raises(ValueError, match="exceeds"):
-            LtrcObservation(y=1.0, t=2.0, delta=1)
-
     def test_sample_validates(self):
         with pytest.raises(ValueError, match="at least one"):
             LtrcSample([], [], [])
@@ -39,11 +32,6 @@ class TestSampleTypes:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError):
             s.y[0] = 5.0
-
-    def test_roundtrip_observations(self):
-        obs = [LtrcObservation(2.0, 0.5, 1), LtrcObservation(3.0, 1.0, 0)]
-        s = LtrcSample.from_observations(obs)
-        assert list(s) == obs
 
 
 class TestRiskSet:
@@ -280,11 +268,3 @@ class TestStepDistribution:
             StepDistribution(knots=[1.0, 2.0], values=[0.7, 0.5])
         with pytest.raises(ValueError, match="reach 1"):
             StepDistribution(knots=[1.0], values=[0.9])
-
-    def test_write_csv_roundtrips_values(self, tmp_path):
-        d = fit_pl(LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1]))
-        path = tmp_path / "dist.csv"
-        d.write_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "knot,value"
-        assert [float(r.split(",")[1]) for r in rows[1:]] == [0.5, 1.0]
