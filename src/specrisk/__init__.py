@@ -55,9 +55,6 @@ from .estimators import (
     ProdEstimator,
     build_estimator,
     estimate_emp,
-    estimate_kernel,
-    estimate_ml,
-    estimate_pm,
     estimate_prod,
     srm_from_quantile,
     srm_from_sorted,

@@ -9,6 +9,7 @@ codes: 0 success, 1 computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,12 +21,16 @@ from . import __version__
 from .claims import parse_claims
 from .config import dependent_from_config, load_config, model_from_config, scheme_from_config
 from .errors import SpecriskError
-from .estimators import ESTIMATOR_NAMES, build_estimator
+from .estimators import build_estimator
 from .harness import (
+    CoverageCell,
     ExperimentPlan,
+    MCCell,
+    RatioRow,
     emit_rmse_ratio_log,
     run_coverage_experiment,
-    run_experiment,
+    run_dependent_experiment,
+    run_iid_experiment,
 )
 from .inference import BootstrapPlan, bootstrap_ci_many
 from .severity import (
@@ -112,6 +117,18 @@ def _write_json(path: Path, config: dict, payload) -> None:
     _atomic_write(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
+def _write_table(out_dir: Path, stem: str, config: dict, columns: list[str], rows: list) -> None:
+    """``<stem>.csv`` and ``<stem>.json``: the same rows, as CSV lines and as JSON records."""
+    _write_csv(out_dir / f"{stem}.csv", config, columns, rows)
+    _write_json(out_dir / f"{stem}.json", config, [dict(zip(columns, row)) for row in rows])
+
+
+def _fields_table(cls, items) -> tuple[list[str], list[list]]:
+    """Columns and rows of dataclass instances, in field order."""
+    columns = [f.name for f in dataclasses.fields(cls)]
+    return columns, [[getattr(item, c) for c in columns] for item in items]
+
+
 def _jsonable_config(config: dict) -> dict:
     return {k: (v if isinstance(v, (int, float, bool, type(None))) else str(v)) for k, v in config.items()}
 
@@ -159,24 +176,16 @@ def _cmd_estimate(args, parser) -> int:
         parser.error("raw claims need --deductible/--limit (or a config file window)")
 
     names = tuple(args.estimators.split(","))
-    for name in names:
-        if name not in ESTIMATOR_NAMES:
-            parser.error(
-                f"unknown estimator {name!r}; valid names: {', '.join(ESTIMATOR_NAMES)}"
-            )
-        if name in ("ml", "pm") and (scheme is None or family is None or x0 is None):
-            parser.error(
-                f"estimator {name!r} needs --deductible/--limit and --family/--x0 "
-                "(or a config file providing them)"
-            )
+    try:
+        estimators = [
+            build_estimator(name, scheme=scheme, family=family, x0=x0, p1=args.p1)
+            for name in names
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     k_grid = _parse_k_grid(args.k, parser)
 
     claims = parse_claims(args.input, args.format, scheme)
-    estimators = [
-        build_estimator(name, scheme=scheme, family=family, x0=x0, p1=args.p1)
-        for name in names
-    ]
-
     config = {
         "command": "estimate",
         "input": args.input,
@@ -205,7 +214,6 @@ def _cmd_estimate(args, parser) -> int:
         "replicate_failures",
     ]
     rows = []
-    payload = []
     plan = BootstrapPlan(replicates=args.bootstrap, seed=args.seed, ci_level=args.level)
     spectra = [ExponentialSpectrum(k) for k in k_grid]
     for group, sample in claims.groups.items():
@@ -227,25 +235,8 @@ def _cmd_estimate(args, parser) -> int:
                         report.replicate_failures,
                     ]
                 )
-                payload.append(
-                    {
-                        "group": group,
-                        "estimator": report.estimator,
-                        "k": k,
-                        "n": report.n_effective,
-                        "point": report.point,
-                        "std_error": report.std_error,
-                        "ci_low": report.ci_low,
-                        "ci_high": report.ci_high,
-                        "ci_level": report.ci_level,
-                        "replicates_used": report.replicates_used,
-                        "replicate_failures": report.replicate_failures,
-                    }
-                )
     out_dir = Path(args.out)
-    json_config = _jsonable_config(config)
-    _write_csv(out_dir / "estimates.csv", json_config, columns, rows)
-    _write_json(out_dir / "estimates.json", json_config, payload)
+    _write_table(out_dir, "estimates", _jsonable_config(config), columns, rows)
     if claims.rejected:
         lines = [f"line {line}: {reason}" for line, reason in claims.rejected]
         _atomic_write(out_dir / "rejected_rows.txt", "\n".join(lines) + "\n")
@@ -255,76 +246,37 @@ def _cmd_estimate(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     _check_reps(args, parser, 2)
-    estimators = tuple(args.estimators.split(",")) if args.estimators else None
-    if estimators:
-        for name in estimators:
-            if name not in ESTIMATOR_NAMES:
-                parser.error(
-                    f"unknown estimator {name!r}; valid names: {', '.join(ESTIMATOR_NAMES)}"
-                )
-    plan = ExperimentPlan(
-        design=args.design,
-        n_grid=_parse_ints(args.n, "n", parser),
-        k_grid=_parse_k_grid(args.k, parser),
-        replicates=args.reps,
-        estimators=estimators,
-        master_seed=args.seed,
-        mode=args.mode,
-        workers=args.workers,
-    )
-    cfg = None
-    if args.design == "dependent" and args.config:
-        cfg = dependent_from_config(load_config(args.config))
-    result = run_experiment(plan, cfg)
+    try:
+        plan = ExperimentPlan(
+            design=args.design,
+            n_grid=_parse_ints(args.n, "n", parser),
+            k_grid=_parse_k_grid(args.k, parser),
+            replicates=args.reps,
+            estimators=tuple(args.estimators.split(",")) if args.estimators else None,
+            master_seed=args.seed,
+            mode=args.mode,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.design == "dependent":
+        cfg = dependent_from_config(load_config(args.config)) if args.config else None
+        result = run_dependent_experiment(plan, cfg)
+    else:
+        result = run_iid_experiment(plan)
 
-    config = {"command": "simulate", **result.metadata}
-    columns = [
-        "design",
-        "estimator",
-        "n",
-        "k",
-        "mean",
-        "sd",
-        "rmse",
-        "rmse_se",
-        "theoretical",
-        "theoretical_window",
-        "failures",
-        "replicates",
-    ]
-    rows = [
-        [
-            c.design,
-            c.estimator,
-            c.n,
-            c.k,
-            c.mean,
-            c.sd,
-            c.rmse,
-            c.rmse_se,
-            c.theoretical,
-            c.theoretical_window,
-            c.failures,
-            c.replicates,
-        ]
-        for c in result.cells
-    ]
     out_dir = Path(args.out)
-    json_config = _jsonable_config(config)
-    _write_csv(out_dir / "results.csv", json_config, columns, rows)
-    _write_json(out_dir / "results.json", json_config, [dict(zip(columns, r)) for r in rows])
+    json_config = _jsonable_config({"command": "simulate", **result.metadata})
+    columns, rows = _fields_table(MCCell, result.cells)
+    _write_table(out_dir, "results", json_config, columns, rows)
 
     baseline = "prod"
     if baseline in {c.estimator for c in result.cells}:
         figure = emit_rmse_ratio_log(result, baseline)
-        fig_rows = [
-            [r.design, r.estimator, r.n, r.k, r.log_rmse_ratio] for r in figure.rows
-        ]
         _write_csv(
             out_dir / "rmse_log_ratios.csv",
             {**json_config, "baseline": baseline, "skipped": ";".join(figure.skipped)},
-            ["design", "estimator", "n", "k", "log_rmse_ratio"],
-            fig_rows,
+            *_fields_table(RatioRow, figure.rows),
         )
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} cells)")
     return 0
@@ -348,49 +300,26 @@ def _cmd_coverage(args, parser) -> int:
         intervals=args.reps,
         level=args.level,
     )
-    config = {"command": "coverage", **result.metadata}
-    columns = [
-        "design",
-        "n",
-        "k",
-        "coverage",
-        "binomial_se",
-        "hits",
-        "intervals",
-        "bootstrap_replicates",
-        "refused",
-        "theoretical",
-    ]
-    rows = [
-        [
-            c.design,
-            c.n,
-            c.k,
-            c.coverage,
-            c.binomial_se,
-            c.hits,
-            c.intervals,
-            c.bootstrap_replicates,
-            c.refused,
-            c.theoretical,
-        ]
-        for c in result.cells
-    ]
     out_dir = Path(args.out)
-    json_config = _jsonable_config(config)
-    _write_csv(out_dir / "coverage.csv", json_config, columns, rows)
-    _write_json(out_dir / "coverage.json", json_config, [dict(zip(columns, r)) for r in rows])
+    json_config = _jsonable_config({"command": "coverage", **result.metadata})
+    columns, rows = _fields_table(CoverageCell, result.cells)
+    _write_table(out_dir, "coverage", json_config, columns, rows)
     print(f"wrote {out_dir / 'coverage.csv'} ({len(rows)} cells)")
     return 0
 
 
 def _cmd_calibrate(args, parser) -> int:
-    cfg = DependentModelConfig(
-        rho=args.rho,
-        phi2=args.phi2,
-        target_truncation_rate=args.target_alpha,
-        target_censoring_pc=args.pc,
-    )
+    if not args.tolerance >= 0.0:
+        parser.error(f"--tolerance must be nonnegative, got {args.tolerance:g}")
+    try:
+        cfg = DependentModelConfig(
+            rho=args.rho,
+            phi2=args.phi2,
+            target_truncation_rate=args.target_alpha,
+            target_censoring_pc=args.pc,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     mu = calibrate_truncation_location(
         cfg, args.target_alpha, tolerance=args.tolerance, seed=args.calibration_seed
     )

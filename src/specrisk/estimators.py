@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 from scipy import integrate
@@ -27,9 +26,6 @@ __all__ = [
     "srm_from_sorted",
     "estimate_prod",
     "estimate_emp",
-    "estimate_kernel",
-    "estimate_ml",
-    "estimate_pm",
     "fit_ml_parameter",
     "fit_pm_parameter",
     "parametric_srm",
@@ -101,40 +97,6 @@ class KernelQuantileSmoother:
 def _epan_antiderivative(v):
     # 0.75v - 0.25v^3: hits exactly +-0.5 at +-1, so a full window has unit mass
     return 0.75 * v - 0.25 * v**3
-
-
-def estimate_kernel(
-    sample: LtrcSample,
-    spectrum,
-    h: float = 0.4,
-    kernel: str = "epanechnikov",
-    rel_tol: float = 1e-8,
-) -> float:
-    """Kernel-quantile estimate: smooth the product-limit inverse, then integrate."""
-    smoother = prepare_kernel(sample, h, kernel)
-    return evaluate_kernel(smoother, spectrum, rel_tol)
-
-
-def prepare_kernel(sample: LtrcSample, h: float = 0.4, kernel: str = "epanechnikov"):
-    if kernel != "epanechnikov":
-        raise ValueError(f"unsupported kernel shape {kernel!r}")
-    if h <= 0:
-        raise ValueError("bandwidth must be strictly positive")
-    return KernelQuantileSmoother(q=pl_quantile(fit_pl(sample)), h=h)
-
-
-def evaluate_kernel(smoother: KernelQuantileSmoother, spectrum, rel_tol: float = 1e-8) -> float:
-    pts = [p for p in (smoother.h, 1.0 - smoother.h) if 0.0 < p < 1.0]
-    value, _ = integrate.quad(
-        lambda u: float(spectrum.phi(u)) * smoother(u),
-        0.0,
-        1.0,
-        points=pts or None,
-        limit=200,
-        epsabs=1e-12,
-        epsrel=rel_tol,
-    )
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +171,6 @@ def parametric_srm(
     param: float,
     spectrum,
     var_convention: str = "quantile",
-    rel_tol: float = 1e-8,
 ) -> float:
     """Integrate a fitted parametric value-at-risk curve against a spectrum.
 
@@ -244,55 +205,32 @@ def parametric_srm(
         1.0,
         limit=200,
         epsabs=1e-12,
-        epsrel=rel_tol,
+        epsrel=1e-8,
     )
     return float(value)
-
-
-def estimate_ml(
-    sample: LtrcSample,
-    spectrum,
-    scheme: WindowScheme,
-    family: ModelFamily,
-    x0: float,
-    var_convention: str = "quantile",
-) -> float:
-    """Maximum-likelihood parametric estimate of the spectral risk measure."""
-    param = fit_ml_parameter(sample, scheme, family)
-    return parametric_srm(family, x0, param, spectrum, var_convention)
-
-
-def estimate_pm(
-    sample: LtrcSample,
-    spectrum,
-    scheme: WindowScheme,
-    family: ModelFamily,
-    x0: float,
-    p1: float = 0.5,
-    var_convention: str = "quantile",
-    theta_numerator: float | None = None,
-) -> float:
-    """Percentile-matching parametric estimate of the spectral risk measure."""
-    param = fit_pm_parameter(sample, scheme, family, p1, theta_numerator)
-    return parametric_srm(family, x0, param, spectrum, var_convention)
 
 
 # ---------------------------------------------------------------------------
 # uniform estimator objects (used by the bootstrap, the MC harness and the CLI)
 
 
-class SrmEstimator(Protocol):
+class SrmEstimator:
+    """Base of the five estimators: ``prepare`` once per sample, ``evaluate`` per spectrum."""
+
     name: str
 
-    def prepare(self, sample: LtrcSample): ...
+    def prepare(self, sample: LtrcSample):
+        raise NotImplementedError
 
-    def evaluate(self, ctx, spectrum) -> float: ...
+    def evaluate(self, ctx, spectrum) -> float:
+        raise NotImplementedError
 
-    def __call__(self, sample: LtrcSample, spectrum) -> float: ...
+    def __call__(self, sample: LtrcSample, spectrum) -> float:
+        return self.evaluate(self.prepare(sample), spectrum)
 
 
 @dataclass(frozen=True)
-class ProdEstimator:
+class ProdEstimator(SrmEstimator):
     name: str = "prod"
 
     def prepare(self, sample: LtrcSample) -> PlFit:
@@ -305,12 +243,9 @@ class ProdEstimator:
         """Quantile values and, per row of ``weights``, the CDF level reached at each."""
         return sorted_sample.y[sorted_sample.starts], sorted_sample.pl_cdf(weights)
 
-    def __call__(self, sample: LtrcSample, spectrum) -> float:
-        return self.evaluate(self.prepare(sample), spectrum)
-
 
 @dataclass(frozen=True)
-class EmpEstimator:
+class EmpEstimator(SrmEstimator):
     name: str = "emp"
 
     def prepare(self, sample: LtrcSample):
@@ -324,62 +259,66 @@ class EmpEstimator:
         n = sorted_sample.y.size
         return sorted_sample.y, np.cumsum(weights[:, sorted_sample.order], axis=1) / n
 
-    def __call__(self, sample: LtrcSample, spectrum) -> float:
-        return self.evaluate(self.prepare(sample), spectrum)
-
 
 @dataclass(frozen=True)
-class KernelEstimator:
+class KernelEstimator(SrmEstimator):
+    """Kernel-quantile estimate: smooth the product-limit inverse, then integrate."""
+
     h: float = 0.4
-    kernel: str = "epanechnikov"
     name: str = "kernel"
 
-    def prepare(self, sample: LtrcSample):
-        return prepare_kernel(sample, self.h, self.kernel)
+    def __post_init__(self) -> None:
+        if self.h <= 0:
+            raise ValueError("bandwidth must be strictly positive")
 
-    def evaluate(self, ctx, spectrum) -> float:
-        return evaluate_kernel(ctx, spectrum)
+    def prepare(self, sample: LtrcSample) -> KernelQuantileSmoother:
+        return KernelQuantileSmoother(q=pl_quantile(fit_pl(sample)), h=self.h)
 
-    def __call__(self, sample: LtrcSample, spectrum) -> float:
-        return self.evaluate(self.prepare(sample), spectrum)
+    def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
+        pts = [p for p in (ctx.h, 1.0 - ctx.h) if 0.0 < p < 1.0]
+        value, _ = integrate.quad(
+            lambda u: float(spectrum.phi(u)) * ctx(u),
+            0.0,
+            1.0,
+            points=pts or None,
+            limit=200,
+            epsabs=1e-12,
+            epsrel=1e-8,
+        )
+        return float(value)
 
 
 @dataclass(frozen=True)
-class MlEstimator:
+class MlEstimator(SrmEstimator):
+    """Maximum-likelihood parametric estimate of the spectral risk measure."""
+
     scheme: WindowScheme
     family: ModelFamily
     x0: float
-    var_convention: str = "quantile"
     name: str = "ml"
 
     def prepare(self, sample: LtrcSample):
         return fit_ml_parameter(sample, self.scheme, self.family)
 
     def evaluate(self, ctx, spectrum) -> float:
-        return parametric_srm(self.family, self.x0, ctx, spectrum, self.var_convention)
-
-    def __call__(self, sample: LtrcSample, spectrum) -> float:
-        return self.evaluate(self.prepare(sample), spectrum)
+        return parametric_srm(self.family, self.x0, ctx, spectrum)
 
 
 @dataclass(frozen=True)
-class PmEstimator:
+class PmEstimator(SrmEstimator):
+    """Percentile-matching parametric estimate of the spectral risk measure."""
+
     scheme: WindowScheme
     family: ModelFamily
     x0: float
     p1: float = 0.5
-    var_convention: str = "quantile"
-    theta_numerator: float | None = None
     name: str = "pm"
 
     def prepare(self, sample: LtrcSample):
-        return fit_pm_parameter(sample, self.scheme, self.family, self.p1, self.theta_numerator)
+        return fit_pm_parameter(sample, self.scheme, self.family, self.p1)
 
     def evaluate(self, ctx, spectrum) -> float:
-        return parametric_srm(self.family, self.x0, ctx, spectrum, self.var_convention)
-
-    def __call__(self, sample: LtrcSample, spectrum) -> float:
-        return self.evaluate(self.prepare(sample), spectrum)
+        return parametric_srm(self.family, self.x0, ctx, spectrum)
 
 
 ESTIMATOR_NAMES = ("prod", "emp", "kernel", "ml", "pm")
@@ -390,7 +329,6 @@ def build_estimator(
     scheme: WindowScheme | None = None,
     family: ModelFamily | None = None,
     x0: float | None = None,
-    h: float = 0.4,
     p1: float = 0.5,
 ) -> SrmEstimator:
     """Construct an estimator by CLI-facing name."""
@@ -399,7 +337,7 @@ def build_estimator(
     if name == "emp":
         return EmpEstimator()
     if name == "kernel":
-        return KernelEstimator(h=h)
+        return KernelEstimator()
     if name in ("ml", "pm"):
         if scheme is None or family is None or x0 is None:
             raise ValueError(f"estimator {name!r} needs a window scheme, family and x0")

@@ -23,15 +23,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import EstimationError, NumericalError, SpecriskError
-from .estimators import (
-    EmpEstimator,
-    KernelEstimator,
-    MlEstimator,
-    PmEstimator,
-    ProdEstimator,
-    SrmEstimator,
-    srm_from_sorted,
-)
+from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_sorted
 from .inference import BootstrapPlan, bootstrap_ci
 from .ltrc import LtrcSample
 from .rng import derive_seed
@@ -112,6 +104,12 @@ class ExperimentPlan:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name in self.estimators or ():
+            if name in ("ml", "pm") and self.design not in IID_DESIGNS:
+                raise ValueError(f"estimator {name!r} is undefined for the dependent design")
+            if name in ("ml", "pm") and self.mode != "fixed-thresholds":
+                raise ValueError(f"estimator {name!r} requires fixed-thresholds mode")
+        _plan_estimators(self)  # raises on unknown names
 
     def resolved_estimators(self) -> tuple[str, ...]:
         if self.estimators is not None:
@@ -151,29 +149,12 @@ class MCResult:
         raise KeyError(f"no cell for ({estimator!r}, n={n}, k={k})")
 
 
-def _build_estimators(design: str, mode: str, names: tuple[str, ...]) -> list[SrmEstimator]:
+def _plan_estimators(plan: ExperimentPlan) -> list[SrmEstimator]:
+    """The plan's estimators; ``ml`` and ``pm`` fit the design's law behind the fixed window."""
+    model = IID_DESIGNS.get(plan.design)
+    family, x0 = (model.family, model.x0) if model else (None, None)
     scheme = WindowScheme.fixed(DEDUCTIBLE, LIMIT)
-    model = IID_DESIGNS.get(design)
-    out: list[SrmEstimator] = []
-    for name in names:
-        if name == "prod":
-            out.append(ProdEstimator())
-        elif name == "emp":
-            out.append(EmpEstimator())
-        elif name == "kernel":
-            out.append(KernelEstimator())
-        elif name in ("ml", "pm"):
-            if model is None:
-                raise ValueError(f"estimator {name!r} is undefined for the dependent design")
-            if mode != "fixed-thresholds":
-                raise ValueError(f"estimator {name!r} requires fixed-thresholds mode")
-            if name == "ml":
-                out.append(MlEstimator(scheme=scheme, family=model.family, x0=model.x0))
-            else:
-                out.append(PmEstimator(scheme=scheme, family=model.family, x0=model.x0))
-        else:
-            raise ValueError(f"unknown estimator {name!r}")
-    return out
+    return [build_estimator(name, scheme, family, x0) for name in plan.resolved_estimators()]
 
 
 def _generate_sample(design: str, mode: str, cfg: DependentModelConfig | None, n: int, seed: int) -> LtrcSample:
@@ -193,13 +174,13 @@ def _replicate_range(args) -> np.ndarray:
     Returns an array of shape (len(range), n_estimators, n_k); failed
     evaluations are NaN.
     """
-    (design, mode, cfg, n, k_grid, estimator_names, master_seed, r_start, r_stop) = args
-    estimators = _build_estimators(design, mode, tuple(estimator_names))
-    spectra = [ExponentialSpectrum(k) for k in k_grid]
-    out = np.full((r_stop - r_start, len(estimators), len(k_grid)), np.nan)
+    (plan, cfg, n, r_start, r_stop) = args
+    estimators = _plan_estimators(plan)
+    spectra = [ExponentialSpectrum(k) for k in plan.k_grid]
+    out = np.full((r_stop - r_start, len(estimators), len(spectra)), np.nan)
     for row, r in enumerate(range(r_start, r_stop)):
-        seed = derive_seed(master_seed, design, "replicate", n, r)
-        sample = _generate_sample(design, mode, cfg, n, seed)
+        seed = derive_seed(plan.master_seed, plan.design, "replicate", n, r)
+        sample = _generate_sample(plan.design, plan.mode, cfg, n, seed)
         for e_idx, est in enumerate(estimators):
             try:
                 ctx = est.prepare(sample)
@@ -213,29 +194,55 @@ def _replicate_range(args) -> np.ndarray:
     return out
 
 
-def _run_cells(plan: ExperimentPlan, cfg: DependentModelConfig | None) -> dict[int, np.ndarray]:
-    """Replicate evaluations per n: arrays (replicates, estimators, k)."""
-    names = plan.resolved_estimators()
-    results: dict[int, np.ndarray] = {}
-    for n in plan.n_grid:
-        chunks = _chunk_ranges(plan.replicates, plan.workers)
-        payloads = [
-            (plan.design, plan.mode, cfg, n, plan.k_grid, names, plan.master_seed, a, b)
-            for a, b in chunks
-        ]
-        if plan.workers == 1:
-            parts = [_replicate_range(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                parts = list(pool.map(_replicate_range, payloads))
-        results[n] = np.concatenate(parts, axis=0)
-    return results
+def _map_chunks(worker, head: tuple, total: int, workers: int) -> list:
+    """``worker((*head, start, stop))`` over chunks of range(total), in order.
 
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    With more than one worker the chunks run in a process pool.  Each
+    replicate derives its own random streams, so the results depend on
+    neither the chunking nor the worker count.
+    """
     n_chunks = max(1, min(total, workers * 4))
     step = math.ceil(total / n_chunks)
-    return [(a, min(total, a + step)) for a in range(0, total, step)]
+    payloads = [(*head, a, min(total, a + step)) for a in range(0, total, step)]
+    if workers == 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, payloads))
+
+
+def _theoretical_targets(
+    plan: ExperimentPlan, cfg: DependentModelConfig | None
+) -> tuple[DependentModelConfig | None, dict[float, float]]:
+    """The design's config and its target per k.
+
+    The iid designs target the ground-up SRM; the dependent design, at
+    ``cfg`` or else its standard calibration, targets a large-sample MC
+    oracle of the loss marginal.
+    """
+    if plan.design in IID_DESIGNS:
+        model = IID_DESIGNS[plan.design]
+        return cfg, {
+            k: theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(k))
+            for k in plan.k_grid
+        }
+    if cfg is None:
+        cfg = default_dependent_config()
+    oracle = np.sort(
+        sample_dependent_marginal(
+            cfg, plan.oracle_draws, derive_seed(plan.master_seed, "dependent-oracle")
+        )
+    )
+    return cfg, {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
+
+
+def _run_cells(plan: ExperimentPlan, cfg: DependentModelConfig | None) -> dict[int, np.ndarray]:
+    """Replicate evaluations per n: arrays (replicates, estimators, k)."""
+    return {
+        n: np.concatenate(
+            _map_chunks(_replicate_range, (plan, cfg, n), plan.replicates, plan.workers), axis=0
+        )
+        for n in plan.n_grid
+    }
 
 
 def _aggregate(
@@ -308,10 +315,7 @@ def run_iid_experiment(plan: ExperimentPlan) -> MCResult:
         raise ValueError("run_iid_experiment requires an iid design")
     model = IID_DESIGNS[plan.design]
     fixed_scheme = WindowScheme.fixed(DEDUCTIBLE, LIMIT)
-    theoretical = {
-        k: theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(k))
-        for k in plan.k_grid
-    }
+    _, theoretical = _theoretical_targets(plan, None)
     branch = window_branch_point(model, fixed_scheme)
     theoretical_window = {
         k: theoretical_srm(
@@ -363,14 +367,7 @@ def run_dependent_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | N
     """Run the dependent design; calibrates mu if no config is supplied."""
     if plan.design != "dependent":
         raise ValueError("run_dependent_experiment requires the dependent design")
-    if cfg is None:
-        cfg = default_dependent_config()
-    oracle = np.sort(
-        sample_dependent_marginal(
-            cfg, plan.oracle_draws, derive_seed(plan.master_seed, "dependent-oracle")
-        )
-    )
-    theoretical = {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
+    cfg, theoretical = _theoretical_targets(plan, cfg)
     values = _run_cells(plan, cfg)
     cells = _aggregate(plan, values, theoretical, None)
     meta = _base_metadata(plan)
@@ -388,13 +385,6 @@ def run_dependent_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | N
         }
     )
     return MCResult(cells=cells, metadata=meta)
-
-
-def run_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | None = None) -> MCResult:
-    """Dispatch on the plan's design."""
-    if plan.design == "dependent":
-        return run_dependent_experiment(plan, cfg)
-    return run_iid_experiment(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +413,20 @@ class CoverageResult:
 
 def _coverage_range(args) -> list[tuple[int, int]]:
     """Worker: (hit, refused) flags for a range of interval replicates."""
-    (design, mode, cfg, n, k, level, boot_b, master_seed, target, r_start, r_stop) = args
+    (plan, cfg, n, k, level, boot_b, target, r_start, r_stop) = args
     estimator = ProdEstimator()
     spectrum = ExponentialSpectrum(k)
     out = []
     for r in range(r_start, r_stop):
-        seed = derive_seed(master_seed, design, "coverage-sample", n, _k_key(k), r)
-        sample = _generate_sample(design, mode, cfg, n, seed)
-        plan = BootstrapPlan(
+        seed = derive_seed(plan.master_seed, plan.design, "coverage-sample", n, _k_key(k), r)
+        sample = _generate_sample(plan.design, plan.mode, cfg, n, seed)
+        boot = BootstrapPlan(
             replicates=boot_b,
-            seed=derive_seed(master_seed, design, "coverage-boot", n, _k_key(k), r),
+            seed=derive_seed(plan.master_seed, plan.design, "coverage-boot", n, _k_key(k), r),
             ci_level=level,
         )
         try:
-            report = bootstrap_ci(sample, estimator, spectrum, plan)
+            report = bootstrap_ci(sample, estimator, spectrum, boot)
         except SpecriskError:
             out.append((0, 1))
             continue
@@ -465,46 +455,12 @@ def run_coverage_experiment(
     hits on the design's theoretical value.  Refused intervals (degenerate
     resampling) count as misses and are reported separately.
     """
-    if plan.design == "dependent" and cfg is None:
-        cfg = default_dependent_config()
-    if plan.design in IID_DESIGNS:
-        model = IID_DESIGNS[plan.design]
-        theoretical = {
-            k: theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(k))
-            for k in plan.k_grid
-        }
-    else:
-        oracle = np.sort(
-            sample_dependent_marginal(
-                cfg, plan.oracle_draws, derive_seed(plan.master_seed, "dependent-oracle")
-            )
-        )
-        theoretical = {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
-
+    cfg, theoretical = _theoretical_targets(plan, cfg)
     cells = []
     for n in plan.n_grid:
         for k in plan.k_grid:
-            payloads = [
-                (
-                    plan.design,
-                    plan.mode,
-                    cfg,
-                    n,
-                    k,
-                    level,
-                    bootstrap_replicates,
-                    plan.master_seed,
-                    theoretical[k],
-                    a,
-                    b,
-                )
-                for a, b in _chunk_ranges(intervals, plan.workers)
-            ]
-            if plan.workers == 1:
-                parts = [_coverage_range(p) for p in payloads]
-            else:
-                with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                    parts = list(pool.map(_coverage_range, payloads))
+            head = (plan, cfg, n, k, level, bootstrap_replicates, theoretical[k])
+            parts = _map_chunks(_coverage_range, head, intervals, plan.workers)
             flags = [f for part in parts for f in part]
             hits = sum(h for h, _ in flags)
             refused = sum(m for _, m in flags)

@@ -315,23 +315,20 @@ def bootstrap_ci_many(
     plan, at a fraction of the cost when the spectrum grid is wide.
     Estimators with ``replicate_levels`` (``prod`` and ``emp``) refit no
     resample: every replicate is a row of integer weights on the sorted
-    original sample, see :func:`_weighted_replicates`.
+    original sample, see :func:`_weighted_replicates`; the others refit
+    each resample through their ``prepare`` and ``evaluate``.
     """
     spectra = tuple(spectra)
     n = len(sample)
-    can_share = hasattr(estimator, "prepare") and hasattr(estimator, "evaluate")
 
     # point estimates on the original sample: failures propagate
-    if can_share:
-        ctx0 = estimator.prepare(sample)
-        points = [estimator.evaluate(ctx0, spec) for spec in spectra]
-    else:
-        points = [estimator(sample, spec) for spec in spectra]
+    ctx0 = estimator.prepare(sample)
+    points = [estimator.evaluate(ctx0, spec) for spec in spectra]
     if hasattr(estimator, "replicate_levels"):
         estimates = list(_weighted_replicates(sample, estimator, spectra, plan))
         failures = [0] * len(spectra)
     else:
-        estimates, failures = _refit_replicates(sample, estimator, spectra, plan, can_share)
+        estimates, failures = _refit_replicates(sample, estimator, spectra, plan)
 
     reports = []
     for i, spectrum in enumerate(spectra):
@@ -405,42 +402,27 @@ def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: Bootstrap
     return out
 
 
-def _refit_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan, can_share: bool):
-    """Replicate estimates and failure counts per spectrum, refitting every resample."""
+def _refit_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan):
+    """Replicate estimates and failure counts per spectrum, refitting every resample.
+
+    A failed ``prepare`` fails the replicate for every spectrum.
+    """
     n = len(sample)
-
-    def evaluate_all(s: LtrcSample) -> list[float | None]:
-        if can_share:
-            ctx = estimator.prepare(s)  # failure here fails every spectrum
-            values = []
-            for spec in spectra:
-                try:
-                    values.append(estimator.evaluate(ctx, spec))
-                except (EstimationError, NumericalError):
-                    values.append(None)
-            return values
-        values = []
-        for spec in spectra:
-            try:
-                values.append(estimator(s, spec))
-            except (EstimationError, NumericalError):
-                values.append(None)
-        return values
-
     estimates: list[list[float]] = [[] for _ in spectra]
     failures = [0] * len(spectra)
     for b in range(plan.replicates):
         idx = _resample_indices(plan, b, n)
         resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
         try:
-            values = evaluate_all(resampled)
+            ctx = estimator.prepare(resampled)
         except (EstimationError, NumericalError):
-            values = [None] * len(spectra)
-        for i, value in enumerate(values):
-            if value is None:
+            failures = [f + 1 for f in failures]
+            continue
+        for i, spec in enumerate(spectra):
+            try:
+                estimates[i].append(estimator.evaluate(ctx, spec))
+            except (EstimationError, NumericalError):
                 failures[i] += 1
-            else:
-                estimates[i].append(value)
     return estimates, failures
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specrisk import ClaimsFormatError, LtrcSample, WindowScheme, parse_claims, write_ltrc_csv
-from specrisk.cli import main
+from specrisk.cli import _fmt, main
 from specrisk.config import load_config, model_from_config, scheme_from_config
 
 
@@ -218,6 +218,18 @@ class TestCli:
             (["simulate", "--design", "iid-exp", "--reps", "1"], "--reps must be at least 2"),
             (["simulate", "--design", "iid-exp", "--workers", "0"], "--workers must be at least 1"),
             (["coverage", "--workers", "0"], "--workers must be at least 1"),
+            (
+                ["simulate", "--design", "dependent", "--estimators", "ml"],
+                "estimator 'ml' is undefined for the dependent design",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--estimators", "pm"],
+                "estimator 'pm' requires fixed-thresholds mode",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--estimators", "prod,bogus"],
+                "unknown estimator 'bogus'; valid names: prod, emp, kernel, ml, pm",
+            ),
         ],
     )
     def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):
@@ -229,6 +241,60 @@ class TestCli:
         assert message in lines[-1]
         assert not any(line.startswith("Traceback") for line in lines)
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--target-alpha", "1.5"], "target_truncation_rate must lie in (0, 1)"),
+            (["--pc", "1.5"], "target_censoring_pc must lie in (0, 1)"),
+            (["--rho", "2"], "|rho| must be below 1"),
+            (["--phi2", "-1"], "phi1, phi2, phi3 must be strictly positive"),
+            (["--tolerance", "-1"], "--tolerance must be nonnegative"),
+        ],
+    )
+    def test_invalid_calibrate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        # refused before the bisection draws its evaluation set
+        with pytest.raises(SystemExit) as err:
+            main(["calibrate", *flags, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert message in lines[-1]
+        assert not any(line.startswith("Traceback") for line in lines)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, stem",
+        [
+            (
+                ["estimate", "--format", "raw", "--deductible", "500000",
+                 "--estimators", "prod,emp,kernel", "--k", "1,5", "--bootstrap", "55"],
+                "estimates",
+            ),
+            (
+                ["simulate", "--design", "iid-pareto", "--mode", "fixed-thresholds",
+                 "--n", "15", "--k", "1,5", "--reps", "4"],
+                "results",
+            ),
+            (
+                ["coverage", "--design", "iid-exp", "--n", "15", "--k", "1",
+                 "--reps", "3", "--bootstrap", "55"],
+                "coverage",
+            ),
+        ],
+    )
+    def test_csv_rows_match_json_records(self, tmp_path, argv, stem):
+        if argv[0] == "estimate":
+            argv = [*argv, "--input", str(self._write_claims(tmp_path))]
+        out = tmp_path / "out"
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+        text = (out / f"{stem}.csv").read_text()
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        columns = lines[0].split(",")
+        records = json.loads((out / f"{stem}.json").read_text())["results"]
+        assert len(lines) - 1 == len(records) > 0
+        for line, record in zip(lines[1:], records):
+            assert sorted(record) == sorted(columns)
+            assert line.split(",") == [_fmt(record[c]) for c in columns]
 
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)

@@ -10,13 +10,13 @@ from specrisk import (
     EstimationError,
     ExpectedShortfallSpectrum,
     ExponentialSpectrum,
+    KernelEstimator,
     LtrcSample,
+    MlEstimator,
     ModelFamily,
     WindowScheme,
     build_estimator,
     estimate_emp,
-    estimate_kernel,
-    estimate_ml,
     estimate_prod,
     srm_from_quantile,
     srm_from_sorted,
@@ -175,7 +175,7 @@ class TestMlEstimator:
         # with theta known exactly, the ML pipeline integrates the true curve
         s = LtrcSample([5000.0], [4000.0], [1])  # theta_hat = 1000
         for k in (1.0, 10.0):
-            val = estimate_ml(s, ExponentialSpectrum(k), WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 1000.0)
+            val = MlEstimator(WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 1000.0)(s, ExponentialSpectrum(k))
             assert val == pytest.approx(exp_srm_closed_form(1000.0, 1000.0, k), rel=1e-7)
 
 
@@ -278,16 +278,14 @@ class TestKernelEstimator:
     def test_estimate_runs_on_samples(self):
         rng = np.random.default_rng(3)
         s = random_ltrc_sample(rng, 60)
-        val = estimate_kernel(s, ExponentialSpectrum(1.0))
+        val = KernelEstimator()(s, ExponentialSpectrum(1.0))
         assert np.isfinite(val)
         assert val < float(np.max(s.y))
 
     def test_invalid_kernel_settings(self):
         s = LtrcSample([1.0], [0.0], [1])
-        with pytest.raises(ValueError, match="kernel shape"):
-            estimate_kernel(s, ExponentialSpectrum(1.0), kernel="gauss")
         with pytest.raises(ValueError, match="bandwidth"):
-            estimate_kernel(s, ExponentialSpectrum(1.0), h=0.0)
+            KernelEstimator(h=0.0)(s, ExponentialSpectrum(1.0))
 
 
 class TestBuildEstimator:

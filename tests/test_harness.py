@@ -42,9 +42,8 @@ class TestPlanValidation:
             small_iid_plan(n_grid=())
 
     def test_estimator_mode_compatibility(self):
-        plan = small_iid_plan(estimators=("ml",), mode="random-truncation")
         with pytest.raises(ValueError, match="fixed-thresholds"):
-            run_iid_experiment(plan)
+            small_iid_plan(estimators=("ml",), mode="random-truncation")
 
     def test_default_estimator_sets(self):
         assert small_iid_plan().resolved_estimators() == ("prod", "emp", "kernel")

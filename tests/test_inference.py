@@ -390,7 +390,10 @@ class TestBootstrap:
             # roughly three quarters of the resamples of this sample
             name = "sometimes"
 
-            def __call__(self, sample, spectrum):
+            def prepare(self, sample):
+                return sample
+
+            def evaluate(self, sample, spectrum):
                 if float(sample.y[0]) > 1.5:
                     raise EstimationError("synthetic failure")
                 return float(sample.y.mean())
