@@ -246,6 +246,8 @@ def _cmd_estimate(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     _check_reps(args, parser, 2)
+    if args.config and args.design != "dependent":
+        parser.error(f"--config applies only to --design dependent, got --design {args.design}")
     try:
         plan = ExperimentPlan(
             design=args.design,
@@ -257,10 +259,10 @@ def _cmd_simulate(args, parser) -> int:
             mode=args.mode,
             workers=args.workers,
         )
+        cfg = dependent_from_config(load_config(args.config)) if args.config else None
     except ValueError as exc:
         parser.error(str(exc))
     if args.design == "dependent":
-        cfg = dependent_from_config(load_config(args.config)) if args.config else None
         result = run_dependent_experiment(plan, cfg)
     else:
         result = run_iid_experiment(plan)

@@ -10,6 +10,7 @@ one-step survival factors over risk sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -94,14 +95,15 @@ class StepDistribution:
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
     before the first knot the CDF equals ``left_value``.  When the fit was
-    carried in exact rational arithmetic, ``exact_values`` holds the same
-    values as ``Fraction`` instances.
+    carried in exact rational arithmetic, ``exact_values[j]`` is the same
+    value as a pair of coprime ints ``(num, den)`` meaning num/den, and
+    ``values[j]`` is its correctly rounded float.
     """
 
     knots: np.ndarray
     values: np.ndarray
     left_value: float = 0.0
-    exact_values: tuple[Fraction, ...] | None = None
+    exact_values: tuple[tuple[int, int], ...] | None = None
     zero_factor_count: int = 0
     n: int = 0
 
@@ -134,7 +136,7 @@ class StepDistribution:
         idx = int(np.searchsorted(self.knots, x, side="right"))
         if idx == 0:
             return Fraction(0)
-        return self.exact_values[idx - 1]
+        return Fraction(*self.exact_values[idx - 1])
 
     def jumps(self) -> np.ndarray:
         """Probability mass at each knot."""
@@ -265,8 +267,8 @@ def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> Step
     zero_factors = int(np.count_nonzero((ds == 1) & (risk == 1) & (ys < ys[-1])))
 
     if exact:
-        vals_exact = _exact_cdf(ys, ds, risk)
-        vals = np.array([float(v) for v in vals_exact])
+        vals_exact = _exact_cdf(ds, risk, starts)
+        vals = np.array([num / den for num, den in vals_exact])
     else:
         vals = _log_space_cdf(ds, risk[None, :], starts, np.ones((1, n), dtype=np.int64))[0]
 
@@ -284,25 +286,30 @@ def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> Step
     )
 
 
-def _exact_cdf(ys: np.ndarray, ds: np.ndarray, risk: np.ndarray) -> list[Fraction]:
-    """CDF value at each run of equal sorted y, as an exact rational."""
-    n = ys.size
-    y_max = ys[-1]
-    vals_exact: list[Fraction] = []
-    surv_frac = Fraction(1)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and ys[j] == ys[i]:
-            if ds[j] == 1:
-                r = int(risk[j])
-                surv_frac *= Fraction(r - 1, r)
-            j += 1
-        if ys[i] == y_max:
-            surv_frac = Fraction(0)
-        vals_exact.append(1 - surv_frac)
-        i = j
-    return vals_exact
+def _exact_cdf(ds: np.ndarray, risk: np.ndarray, starts: np.ndarray) -> list[tuple[int, int]]:
+    """CDF value at each run of equal sorted y, as a coprime pair (num, den).
+
+    The survival product num/den is kept in lowest terms: each factor
+    (R-1)/R is cross-reduced against it by two gcds, as ``Fraction``
+    multiplication does.  The CDF value (den - num)/den then has coprime
+    terms, and int true division rounds it correctly.  A run reads the
+    product after its last uncensored point (a run without one carries the
+    previous value); the run of the largest y has value 1.
+    """
+    unc = ds == 1
+    # number of uncensored points up to the end of each run
+    reads = np.cumsum(unc)[np.concatenate((starts[1:], [ds.size])) - 1]
+    surv = [(1, 1)]
+    num = den = 1
+    for r in risk[unc].tolist():
+        g1 = math.gcd(num, r)
+        g2 = math.gcd(r - 1, den)
+        num = (num // g1) * ((r - 1) // g2)
+        den = (den // g2) * (r // g1)
+        surv.append((num, den))
+    vals = [(den - num, den) for num, den in map(surv.__getitem__, reads[:-1].tolist())]
+    vals.append((1, 1))
+    return vals
 
 
 def _log_space_cdf(

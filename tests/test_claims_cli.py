@@ -230,10 +230,20 @@ class TestCli:
                 ["simulate", "--design", "iid-exp", "--estimators", "prod,bogus"],
                 "unknown estimator 'bogus'; valid names: prod, emp, kernel, ml, pm",
             ),
+            (
+                ["simulate", "--design", "dependent", "--config", "rho2.cfg"],
+                "|rho| must be below 1",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--config", "rho2.cfg"],
+                "--config applies only to --design dependent, got --design iid-exp",
+            ),
         ],
     )
-    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):
+    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         # refused before any sample is drawn or any worker is started
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rho2.cfg").write_text("rho = 2\n", encoding="utf-8")
         with pytest.raises(SystemExit) as err:
             main([*argv, "--n", "30", "--out", str(tmp_path / "x")])
         assert err.value.code == 2

@@ -1,5 +1,6 @@
 """Tests for the product-limit core: risk sets, fits, quantile inversion."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from specrisk import (
     risk_set_fraction,
     uncensored_subdist,
 )
+from specrisk import harness, ltrc
 
 from conftest import pl_cdf_bruteforce, random_ltrc_sample
 
@@ -67,7 +69,8 @@ class TestFitPl:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         d = fit_pl(s)
         assert d.knots.tolist() == [1.0, 2.0]
-        assert d.exact_values == (Fraction(1, 2), Fraction(1))
+        assert d.exact_values == ((1, 2), (1, 1))
+        assert d.cdf_exact(1.0) == Fraction(1, 2)
         assert d.cdf(0.5) == 0.0
         assert d.cdf(1.0) == 0.5
         assert d.cdf(1.9) == 0.5
@@ -191,18 +194,22 @@ def _log_space_fit_loop(sample):
     return np.array([knots[i] for i in keep]), np.array([vals[i] for i in keep]), zero_factors
 
 
+_EDGE_CASES = pytest.mark.parametrize(
+    "sample",
+    [
+        LtrcSample([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0.0] * 7, [1, 0, 1, 1, 0, 1, 1]),
+        LtrcSample([1.0, 2.0, 2.5, 3.0], [0.0] * 4, [1, 1, 1, 0]),
+        LtrcSample([1.0, 2.0, 3.0], [0.0, 1.5, 1.5], [1, 1, 0]),
+        LtrcSample([2.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1]),
+        LtrcSample([4.0], [1.0], [1]),
+        LtrcSample([1.0, 3.0], [0.5, 0.0], [0, 1]),
+    ],
+    ids=["tied-mixed-delta", "censored-max", "zero-factor", "all-tied", "n=1", "n=2"],
+)
+
+
 class TestLogSpaceFit:
-    @pytest.mark.parametrize(
-        "sample",
-        [
-            LtrcSample([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0.0] * 7, [1, 0, 1, 1, 0, 1, 1]),
-            LtrcSample([1.0, 2.0, 2.5, 3.0], [0.0] * 4, [1, 1, 1, 0]),
-            LtrcSample([1.0, 2.0, 3.0], [0.0, 1.5, 1.5], [1, 1, 0]),
-            LtrcSample([2.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1]),
-            LtrcSample([4.0], [1.0], [1]),
-        ],
-        ids=["tied-mixed-delta", "censored-max", "zero-factor", "all-tied", "n=1"],
-    )
+    @_EDGE_CASES
     def test_matches_loop_on_edge_cases(self, sample):
         d = fit_pl(sample, exact=False)
         knots, values, zero_factors = _log_space_fit_loop(sample)
@@ -219,6 +226,76 @@ class TestLogSpaceFit:
         assert np.array_equal(d.knots, knots)
         assert np.array_equal(d.values, values)
         assert d.zero_factor_count == zero_factors
+
+
+def _fraction_fit_loop(sample):
+    """Observation-by-observation exact product-limit fit in ``Fraction`` arithmetic.
+
+    The reference for ``fit_pl(..., exact=True)``: returns the knots and the
+    CDF values as ``Fraction`` instances, knots that add no mass dropped.
+    """
+    order = sample.sorted_order()
+    ys = sample.y[order]
+    ds = sample.delta[order]
+    ts = np.sort(sample.t)
+    risk = np.searchsorted(ts, ys, side="right") - np.searchsorted(ys, ys, side="left")
+    n = ys.size
+    y_max = ys[-1]
+    knots, vals = [], []
+    surv = Fraction(1)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and ys[j] == ys[i]:
+            if ds[j] == 1:
+                r = int(risk[j])
+                surv *= Fraction(r - 1, r)
+            j += 1
+        if ys[i] == y_max:
+            surv = Fraction(0)
+        knots.append(float(ys[i]))
+        vals.append(1 - surv)
+        i = j
+    keep = [0]
+    for idx in range(1, len(knots)):
+        if vals[idx] > vals[keep[-1]]:
+            keep.append(idx)
+    return np.array([knots[i] for i in keep]), [vals[i] for i in keep]
+
+
+@pytest.fixture(scope="module")
+def exact_oracle_samples():
+    cfg = harness.default_dependent_config()
+    return {
+        "iid-exp-2000": harness._generate_sample("iid-exp", "random-truncation", None, 2000, 41),
+        "dependent-2000": harness._generate_sample("dependent", "random-truncation", cfg, 2000, 42),
+        "dependent-10000": harness._generate_sample(
+            "dependent", "random-truncation", cfg, ltrc.EXACT_PRODUCT_LIMIT, 43
+        ),
+    }
+
+
+class TestExactFit:
+    @staticmethod
+    def _check_against_oracle(sample):
+        d = fit_pl(sample)
+        assert d.exact_values is not None
+        knots, fractions = _fraction_fit_loop(sample)
+        assert np.array_equal(d.knots, knots)
+        assert np.array_equal(d.values, np.array([float(f) for f in fractions]))
+        assert d.exact_values == tuple((f.numerator, f.denominator) for f in fractions)
+        assert all(den > 0 and math.gcd(num, den) == 1 for num, den in d.exact_values)
+        for x, f in zip(knots, fractions):
+            assert d.cdf_exact(x) == f
+
+    @_EDGE_CASES
+    def test_matches_fraction_loop_on_edge_cases(self, sample):
+        self._check_against_oracle(sample)
+
+    @pytest.mark.parametrize("name", ["iid-exp-2000", "dependent-2000", "dependent-10000"])
+    def test_matches_fraction_loop_on_benchmark_sized_samples(self, exact_oracle_samples, name):
+        # dependent-10000 is the largest sample the default path fits exactly
+        self._check_against_oracle(exact_oracle_samples[name])
 
 
 class TestQuantile:
