@@ -156,17 +156,19 @@ def _cmd_estimate(args, parser) -> int:
     scheme = None
     family = None
     x0 = None
-    if args.config:
-        file_cfg = load_config(args.config)
+    file_cfg = load_config(args.config) if args.config else {}
+    try:
         if "family" in file_cfg:
             model = model_from_config(file_cfg)
             family, x0 = model.family, model.x0
         if "d" in file_cfg or "u" in file_cfg:
             scheme = scheme_from_config(file_cfg)
-    if args.deductible is not None or args.limit is not None:
-        d = args.deductible if args.deductible is not None else 0.0
-        u = args.limit if args.limit is not None else math.inf
-        scheme = WindowScheme.fixed(d, u)
+        if args.deductible is not None or args.limit is not None:
+            d = args.deductible if args.deductible is not None else 0.0
+            u = args.limit if args.limit is not None else math.inf
+            scheme = WindowScheme.fixed(d, u)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.family:
         family = ModelFamily.SHIFTED_EXPONENTIAL if args.family == "exp" else ModelFamily.PARETO_I
         x0 = args.x0

@@ -12,6 +12,7 @@ and integrate the fitted parametric quantiles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,24 +80,87 @@ class KernelQuantileSmoother:
     The convolution window is clipped to [0, 1] without boundary correction,
     so the smoother loses kernel mass near both endpoints; that behaviour is
     part of the estimator being reproduced.
+
+    With G the antiderivative of the kernel, clipped to +-1/2 outside the
+    window, the segment sum telescopes over the knots x_j (the segment
+    boundaries inside (0, 1)) with the jumps d_j = v_{j-1} - v_j:
+
+        v_last G((1 - t)/h) - v_0 G(-t/h) + sum_j d_j G((x_j - t)/h).
+
+    Knots at or beyond t +- h add +-1/2 times a prefix sum of the jumps.  The
+    knots inside the window add a cubic in (x_j - t)/h, summed from prefix
+    sums of d u^m (m = 0..3) with u = (x - c)/h about the anchor c = a h,
+    a = round(t/h).  Each anchor holds the knots within 1.5h of it, so
+    |u| <= 1.5 and |t - c| <= h/2 bound the cancellation at any h, where
+    moments about one global centre lose it at small h.  Anchors exist only
+    near knots; a window without knots needs none.
+
+    Cost: the constructor does all set-up, O(n) numpy work plus a small
+    numpy step per anchor (about 1/h + 5 anchors, at most 5 per knot).  A
+    call is two bisections and a few float operations, O(log n).
+    Accuracy: within about 1e-14 max|v| of summing every segment directly,
+    which the tests check at 1e-13 max|v| for h from 1e-6 to 2.
     """
 
     q: QuantileFunction
     h: float
 
+    def __post_init__(self) -> None:
+        h = self.h
+        values = self.q.values
+        knots = self.q.segment_lo[1:]
+        jumps = values[:-1] - values[1:]
+        anchors = np.unique(np.rint(knots / h).astype(np.int64)[:, None] + np.arange(-2, 3))
+        centres = anchors * h
+        # the slack covers float rounding of t +- h and a h, a few ulps of 1
+        reach = 1.5 * h + 1e-12
+        starts = np.searchsorted(knots, centres - reach, side="left")
+        ends = np.searchsorted(knots, centres + reach, side="right")
+        offsets = {}
+        blocks = [np.zeros((4, 0))]  # keeps the concatenation valid without knots
+        base = 0
+        for a, c, s, e in zip(anchors.tolist(), centres.tolist(), starts.tolist(), ends.tolist()):
+            u = (knots[s:e] - c) / h
+            d = jumps[s:e]
+            block = np.zeros((4, e - s + 1))
+            np.cumsum([d, d * u, d * u * u, d * u * u * u], axis=1, out=block[:, 1:])
+            blocks.append(block)
+            offsets[a] = base - s
+            base += e - s + 1
+        set_ = object.__setattr__
+        set_(self, "_knots", knots.tolist())
+        set_(self, "_jump_sums", np.concatenate(([0.0], np.cumsum(jumps))).tolist())
+        set_(self, "_offsets", offsets)
+        set_(self, "_moments", tuple(np.concatenate(blocks, axis=1).tolist()))
+        set_(self, "_ends", (float(values[0]), float(values[-1])))
+
     def __call__(self, t: float) -> float:
         h = self.h
-        lo = np.maximum(self.q.segment_lo, max(t - h, 0.0))
-        hi = np.minimum(self.q.segment_hi, min(t + h, 1.0))
-        a = np.clip((lo - t) / h, -1.0, 1.0)
-        b = np.clip((hi - t) / h, -1.0, 1.0)
-        contrib = np.where(b > a, _epan_antiderivative(b) - _epan_antiderivative(a), 0.0)
-        return float(np.sum(self.q.values * contrib))
+        knots = self._knots
+        lo = bisect_right(knots, t - h)
+        hi = bisect_left(knots, t + h, lo)
+        v_first, v_last = self._ends
+        sums = self._jump_sums
+        total = v_last * _clipped_g((1.0 - t) / h) - v_first * _clipped_g(-t / h)
+        total += 0.5 * (sums[-1] - sums[hi] - sums[lo])
+        if lo < hi:
+            a = round(t / h)
+            z = (t - a * h) / h
+            off = self._offsets[a]
+            i, j = off + lo, off + hi
+            p0, p1, p2, p3 = self._moments
+            m0, m1, m2, m3 = p0[j] - p0[i], p1[j] - p1[i], p2[j] - p2[i], p3[j] - p3[i]
+            # sum of d G(u - z) with G(w) = 0.75w - 0.25w^3, expanded in z
+            total += 0.75 * (m1 - z * m0) - 0.25 * (
+                m3 - 3.0 * z * m2 + 3.0 * z * z * m1 - z * z * z * m0
+            )
+        return total
 
 
-def _epan_antiderivative(v):
+def _clipped_g(v: float) -> float:
     # 0.75v - 0.25v^3: hits exactly +-0.5 at +-1, so a full window has unit mass
-    return 0.75 * v - 0.25 * v**3
+    v = min(1.0, max(-1.0, v))
+    return 0.75 * v - 0.25 * v * v * v
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ def _separation(res, lower: str, upper: str, n: int, k: float) -> tuple[float, f
     return a.rmse, b.rmse, (b.rmse - a.rmse) - 3.0 * math.hypot(a.rmse_se, b.rmse_se)
 
 
-@pytest.mark.slow
 def test_criterion_06_table_orderings():
     """RMSE orderings at desk scale with 3-standard-error separation."""
     t0 = time.perf_counter()

@@ -195,10 +195,19 @@ class TestCli:
             (["--level", "1.5"], "--level must lie in (0, 1)"),
             (["--p1", "2"], "--p1 must lie in (0, 1)"),
             (["--workers", "0"], "--workers must be at least 1"),
+            (["--deductible", "5", "--limit", "1"], "deductible must be below the policy limit"),
+            (["--config", "x0neg.cfg"], "x0 must be strictly positive"),
+            (["--config", "window.cfg"], "deductible must be below the policy limit"),
         ],
     )
-    def test_invalid_estimate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+    def test_invalid_estimate_flag_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
         # the input file does not exist: the flags are refused before it is read
+        monkeypatch.chdir(tmp_path)
+        x0neg = "family = exp\nx0 = -5\ntheta = 1000\n"
+        (tmp_path / "x0neg.cfg").write_text(x0neg, encoding="utf-8")
+        (tmp_path / "window.cfg").write_text("d = 5\nu = 1\n", encoding="utf-8")
         with pytest.raises(SystemExit) as err:
             main(
                 ["estimate", "--input", str(tmp_path / "missing.csv"),

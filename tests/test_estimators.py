@@ -27,7 +27,8 @@ from specrisk.estimators import (
     fit_pm_parameter,
     parametric_srm,
 )
-from specrisk.ltrc import QuantileFunction
+from specrisk import harness
+from specrisk.ltrc import QuantileFunction, fit_pl, pl_quantile
 
 from conftest import random_ltrc_sample
 from test_severity import exp_srm_closed_form, pareto_srm_closed_form
@@ -286,6 +287,124 @@ class TestKernelEstimator:
         s = LtrcSample([1.0], [0.0], [1])
         with pytest.raises(ValueError, match="bandwidth"):
             KernelEstimator(h=0.0)(s, ExponentialSpectrum(1.0))
+
+
+def _segment_sum_smoother(q: QuantileFunction, h: float, t: float) -> float:
+    """Reference smoother: the clipped kernel mass of every segment, summed directly."""
+    lo = np.maximum(q.segment_lo, max(t - h, 0.0))
+    hi = np.minimum(q.segment_hi, min(t + h, 1.0))
+    a = np.clip((lo - t) / h, -1.0, 1.0)
+    b = np.clip((hi - t) / h, -1.0, 1.0)
+    contrib = np.where(b > a, (0.75 * b - 0.25 * b**3) - (0.75 * a - 0.25 * a**3), 0.0)
+    return float(np.sum(q.values * contrib))
+
+
+def _reference_kernel_srm(q: QuantileFunction, h: float, spectrum) -> float:
+    """The quadrature of ``KernelEstimator.evaluate`` run over the reference smoother."""
+    pts = [p for p in (h, 1.0 - h) if 0.0 < p < 1.0]
+    value, _ = integrate.quad(
+        lambda u: float(spectrum.phi(u)) * _segment_sum_smoother(q, h, u),
+        0.0,
+        1.0,
+        points=pts or None,
+        limit=200,
+        epsabs=1e-12,
+        epsrel=1e-8,
+    )
+    return value
+
+
+SMOOTHER_BANDWIDTHS = (1e-6, 1e-4, 0.05, 0.4, 0.7, 2.0)
+
+
+def _smoother_points(q: QuantileFunction, h: float) -> np.ndarray:
+    """A 301-point grid, knots +- h, and 0, 1, h, 1 - h, all inside [0, 1].
+
+    Past 300 knots an evenly spaced subset of about 300 is taken: the
+    reference costs O(n) per point, so every knot of a 10 000-knot function
+    would take about 10 s per bandwidth.
+    """
+    knots = q.segment_lo[1:]
+    knots = knots[:: max(1, knots.size // 300)]
+    ends = [0.0, 1.0, h, 1.0 - h]
+    pts = np.concatenate((np.linspace(0.0, 1.0, 301), knots - h, knots + h, ends))
+    return pts[(pts >= 0.0) & (pts <= 1.0)]
+
+
+def _window_has_knots(q: QuantileFunction, h: float, pts: np.ndarray) -> np.ndarray:
+    knots = q.segment_lo[1:]
+    return np.searchsorted(knots, pts + h, side="left") > np.searchsorted(knots, pts - h, "right")
+
+
+@pytest.fixture(scope="module")
+def smoother_cases():
+    tied_hi = np.array([0.1, 0.25, 0.3, 0.55, 0.8, 1.0])
+    cfg = harness.default_dependent_config()
+    dependent = harness._generate_sample("dependent", "random-truncation", cfg, 10_500, 44)
+    return {
+        "one-segment": QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[6.0]),
+        "tied-values": QuantileFunction(
+            segment_lo=np.concatenate(([0.0], tied_hi[:-1])),
+            segment_hi=tied_hi,
+            values=[-2.0, -2.0, 3.0, 3.0, 3.0, 7.5],
+        ),
+        "n1-sample": pl_quantile(fit_pl(LtrcSample([1500.0], [1000.0], [1]))),
+        "dependent-10500": pl_quantile(fit_pl(dependent)),
+    }
+
+
+class TestKernelSmootherOracle:
+    @pytest.mark.parametrize("h", SMOOTHER_BANDWIDTHS)
+    @pytest.mark.parametrize(
+        "name", ["one-segment", "tied-values", "n1-sample", "dependent-10500"]
+    )
+    def test_matches_segment_sum(self, smoother_cases, name, h):
+        q = smoother_cases[name]
+        smoother = KernelQuantileSmoother(q=q, h=h)
+        pts = _smoother_points(q, h)
+        got = np.array([smoother(float(t)) for t in pts])
+        want = np.array([_segment_sum_smoother(q, h, float(t)) for t in pts])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(q.values))
+
+    def test_points_reach_both_branches(self, smoother_cases):
+        # the cases above sum knots inside the window by moments and also
+        # meet windows that hold no knot at all
+        for name, q in smoother_cases.items():
+            for h in SMOOTHER_BANDWIDTHS:
+                inside = _window_has_knots(q, h, _smoother_points(q, h))
+                assert inside.any() == (q.values.size > 1), (name, h)
+        q = smoother_cases["dependent-10500"]
+        for h in (1e-6, 1e-4):
+            assert not _window_has_knots(q, h, _smoother_points(q, h)).all()
+
+
+@pytest.fixture(scope="module")
+def kernel_golden_samples():
+    cfg = harness.default_dependent_config()
+    cells = [
+        ("iid-exp", "random-truncation", None),
+        ("iid-pareto", "fixed-thresholds", None),
+        ("dependent", "random-truncation", cfg),
+    ]
+    return {
+        f"{design}-{n}": harness._generate_sample(design, mode, c, n, 50 + n)
+        for design, mode, c in cells
+        for n in (30, 100, 500)
+    }
+
+
+class TestKernelGoldenPreservation:
+    @pytest.mark.parametrize(
+        "name",
+        [f"{d}-{n}" for d in ("iid-exp", "iid-pareto", "dependent") for n in (30, 100, 500)],
+    )
+    def test_evaluate_matches_quadrature_over_reference(self, kernel_golden_samples, name):
+        estimator = KernelEstimator()
+        ctx = estimator.prepare(kernel_golden_samples[name])
+        spectra = [ExponentialSpectrum(k) for k in K_GRID] + [ExpectedShortfallSpectrum(0.9)]
+        for spectrum in spectra:
+            want = _reference_kernel_srm(ctx.q, ctx.h, spectrum)
+            assert estimator.evaluate(ctx, spectrum) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBuildEstimator:
