@@ -33,7 +33,6 @@ from .spectra import ExpectedShortfallSpectrum, ExponentialSpectrum
 from .severity import (
     DependentModelConfig,
     ModelFamily,
-    QuadratureConfig,
     SeverityModel,
     TruncationLaw,
     WindowScheme,

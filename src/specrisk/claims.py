@@ -30,15 +30,9 @@ _DEFAULT_GROUP = "all"
 class ClaimsFile:
     """Parsed claims grouped into LTRC samples."""
 
-    format: str
     groups: dict[str, LtrcSample]
     n_rows: int
     rejected: tuple[tuple[int, str], ...]
-    source: str
-
-    @property
-    def n_observations(self) -> int:
-        return sum(len(s) for s in self.groups.values())
 
 
 def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFile:
@@ -118,13 +112,7 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
         )
         for g, rs in sorted(rows.items())
     }
-    return ClaimsFile(
-        format=fmt,
-        groups=groups,
-        n_rows=n_rows,
-        rejected=tuple(rejected),
-        source=str(path),
-    )
+    return ClaimsFile(groups=groups, n_rows=n_rows, rejected=tuple(rejected))
 
 
 def write_ltrc_csv(path, groups: dict[str, LtrcSample], header_lines: tuple[str, ...] = ()) -> None:

@@ -2,8 +2,12 @@
 
 Every output file embeds the fully resolved configuration and master seed in
 a comment header (CSV) or a ``config`` object (JSON), and reruns with the
-same flags produce byte-identical files regardless of worker count.  Exit
-codes: 0 success, 1 computation failure, 2 usage error.
+same flags produce byte-identical files regardless of worker count.
+
+Each subcommand resolves its flags, ``SPECRISK_*`` defaults and config file
+into the objects it runs on before any work, so a bad value exits 2 (usage
+error) before a claims file is read, a sample drawn or a worker started.
+Unreadable files, claims-file errors and computation failures exit 1.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
 from .claims import parse_claims
 from .config import dependent_from_config, load_config, model_from_config, scheme_from_config
-from .errors import SpecriskError
+from .errors import ClaimsFormatError, SpecriskError
 from .estimators import build_estimator
 from .harness import (
     CoverageCell,
@@ -50,29 +55,60 @@ def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
-def _parse_floats(text: str, what: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        parser.error(f"invalid {what} list {text!r}")
-    if not values:
-        parser.error(f"empty {what} list")
-    return values
+# ---------------------------------------------------------------------------
+# flag converters: argparse names the flag, exits 2, and also converts the
+# string defaults, so every SPECRISK_* value is checked the same way
 
 
-def _parse_ints(text: str, what: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    floats = _parse_floats(text, what, parser)
-    ints = tuple(int(v) for v in floats)
-    if any(i != v for i, v in zip(ints, floats)) or any(i < 1 for i in ints):
-        parser.error(f"{what} list must contain positive integers: {text!r}")
-    return ints
+def _flag(parse, ok, need: str):
+    """An argparse ``type=``: ``parse`` the text, then require ``ok`` of the value."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+
+    return convert
 
 
-def _parse_k_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    k_grid = _parse_floats(text, "k", parser)
-    if not all(math.isfinite(k) and k >= 0 for k in k_grid):
-        parser.error(f"k values must be finite and nonnegative: {text!r}")
-    return k_grid
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    values = _numbers(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(text)
+    return tuple(int(v) for v in values)
+
+
+@dataclasses.dataclass(frozen=True)
+class _KGrid:
+    """The ``--k`` list: its text, which output headers echo, and its values."""
+
+    text: str
+    values: tuple[float, ...]
+
+
+def _at_least(least: int):
+    return _flag(int, lambda v: v >= least, f"an integer of at least {least}")
+
+
+_SEED = _flag(int, lambda v: v >= 0, "a nonnegative integer")
+_PROBABILITY = _flag(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_TOLERANCE = _flag(float, lambda v: v >= 0.0, "a nonnegative number")
+_X0 = _flag(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_N_GRID = _flag(_integers, lambda ns: ns and min(ns) >= 1, "a list of positive integers")
+_K_GRID = _flag(
+    lambda text: _KGrid(text, _numbers(text)),
+    lambda grid: grid.values and all(math.isfinite(k) and k >= 0 for k in grid.values),
+    "a list of finite nonnegative numbers",
+)
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -134,217 +170,191 @@ def _jsonable_config(config: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds every object it runs on, then returns the run;
+# nothing reads claims, draws samples or starts workers before it returns
 
 
-def _check_bootstrap_flags(args, parser) -> None:
-    if args.bootstrap < 1:
-        parser.error(f"--bootstrap must be at least 1, got {args.bootstrap}")
-    if not 0.0 < args.level < 1.0:
-        parser.error(f"--level must lie in (0, 1), got {args.level:g}")
-
-
-def _check_reps(args, parser, least: int) -> None:
-    if args.reps < least:
-        parser.error(f"--reps must be at least {least}, got {args.reps}")
-
-
-def _cmd_estimate(args, parser) -> int:
-    _check_bootstrap_flags(args, parser)
-    if not 0.0 < args.p1 < 1.0:
-        parser.error(f"--p1 must lie in (0, 1), got {args.p1:g}")
-    scheme = None
-    family = None
-    x0 = None
+def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     file_cfg = load_config(args.config) if args.config else {}
-    try:
-        if "family" in file_cfg:
-            model = model_from_config(file_cfg)
-            family, x0 = model.family, model.x0
-        if "d" in file_cfg or "u" in file_cfg:
-            scheme = scheme_from_config(file_cfg)
-        if args.deductible is not None or args.limit is not None:
-            d = args.deductible if args.deductible is not None else 0.0
-            u = args.limit if args.limit is not None else math.inf
-            scheme = WindowScheme.fixed(d, u)
-    except ValueError as exc:
-        parser.error(str(exc))
+    family = x0 = None
+    if "family" in file_cfg:
+        model = model_from_config(file_cfg)
+        family, x0 = model.family, model.x0
+    scheme = scheme_from_config(file_cfg)
+    if args.deductible is not None or args.limit is not None:
+        d = args.deductible if args.deductible is not None else 0.0
+        u = args.limit if args.limit is not None else math.inf
+        scheme = WindowScheme.fixed(d, u)
     if args.family:
+        if args.x0 is None:
+            raise ValueError("--family requires --x0")
         family = ModelFamily.SHIFTED_EXPONENTIAL if args.family == "exp" else ModelFamily.PARETO_I
         x0 = args.x0
-        if x0 is None:
-            parser.error("--family requires --x0")
     if args.format == "raw" and scheme is None:
-        parser.error("raw claims need --deductible/--limit (or a config file window)")
-
+        raise ValueError("raw claims need --deductible/--limit (or a config file window)")
     names = tuple(args.estimators.split(","))
-    try:
-        estimators = [
-            build_estimator(name, scheme=scheme, family=family, x0=x0, p1=args.p1)
-            for name in names
-        ]
-    except ValueError as exc:
-        parser.error(str(exc))
-    k_grid = _parse_k_grid(args.k, parser)
-
-    claims = parse_claims(args.input, args.format, scheme)
-    config = {
-        "command": "estimate",
-        "input": args.input,
-        "format": args.format,
-        "deductible": getattr(scheme, "deductible", None),
-        "limit": getattr(scheme, "limit", None),
-        "estimators": ",".join(names),
-        "k": args.k,
-        "bootstrap": args.bootstrap,
-        "level": args.level,
-        "seed": args.seed,
-        "rejected_rows": len(claims.rejected),
-        "n_rows": claims.n_rows,
-    }
-    columns = [
-        "group",
-        "estimator",
-        "k",
-        "n",
-        "point",
-        "std_error",
-        "ci_low",
-        "ci_high",
-        "ci_level",
-        "replicates_used",
-        "replicate_failures",
+    estimators = [
+        build_estimator(name, scheme=scheme, family=family, x0=x0, p1=args.p1) for name in names
     ]
-    rows = []
+    spectra = [ExponentialSpectrum(k) for k in args.k.values]
     plan = BootstrapPlan(replicates=args.bootstrap, seed=args.seed, ci_level=args.level)
-    spectra = [ExponentialSpectrum(k) for k in k_grid]
-    for group, sample in claims.groups.items():
-        for estimator in estimators:
-            reports = bootstrap_ci_many(sample, estimator, spectra, plan)
-            for k, report in zip(k_grid, reports):
-                rows.append(
-                    [
-                        group,
-                        report.estimator,
-                        k,
-                        report.n_effective,
-                        report.point,
-                        report.std_error,
-                        report.ci_low,
-                        report.ci_high,
-                        report.ci_level,
-                        report.replicates_used,
-                        report.replicate_failures,
-                    ]
-                )
-    out_dir = Path(args.out)
-    _write_table(out_dir, "estimates", _jsonable_config(config), columns, rows)
-    if claims.rejected:
-        lines = [f"line {line}: {reason}" for line, reason in claims.rejected]
-        _atomic_write(out_dir / "rejected_rows.txt", "\n".join(lines) + "\n")
-    print(f"wrote {out_dir / 'estimates.csv'} ({len(rows)} rows)")
-    return 0
+
+    def run() -> int:
+        claims = parse_claims(args.input, args.format, scheme)
+        config = {
+            "command": "estimate",
+            "input": args.input,
+            "format": args.format,
+            "deductible": getattr(scheme, "deductible", None),
+            "limit": getattr(scheme, "limit", None),
+            "estimators": ",".join(names),
+            "k": args.k.text,
+            "bootstrap": args.bootstrap,
+            "level": args.level,
+            "seed": args.seed,
+            "rejected_rows": len(claims.rejected),
+            "n_rows": claims.n_rows,
+        }
+        columns = [
+            "group",
+            "estimator",
+            "k",
+            "n",
+            "point",
+            "std_error",
+            "ci_low",
+            "ci_high",
+            "ci_level",
+            "replicates_used",
+            "replicate_failures",
+        ]
+        rows = []
+        for group, sample in claims.groups.items():
+            for estimator in estimators:
+                reports = bootstrap_ci_many(sample, estimator, spectra, plan)
+                for spectrum, report in zip(spectra, reports):
+                    rows.append(
+                        [
+                            group,
+                            report.estimator,
+                            spectrum.k,
+                            report.n_effective,
+                            report.point,
+                            report.std_error,
+                            report.ci_low,
+                            report.ci_high,
+                            report.ci_level,
+                            report.replicates_used,
+                            report.replicate_failures,
+                        ]
+                    )
+        out_dir = Path(args.out)
+        _write_table(out_dir, "estimates", _jsonable_config(config), columns, rows)
+        if claims.rejected:
+            lines = [f"line {line}: {reason}" for line, reason in claims.rejected]
+            _atomic_write(out_dir / "rejected_rows.txt", "\n".join(lines) + "\n")
+        print(f"wrote {out_dir / 'estimates.csv'} ({len(rows)} rows)")
+        return 0
+
+    return run
 
 
-def _cmd_simulate(args, parser) -> int:
-    _check_reps(args, parser, 2)
+def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
     if args.config and args.design != "dependent":
-        parser.error(f"--config applies only to --design dependent, got --design {args.design}")
-    try:
-        plan = ExperimentPlan(
-            design=args.design,
-            n_grid=_parse_ints(args.n, "n", parser),
-            k_grid=_parse_k_grid(args.k, parser),
-            replicates=args.reps,
-            estimators=tuple(args.estimators.split(",")) if args.estimators else None,
-            master_seed=args.seed,
-            mode=args.mode,
-            workers=args.workers,
-        )
-        cfg = dependent_from_config(load_config(args.config)) if args.config else None
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.design == "dependent":
-        result = run_dependent_experiment(plan, cfg)
-    else:
-        result = run_iid_experiment(plan)
-
-    out_dir = Path(args.out)
-    json_config = _jsonable_config({"command": "simulate", **result.metadata})
-    columns, rows = _fields_table(MCCell, result.cells)
-    _write_table(out_dir, "results", json_config, columns, rows)
-
-    baseline = "prod"
-    if baseline in {c.estimator for c in result.cells}:
-        figure = emit_rmse_ratio_log(result, baseline)
-        _write_csv(
-            out_dir / "rmse_log_ratios.csv",
-            {**json_config, "baseline": baseline, "skipped": ";".join(figure.skipped)},
-            *_fields_table(RatioRow, figure.rows),
-        )
-    print(f"wrote {out_dir / 'results.csv'} ({len(rows)} cells)")
-    return 0
-
-
-def _cmd_coverage(args, parser) -> int:
-    _check_reps(args, parser, 1)
-    _check_bootstrap_flags(args, parser)
+        raise ValueError(f"--config applies only to --design dependent, got --design {args.design}")
     plan = ExperimentPlan(
         design=args.design,
-        n_grid=_parse_ints(args.n, "n", parser),
-        k_grid=_parse_k_grid(args.k, parser),
+        n_grid=args.n,
+        k_grid=args.k.values,
+        replicates=args.reps,
+        estimators=tuple(args.estimators.split(",")) if args.estimators else None,
+        master_seed=args.seed,
+        mode=args.mode,
+        workers=args.workers,
+    )
+    cfg = dependent_from_config(load_config(args.config)) if args.config else None
+
+    def run() -> int:
+        if args.design == "dependent":
+            result = run_dependent_experiment(plan, cfg)
+        else:
+            result = run_iid_experiment(plan)
+        out_dir = Path(args.out)
+        json_config = _jsonable_config({"command": "simulate", **result.metadata})
+        columns, rows = _fields_table(MCCell, result.cells)
+        _write_table(out_dir, "results", json_config, columns, rows)
+
+        baseline = "prod"
+        if baseline in {c.estimator for c in result.cells}:
+            figure = emit_rmse_ratio_log(result, baseline)
+            _write_csv(
+                out_dir / "rmse_log_ratios.csv",
+                {**json_config, "baseline": baseline, "skipped": ";".join(figure.skipped)},
+                *_fields_table(RatioRow, figure.rows),
+            )
+        print(f"wrote {out_dir / 'results.csv'} ({len(rows)} cells)")
+        return 0
+
+    return run
+
+
+def _cmd_coverage(args: argparse.Namespace) -> Callable[[], int]:
+    plan = ExperimentPlan(
+        design=args.design,
+        n_grid=args.n,
+        k_grid=args.k.values,
         replicates=max(2, args.reps),
         master_seed=args.seed,
         mode=args.mode,
         workers=args.workers,
     )
-    result = run_coverage_experiment(
-        plan,
-        bootstrap_replicates=args.bootstrap,
-        intervals=args.reps,
-        level=args.level,
-    )
-    out_dir = Path(args.out)
-    json_config = _jsonable_config({"command": "coverage", **result.metadata})
-    columns, rows = _fields_table(CoverageCell, result.cells)
-    _write_table(out_dir, "coverage", json_config, columns, rows)
-    print(f"wrote {out_dir / 'coverage.csv'} ({len(rows)} cells)")
-    return 0
 
-
-def _cmd_calibrate(args, parser) -> int:
-    if not args.tolerance >= 0.0:
-        parser.error(f"--tolerance must be nonnegative, got {args.tolerance:g}")
-    try:
-        cfg = DependentModelConfig(
-            rho=args.rho,
-            phi2=args.phi2,
-            target_truncation_rate=args.target_alpha,
-            target_censoring_pc=args.pc,
+    def run() -> int:
+        result = run_coverage_experiment(
+            plan, bootstrap_replicates=args.bootstrap, intervals=args.reps, level=args.level
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-    mu = calibrate_truncation_location(
-        cfg, args.target_alpha, tolerance=args.tolerance, seed=args.calibration_seed
+        out_dir = Path(args.out)
+        json_config = _jsonable_config({"command": "coverage", **result.metadata})
+        columns, rows = _fields_table(CoverageCell, result.cells)
+        _write_table(out_dir, "coverage", json_config, columns, rows)
+        print(f"wrote {out_dir / 'coverage.csv'} ({len(rows)} cells)")
+        return 0
+
+    return run
+
+
+def _cmd_calibrate(args: argparse.Namespace) -> Callable[[], int]:
+    cfg = DependentModelConfig(
+        rho=args.rho,
+        phi2=args.phi2,
+        target_truncation_rate=args.target_alpha,
+        target_censoring_pc=args.pc,
     )
-    payload = {
-        "mu": mu,
-        "rho": cfg.rho,
-        "phi1": cfg.phi1,
-        "phi2": cfg.phi2,
-        "phi3": cfg.phi3,
-        "target_truncation_rate": args.target_alpha,
-        "target_censoring_pc": args.pc,
-        "analytic_censoring_fraction": dependent_censoring_fraction(
-            cfg.phi1, cfg.phi2, cfg.phi3
-        ),
-        "tolerance": args.tolerance,
-        "calibration_seed": args.calibration_seed,
-    }
-    out_dir = Path(args.out)
-    _write_json(out_dir / "calibration.json", {"command": "calibrate"}, payload)
-    print(f"wrote {out_dir / 'calibration.json'} (mu={mu:.6g})")
-    return 0
+
+    def run() -> int:
+        mu = calibrate_truncation_location(
+            cfg, args.target_alpha, tolerance=args.tolerance, seed=args.calibration_seed
+        )
+        payload = {
+            "mu": mu,
+            "rho": cfg.rho,
+            "phi1": cfg.phi1,
+            "phi2": cfg.phi2,
+            "phi3": cfg.phi3,
+            "target_truncation_rate": args.target_alpha,
+            "target_censoring_pc": args.pc,
+            "analytic_censoring_fraction": dependent_censoring_fraction(
+                cfg.phi1, cfg.phi2, cfg.phi3
+            ),
+            "tolerance": args.tolerance,
+            "calibration_seed": args.calibration_seed,
+        }
+        out_dir = Path(args.out)
+        _write_json(out_dir / "calibration.json", {"command": "calibrate"}, payload)
+        print(f"wrote {out_dir / 'calibration.json'} (mu={mu:.6g})")
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=int(_env("seed", "20250101")))
+        p.add_argument("--seed", type=_SEED, default=_env("seed", "20250101"))
         p.add_argument("--out", default=_env("out", "specrisk-out"))
-        p.add_argument("--workers", type=int, default=int(_env("workers", "1")))
+        p.add_argument("--workers", type=_at_least(1), default=_env("workers", "1"))
 
     est = sub.add_parser("estimate", help="estimate SRMs on a claims file")
     est.add_argument("--input", required=True)
@@ -370,20 +380,20 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--deductible", type=float, default=None)
     est.add_argument("--limit", type=float, default=None)
     est.add_argument("--estimators", default="prod")
-    est.add_argument("--k", default=_env("k", DEFAULT_K_GRID))
-    est.add_argument("--bootstrap", type=int, default=int(_env("bootstrap", "1000")))
-    est.add_argument("--level", type=float, default=float(_env("level", "0.9")))
+    est.add_argument("--k", type=_K_GRID, default=_env("k", DEFAULT_K_GRID))
+    est.add_argument("--bootstrap", type=_at_least(1), default=_env("bootstrap", "1000"))
+    est.add_argument("--level", type=_PROBABILITY, default=_env("level", "0.9"))
     est.add_argument("--family", choices=("exp", "pareto"), default=None)
-    est.add_argument("--x0", type=float, default=None)
-    est.add_argument("--p1", type=float, default=0.5)
+    est.add_argument("--x0", type=_X0, default=None)
+    est.add_argument("--p1", type=_PROBABILITY, default=0.5)
     est.add_argument("--config", default=None)
     add_common(est)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo design")
     sim.add_argument("--design", choices=("iid-exp", "iid-pareto", "dependent"), required=True)
-    sim.add_argument("--n", default=_env("n", "30,100,500"))
-    sim.add_argument("--k", default=_env("k", DEFAULT_K_GRID))
-    sim.add_argument("--reps", type=int, default=int(_env("reps", "1000")))
+    sim.add_argument("--n", type=_N_GRID, default=_env("n", "30,100,500"))
+    sim.add_argument("--k", type=_K_GRID, default=_env("k", DEFAULT_K_GRID))
+    sim.add_argument("--reps", type=_at_least(2), default=_env("reps", "1000"))
     sim.add_argument("--estimators", default=None)
     sim.add_argument(
         "--mode",
@@ -395,11 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="bootstrap interval coverage study")
     cov.add_argument("--design", choices=("iid-exp", "iid-pareto", "dependent"), default="iid-exp")
-    cov.add_argument("--n", default=_env("n", "100"))
-    cov.add_argument("--k", default=_env("k", "1"))
-    cov.add_argument("--reps", type=int, default=int(_env("reps", "500")))
-    cov.add_argument("--bootstrap", type=int, default=int(_env("bootstrap", "200")))
-    cov.add_argument("--level", type=float, default=float(_env("level", "0.9")))
+    cov.add_argument("--n", type=_N_GRID, default=_env("n", "100"))
+    cov.add_argument("--k", type=_K_GRID, default=_env("k", "1"))
+    cov.add_argument("--reps", type=_at_least(1), default=_env("reps", "500"))
+    cov.add_argument("--bootstrap", type=_at_least(1), default=_env("bootstrap", "200"))
+    cov.add_argument("--level", type=_PROBABILITY, default=_env("level", "0.9"))
     cov.add_argument(
         "--mode",
         choices=("random-truncation", "fixed-thresholds"),
@@ -412,14 +422,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--pc", type=float, default=0.10)
     cal.add_argument("--phi2", type=float, default=1.087)
     cal.add_argument("--rho", type=float, default=0.1)
-    cal.add_argument("--tolerance", type=float, default=0.005)
-    cal.add_argument("--calibration-seed", type=int, default=727_001)
+    cal.add_argument("--tolerance", type=_TOLERANCE, default=0.005)
+    cal.add_argument("--calibration-seed", type=_SEED, default=727_001)
     add_common(cal)
 
     return parser
 
 
-_HANDLERS = {
+_COMMANDS = {
     "estimate": _cmd_estimate,
     "simulate": _cmd_simulate,
     "coverage": _cmd_coverage,
@@ -430,14 +440,14 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
-        return _HANDLERS[args.command](args, parser)
-    except SpecriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        try:
+            run = _COMMANDS[args.command](args)
+        except (ValueError, ClaimsFormatError) as exc:
+            # a flag combination or config file the objects refuse: a usage error
+            parser.error(str(exc))
+        return run()
+    except (SpecriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

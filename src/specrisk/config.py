@@ -2,7 +2,7 @@
 
 The format is one ``key = value`` pair per line, ``#`` comments allowed.
 Recognized keys: family, x0, theta, alpha, d, u, mode, truncation_lo,
-truncation_hi, rho, phi1, phi2, phi3, mu, target_alpha, target_pc, seed.
+truncation_hi, rho, phi1, phi2, phi3, mu, target_alpha, target_pc.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ __all__ = [
     "dependent_from_config",
 ]
 
+_WINDOW_KEYS = {"d", "u", "mode", "truncation_lo", "truncation_hi"}
 _KNOWN_KEYS = {
     "family",
     "x0",
     "theta",
     "alpha",
-    "d",
-    "u",
-    "mode",
-    "truncation_lo",
-    "truncation_hi",
+    *_WINDOW_KEYS,
     "rho",
     "phi1",
     "phi2",
@@ -40,7 +37,6 @@ _KNOWN_KEYS = {
     "mu",
     "target_alpha",
     "target_pc",
-    "seed",
 }
 
 _FAMILY_ALIASES = {
@@ -82,7 +78,10 @@ def model_from_config(cfg: dict[str, str]) -> SeverityModel:
     return SeverityModel.pareto_i(x0, float(cfg.get("alpha", "nan")))
 
 
-def scheme_from_config(cfg: dict[str, str]) -> WindowScheme:
+def scheme_from_config(cfg: dict[str, str]) -> WindowScheme | None:
+    """The window the config's window keys describe; None if it has none."""
+    if not _WINDOW_KEYS & cfg.keys():
+        return None
     d = float(cfg.get("d", "0"))
     u = float(cfg.get("u", "inf"))
     mode = cfg.get("mode", "fixed").strip().lower()

@@ -98,8 +98,10 @@ class ExperimentPlan:
             raise ValueError("n and k grids must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("sample sizes must be positive")
-        if any(k < 0 for k in self.k_grid):
-            raise ValueError("risk-aversion coefficients must be nonnegative")
+        if not all(math.isfinite(k) and k >= 0 for k in self.k_grid):
+            raise ValueError("risk-aversion coefficients must be finite and nonnegative")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if self.mode not in ("random-truncation", "fixed-thresholds"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.workers < 1:
@@ -453,8 +455,12 @@ def run_coverage_experiment(
     Every (n, k) cell builds ``intervals`` independent samples, a percentile
     interval from ``bootstrap_replicates`` resamples for each, and counts
     hits on the design's theoretical value.  Refused intervals (degenerate
-    resampling) count as misses and are reported separately.
+    resampling) count as misses and are reported separately.  The arguments
+    are checked before any target is computed.
     """
+    if intervals < 1:
+        raise ValueError("intervals must be at least 1")
+    BootstrapPlan(replicates=bootstrap_replicates, ci_level=level)  # built to check both
     cfg, theoretical = _theoretical_targets(plan, cfg)
     cells = []
     for n in plan.n_grid:

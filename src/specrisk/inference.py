@@ -41,32 +41,26 @@ __all__ = [
 class VariancePlugin:
     """Settings for the plug-in variance evaluation.
 
-    ``density_bandwidth`` of None selects n^(-1/5) * IQR / 1.349.  The
-    probability square is clipped to [clip, 1-clip] because the integrand
-    carries 1/density factors that blow up at the edges.  The
-    ``covariance_form`` "pathwise-min" evaluates the covariance kernel at
-    the lower of the two levels (the form that reduces to the classical
+    The ``covariance_form`` "pathwise-min" evaluates the covariance kernel
+    at the lower of the two levels (the form that reduces to the classical
     L-statistic variance without truncation or censoring);
     "literal-product" keeps the product-of-integrals-minus-uv bracket for
-    comparison.
+    comparison.  A smoothed density below ``density_floor`` is refused.
     """
 
-    density_bandwidth: float | None = None
-    clip: float = 1e-3
     density_floor: float = 1e-12
     covariance_form: str = "pathwise-min"
 
     def __post_init__(self) -> None:
-        if self.density_bandwidth is not None and self.density_bandwidth <= 0:
-            raise ValueError("density bandwidth must be strictly positive")
-        if not 0.0 < self.clip < 0.5:
-            raise ValueError("clip must lie in (0, 0.5)")
         if self.covariance_form not in ("pathwise-min", "literal-product"):
             raise ValueError(f"unknown covariance form {self.covariance_form!r}")
 
 
 # evaluation points per block of the banded density sum
 _DENSITY_BLOCK = 64
+# the probability square of the variance integral is clipped to
+# [VARIANCE_CLIP, 1 - VARIANCE_CLIP]: its 1/density factors blow up at the edges
+VARIANCE_CLIP = 1e-3
 
 
 def _pl_fit(sample: LtrcSample | PlFit) -> PlFit:
@@ -81,7 +75,8 @@ def estimate_sigma2(
 ) -> float:
     """Plug-in estimate of the asymptotic variance of the PL-based SRM estimate.
 
-    Returns the variance of the sqrt(n)-normalized estimator.  Degenerate
+    Returns the variance of the sqrt(n)-normalized estimator.  The density
+    is smoothed with bandwidth n^(-1/5) * IQR / 1.349.  Degenerate
     single-atom fits return 0.  Raises
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
     falls below the floor inside the clipped integration range.  Given a
@@ -104,18 +99,16 @@ def estimate_sigma2(
         np.searchsorted(y_unc, q.values, side="right")
     ]
 
-    h = plugin.density_bandwidth
-    if h is None:
-        iqr = float(q(0.75) - q(0.25))
-        if iqr == 0.0:
-            iqr = float(q.values[-1] - q.values[0])
-        if iqr == 0.0:
-            return 0.0
-        h = n ** (-0.2) * iqr / 1.349
+    iqr = float(q(0.75) - q(0.25))
+    if iqr == 0.0:
+        iqr = float(q.values[-1] - q.values[0])
+    if iqr == 0.0:
+        return 0.0
+    h = n ** (-0.2) * iqr / 1.349
     f_hat = _epanechnikov_density(fit.dist, q.values, h)
 
-    lo = np.maximum(q.segment_lo, plugin.clip)
-    hi = np.minimum(q.segment_hi, 1.0 - plugin.clip)
+    lo = np.maximum(q.segment_lo, VARIANCE_CLIP)
+    hi = np.minimum(q.segment_hi, 1.0 - VARIANCE_CLIP)
     live = hi > lo
     if not np.any(live):
         return 0.0
@@ -275,6 +268,8 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, signal, stats
@@ -28,7 +28,6 @@ __all__ = [
     "TruncationLaw",
     "WindowScheme",
     "DependentModelConfig",
-    "QuadratureConfig",
     "ground_up_quantile",
     "window_quantile",
     "sample_ltrc_iid",
@@ -60,13 +59,14 @@ class SeverityModel:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.x0 <= 0:
+        # written so that NaN, a config file's value for a missing key, fails too
+        if not self.x0 > 0:
             raise ValueError("x0 must be strictly positive")
         if self.family is ModelFamily.SHIFTED_EXPONENTIAL:
-            if self.theta is None or self.theta <= 0:
+            if self.theta is None or not self.theta > 0:
                 raise ValueError("shifted exponential requires theta > 0")
         elif self.family is ModelFamily.PARETO_I:
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha is None or not self.alpha > 0:
                 raise ValueError("Pareto I requires alpha > 0")
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown family {self.family!r}")
@@ -114,48 +114,24 @@ def ground_up_quantile(model: SeverityModel, p):
 
 @dataclass(frozen=True)
 class TruncationLaw:
-    """Distribution of the random truncation variable."""
+    """Uniform law of the random truncation variable on (a, b)."""
 
-    kind: str  # "uniform" | "normal" | "point"
-    a: float = 0.0
-    b: float = 1.0
-    mu: float = 0.0
-    sigma: float = 1.0
-    value: float = 0.0
+    a: float
+    b: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "normal", "point"):
-            raise ValueError(f"unknown truncation law {self.kind!r}")
-        if self.kind == "uniform" and not self.a < self.b:
+        if not self.a < self.b:
             raise ValueError("uniform truncation law needs a < b")
-        if self.kind == "normal" and self.sigma <= 0:
-            raise ValueError("normal truncation law needs sigma > 0")
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "TruncationLaw":
-        return cls(kind="uniform", a=a, b=b)
-
-    @classmethod
-    def normal(cls, mu: float, sigma: float = 1.0) -> "TruncationLaw":
-        return cls(kind="normal", mu=mu, sigma=sigma)
-
-    @classmethod
-    def point(cls, value: float) -> "TruncationLaw":
-        return cls(kind="point", value=value)
+        return cls(a, b)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.uniform(self.a, self.b, size)
-        if self.kind == "normal":
-            return self.mu + self.sigma * rng.standard_normal(size)
-        return np.full(size, self.value)
+        return rng.uniform(self.a, self.b, size)
 
     def describe(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform({self.a:g},{self.b:g})"
-        if self.kind == "normal":
-            return f"normal({self.mu:g},{self.sigma:g})"
-        return f"point({self.value:g})"
+        return f"uniform({self.a:g},{self.b:g})"
 
 
 @dataclass(frozen=True)
@@ -220,19 +196,17 @@ def window_branch_point(model: SeverityModel, scheme: WindowScheme) -> float:
     return 1.0 - (d / u) ** model.alpha
 
 
-def sample_ltrc_iid(
-    model: SeverityModel,
-    scheme: WindowScheme,
-    n: int,
-    seed: int,
-    acceptance_floor: float = 1e-6,
-) -> LtrcSample:
+# both samplers abort when fewer than this share of their draws is kept
+ACCEPTANCE_FLOOR = 1e-6
+
+
+def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: int) -> LtrcSample:
     """Draw exactly ``n`` LTRC observations from the windowed severity law.
 
     Fixed mode rejects ground-up draws at or below the deductible and caps
     at the limit; random mode draws a truncation value per loss and keeps
     pairs with t <= y.  Deterministic given ``seed``.  Aborts when the
-    acceptance probability falls below ``acceptance_floor``.
+    acceptance probability falls below ``ACCEPTANCE_FLOOR``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -241,9 +215,9 @@ def sample_ltrc_iid(
 
     if scheme.mode == "fixed":
         accept_prob = 1.0 - float(model.cdf(scheme.deductible))
-        if accept_prob < acceptance_floor:
+        if accept_prob < ACCEPTANCE_FLOOR:
             raise GenerationError(
-                f"acceptance probability {accept_prob:.3g} below floor {acceptance_floor:.3g} "
+                f"acceptance probability {accept_prob:.3g} below floor {ACCEPTANCE_FLOOR:.3g} "
                 f"(deductible {scheme.deductible:g} too deep in the tail)"
             )
 
@@ -273,7 +247,7 @@ def sample_ltrc_iid(
                 f"no acceptances in {drawn} draws; empirical acceptance below "
                 f"{1.0 / drawn:.3g}"
             )
-        if drawn > max(10_000.0, n / acceptance_floor):
+        if drawn > max(10_000.0, n / ACCEPTANCE_FLOOR):
             raise GenerationError(
                 f"acceptance rate {got / drawn:.3g} too low to produce {n} observations"
             )
@@ -281,6 +255,10 @@ def sample_ltrc_iid(
     t_all = np.concatenate(ts)[:n]
     delta = (y_all < u_cap).astype(np.int8)
     return LtrcSample(y_all, t_all, delta)
+
+
+# how far the phi parameters' censoring fraction may sit from target_censoring_pc
+PC_TOLERANCE = 0.005
 
 
 @dataclass(frozen=True)
@@ -301,7 +279,6 @@ class DependentModelConfig:
     mu: float = 0.0
     target_truncation_rate: float | None = None
     target_censoring_pc: float | None = None
-    pc_tolerance: float = 0.005
 
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1:
@@ -314,23 +291,14 @@ class DependentModelConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.target_censoring_pc is not None:
             pc = dependent_censoring_fraction(self.phi1, self.phi2, self.phi3)
-            if abs(pc - self.target_censoring_pc) > self.pc_tolerance:
+            if abs(pc - self.target_censoring_pc) > PC_TOLERANCE:
                 raise ValueError(
                     f"phi parameters give censoring fraction {pc:.4f}, not the target "
-                    f"{self.target_censoring_pc:.4f} (tolerance {self.pc_tolerance})"
+                    f"{self.target_censoring_pc:.4f} (tolerance {PC_TOLERANCE})"
                 )
 
     def with_mu(self, mu: float) -> "DependentModelConfig":
-        return DependentModelConfig(
-            rho=self.rho,
-            phi1=self.phi1,
-            phi2=self.phi2,
-            phi3=self.phi3,
-            mu=mu,
-            target_truncation_rate=self.target_truncation_rate,
-            target_censoring_pc=self.target_censoring_pc,
-            pc_tolerance=self.pc_tolerance,
-        )
+        return replace(self, mu=mu)
 
 
 def dependent_censoring_fraction(phi1: float, phi2: float, phi3: float) -> float:
@@ -352,12 +320,7 @@ def _dependent_batch(cfg: DependentModelConfig, rng: np.random.Generator, m: int
     return x1, x, s, float(x1[-1])
 
 
-def sample_ltrc_dependent(
-    cfg: DependentModelConfig,
-    n: int,
-    seed: int,
-    acceptance_floor: float = 1e-6,
-) -> LtrcSample:
+def sample_ltrc_dependent(cfg: DependentModelConfig, n: int, seed: int) -> LtrcSample:
     """Draw exactly ``n`` retained observations from the dependent model.
 
     The covariate chain runs continuously across rejected observations, so
@@ -387,7 +350,7 @@ def sample_ltrc_dependent(
         drawn += m
         if drawn >= 10_000 and got == 0:
             raise GenerationError(f"no acceptances in {drawn} draws of the dependent model")
-        if drawn > max(10_000.0, n / acceptance_floor):
+        if drawn > max(10_000.0, n / ACCEPTANCE_FLOOR):
             raise GenerationError(
                 f"acceptance rate {got / drawn:.3g} too low to produce {n} observations"
             )
@@ -409,27 +372,31 @@ def sample_dependent_marginal(cfg: DependentModelConfig, n_draws: int, seed: int
     return np.sin(np.pi * x1) + cfg.phi1 * cos_part * rng.standard_normal(n_draws)
 
 
+# size of the calibration's common evaluation set and its bisection step cap
+CALIBRATION_DRAWS = 200_000
+CALIBRATION_MAX_ITER = 200
+
+
 def calibrate_truncation_location(
     cfg: DependentModelConfig,
     target_alpha: float,
     tolerance: float = 0.005,
     seed: int = 1_000_003,
-    n_eval: int = 200_000,
     bracket: tuple[float, float] = (-20.0, 20.0),
-    max_iter: int = 200,
 ) -> float:
     """Find mu so that the retention probability P(T <= Y) hits ``target_alpha``.
 
-    Uses common random numbers: one fixed evaluation set of (Y, T0) pairs is
-    drawn once, making the simulated rate a monotone nonincreasing step
-    function of mu that bisection can cut reliably.
+    Uses common random numbers: one fixed evaluation set of
+    ``CALIBRATION_DRAWS`` (Y, T0) pairs is drawn once, making the simulated
+    rate a monotone nonincreasing step function of mu that bisection can
+    cut reliably.
     """
     if not 0.0 < target_alpha < 1.0:
         raise ValueError("target_alpha must lie in (0, 1)")
     rng = derive_rng(seed, "calibration")
-    _, x, s, _ = _dependent_batch(cfg, rng, n_eval, None)
+    _, x, s, _ = _dependent_batch(cfg, rng, CALIBRATION_DRAWS, None)
     y = np.minimum(x, s)
-    t0 = rng.standard_normal(n_eval)
+    t0 = rng.standard_normal(CALIBRATION_DRAWS)
 
     def rate(mu: float) -> float:
         return float(np.mean(t0 + mu <= y))
@@ -439,7 +406,7 @@ def calibrate_truncation_location(
         raise CalibrationError(
             f"bracket {bracket} does not straddle retention rate {target_alpha}"
         )
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         r = rate(mid)
         if abs(r - target_alpha) <= tolerance:
@@ -456,30 +423,21 @@ def calibrate_truncation_location(
     )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive-quadrature settings for theoretical risk-measure values."""
-
-    abs_tol: float = 1e-6
-    rel_tol: float = 1e-9
-    upper_clip: float = 1e-12
-    limit: int = 400
+# adaptive-quadrature settings of theoretical risk-measure values
+QUAD_ABS_TOL = 1e-6
+QUAD_REL_TOL = 1e-9
+QUAD_UPPER_CLIP = 1e-12
+QUAD_LIMIT = 400
 
 
-def theoretical_srm(
-    quantile_fn,
-    spectrum,
-    quad: QuadratureConfig | None = None,
-    breakpoints: tuple[float, ...] = (),
-) -> float:
+def theoretical_srm(quantile_fn, spectrum, breakpoints: tuple[float, ...] = ()) -> float:
     """Integrate a quantile function against a spectrum by adaptive quadrature.
 
-    Unbounded quantiles are clipped at level 1 - ``upper_clip``; for the laws
-    used here the clipped mass is far below the requested tolerance.  Known
-    kinks of the quantile function can be passed as ``breakpoints``.
+    Unbounded quantiles are clipped at level 1 - ``QUAD_UPPER_CLIP``; for the
+    laws used here the clipped mass is far below the requested tolerance.
+    Known kinks of the quantile function can be passed as ``breakpoints``.
     """
-    cfg = quad or QuadratureConfig()
-    hi = 1.0 - cfg.upper_clip
+    hi = 1.0 - QUAD_UPPER_CLIP
     top = float(quantile_fn(hi))
     if not np.isfinite(top):
         raise NumericalError(
@@ -507,13 +465,13 @@ def theoretical_srm(
             0.0,
             hi,
             points=sorted(pts) or None,
-            limit=cfg.limit,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
+            limit=QUAD_LIMIT,
+            epsabs=QUAD_ABS_TOL,
+            epsrel=QUAD_REL_TOL,
         )
     if not np.isfinite(value):
         raise NumericalError(f"quadrature returned {value!r} (abserr {abserr!r})")
-    if abserr > max(100.0 * cfg.abs_tol, 1e-6 * abs(value)):
+    if abserr > max(100.0 * QUAD_ABS_TOL, 1e-6 * abs(value)):
         raise NumericalError(
             f"quadrature error bound {abserr:.3g} too large for value {value:.6g}"
         )

@@ -116,11 +116,29 @@ class TestConfigFiles:
         assert model.theta == 1000.0
         assert scheme.deductible == 4000.0 and scheme.limit == 14000.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["frobnicate = 3", "seed = 5"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        # no builder reads a seed, so accepting one would ignore it silently
         path = tmp_path / "model.cfg"
-        path.write_text("frobnicate = 3\n")
+        path.write_text(line + "\n")
         with pytest.raises(ClaimsFormatError, match="unknown key"):
             load_config(path)
+
+    def test_window_keys_decide_the_window(self):
+        assert scheme_from_config({"family": "exp", "x0": "1000"}) is None
+        scheme = scheme_from_config({"mode": "random", "truncation_hi": "2500"})
+        assert scheme.mode == "random" and scheme.truncation_law.describe() == "uniform(0,2500)"
+
+
+def _assert_usage_error(capsys, argv, message, out):
+    """``argv`` exits 2 with ``message`` on the last stderr line, no traceback and no output."""
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(out)])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert message in lines[-1]
+    assert not any(line.startswith("Traceback") for line in lines)
+    assert not out.exists()
 
 
 class TestCli:
@@ -189,15 +207,21 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--k", "nan"], "k values must be finite and nonnegative"),
-            (["--k", "1,inf"], "k values must be finite and nonnegative"),
-            (["--bootstrap", "0"], "--bootstrap must be at least 1"),
-            (["--level", "1.5"], "--level must lie in (0, 1)"),
-            (["--p1", "2"], "--p1 must lie in (0, 1)"),
-            (["--workers", "0"], "--workers must be at least 1"),
+            (["--k", "nan"], "argument --k: must be a list of finite nonnegative numbers"),
+            (["--k", "1,inf"], "argument --k: must be a list of finite nonnegative numbers"),
+            (["--bootstrap", "0"], "argument --bootstrap: must be an integer of at least 1"),
+            (["--level", "1.5"], "argument --level: must be a number in (0, 1)"),
+            (["--p1", "2"], "argument --p1: must be a number in (0, 1)"),
+            (["--workers", "0"], "argument --workers: must be an integer of at least 1"),
+            (["--seed", "-1"], "argument --seed: must be a nonnegative integer"),
+            (["--family", "exp", "--x0", "-5"], "argument --x0: must be a positive finite number"),
             (["--deductible", "5", "--limit", "1"], "deductible must be below the policy limit"),
             (["--config", "x0neg.cfg"], "x0 must be strictly positive"),
             (["--config", "window.cfg"], "deductible must be below the policy limit"),
+            (["--config", "bogus.cfg"], "config needs a valid family, got 'bogus'"),
+            (["--config", "unknown.cfg"], "unknown key 'frobnicate'"),
+            (["--config", "seed.cfg"], "unknown key 'seed'"),
+            (["--config", "nox0.cfg"], "x0 must be strictly positive"),
         ],
     )
     def test_invalid_estimate_flag_is_usage_error(
@@ -205,28 +229,45 @@ class TestCli:
     ):
         # the input file does not exist: the flags are refused before it is read
         monkeypatch.chdir(tmp_path)
-        x0neg = "family = exp\nx0 = -5\ntheta = 1000\n"
-        (tmp_path / "x0neg.cfg").write_text(x0neg, encoding="utf-8")
-        (tmp_path / "window.cfg").write_text("d = 5\nu = 1\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as err:
-            main(
-                ["estimate", "--input", str(tmp_path / "missing.csv"),
-                 "--out", str(tmp_path / "x"), *flags]
-            )
-        assert err.value.code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert message in lines[-1]
-        assert not any(line.startswith("Traceback") for line in lines)
+        configs = {
+            "x0neg.cfg": "family = exp\nx0 = -5\ntheta = 1000\n",
+            "window.cfg": "d = 5\nu = 1\n",
+            "bogus.cfg": "family = bogus\n",
+            "unknown.cfg": "frobnicate = 3\n",
+            "seed.cfg": "seed = 5\n",
+            "nox0.cfg": "family = exp\nd = 4000\n",
+        }
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ["estimate", "--input", str(tmp_path / "missing.csv"), *flags]
+        _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["coverage", "--bootstrap", "0"], "--bootstrap must be at least 1"),
-            (["coverage", "--level", "1.5"], "--level must lie in (0, 1)"),
-            (["coverage", "--reps", "0"], "--reps must be at least 1"),
-            (["simulate", "--design", "iid-exp", "--reps", "1"], "--reps must be at least 2"),
-            (["simulate", "--design", "iid-exp", "--workers", "0"], "--workers must be at least 1"),
-            (["coverage", "--workers", "0"], "--workers must be at least 1"),
+            (["coverage", "--bootstrap", "0"], "argument --bootstrap: must be an integer of at least 1"),
+            (["coverage", "--level", "1.5"], "argument --level: must be a number in (0, 1)"),
+            (["coverage", "--reps", "0"], "argument --reps: must be an integer of at least 1"),
+            (
+                ["simulate", "--design", "iid-exp", "--reps", "1"],
+                "argument --reps: must be an integer of at least 2",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--workers", "0"],
+                "argument --workers: must be an integer of at least 1",
+            ),
+            (["coverage", "--workers", "0"], "argument --workers: must be an integer of at least 1"),
+            (["coverage", "--n", "nan"], "argument --n: must be a list of positive integers"),
+            (["coverage", "--n", "1e400"], "argument --n: must be a list of positive integers"),
+            (
+                ["simulate", "--design", "iid-exp", "--n", "1e400"],
+                "argument --n: must be a list of positive integers",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--seed", "-1"],
+                "argument --seed: must be a nonnegative integer",
+            ),
+            (["coverage", "--seed", "-1"], "argument --seed: must be a nonnegative integer"),
             (
                 ["simulate", "--design", "dependent", "--estimators", "ml"],
                 "estimator 'ml' is undefined for the dependent design",
@@ -253,13 +294,8 @@ class TestCli:
         # refused before any sample is drawn or any worker is started
         monkeypatch.chdir(tmp_path)
         (tmp_path / "rho2.cfg").write_text("rho = 2\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as err:
-            main([*argv, "--n", "30", "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert message in lines[-1]
-        assert not any(line.startswith("Traceback") for line in lines)
-        assert not (tmp_path / "x").exists()
+        argv = [argv[0], "--n", "30", *argv[1:]]
+        _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -268,18 +304,49 @@ class TestCli:
             (["--pc", "1.5"], "target_censoring_pc must lie in (0, 1)"),
             (["--rho", "2"], "|rho| must be below 1"),
             (["--phi2", "-1"], "phi1, phi2, phi3 must be strictly positive"),
-            (["--tolerance", "-1"], "--tolerance must be nonnegative"),
+            (["--tolerance", "-1"], "argument --tolerance: must be a nonnegative number"),
+            (["--calibration-seed", "-1"], "argument --calibration-seed: must be a nonnegative integer"),
         ],
     )
     def test_invalid_calibrate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         # refused before the bisection draws its evaluation set
-        with pytest.raises(SystemExit) as err:
-            main(["calibrate", *flags, "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert message in lines[-1]
-        assert not any(line.startswith("Traceback") for line in lines)
-        assert not (tmp_path / "x").exists()
+        _assert_usage_error(capsys, ["calibrate", *flags], message, tmp_path / "x")
+
+    @pytest.mark.parametrize(
+        "env, argv, message",
+        [
+            (
+                ("SPECRISK_BOOTSTRAP", "abc"),
+                ["estimate", "--input", "missing.csv"],
+                "argument --bootstrap: must be an integer of at least 1, got 'abc'",
+            ),
+            (
+                ("SPECRISK_N", "10,nan"),
+                ["coverage"],
+                "argument --n: must be a list of positive integers, got '10,nan'",
+            ),
+        ],
+    )
+    def test_invalid_env_value_is_usage_error(self, tmp_path, capsys, monkeypatch, env, argv, message):
+        # a SPECRISK_* default is converted and checked like the flag it stands for
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(*env)
+        _assert_usage_error(capsys, argv, message, tmp_path / "x")
+
+    def test_window_only_config_builds_the_window(self, tmp_path):
+        # a config with window keys but no d or u still sets the window raw claims need
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text("mode = random\ntruncation_lo = 0\ntruncation_hi = 2500\n")
+        code = main(
+            [
+                "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
+                "--config", str(cfg), "--k", "1", "--bootstrap", "60",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
+        assert config["deductible"] == 0.0 and config["limit"] == math.inf
 
     @pytest.mark.parametrize(
         "argv, stem",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specrisk import DependentModelConfig
+from specrisk import DependentModelConfig, harness
 from specrisk.harness import (
     ExperimentPlan,
     default_dependent_config,
@@ -40,6 +40,17 @@ class TestPlanValidation:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="nonempty"):
             small_iid_plan(n_grid=())
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_nonfinite_k_rejected(self, k):
+        # caught at construction, not inside ExponentialSpectrum mid-run
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            small_iid_plan(k_grid=(1.0, k))
+
+    def test_negative_master_seed_rejected(self):
+        # the random streams take nonnegative keys only
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            small_iid_plan(master_seed=-1)
 
     def test_estimator_mode_compatibility(self):
         with pytest.raises(ValueError, match="fixed-thresholds"):
@@ -185,6 +196,23 @@ class TestCoverage:
         coverage = hits / reps
         se = math.sqrt(level * (1 - level) / reps)
         assert coverage == pytest.approx(level, abs=3 * se)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(intervals=0), "intervals must be at least 1"),
+            (dict(level=1.5), "ci_level must lie in"),
+            (dict(bootstrap_replicates=0), "replicates must be at least 1"),
+        ],
+    )
+    def test_bad_arguments_refused_before_targets(self, monkeypatch, kwargs, message):
+        def no_targets(*args):
+            raise AssertionError("targets computed before the arguments were checked")
+
+        monkeypatch.setattr(harness, "_theoretical_targets", no_targets)
+        plan = ExperimentPlan(design="dependent", n_grid=(20,), k_grid=(1.0,), replicates=2)
+        with pytest.raises(ValueError, match=message):
+            run_coverage_experiment(plan, **kwargs)
 
     def test_small_coverage_run_is_deterministic(self):
         plan = ExperimentPlan(

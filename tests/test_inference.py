@@ -323,6 +323,11 @@ class TestBootstrap:
         b = bootstrap_ci(s, ProdEstimator(), spec, plan)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        # the replicate streams take nonnegative keys only
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            BootstrapPlan(replicates=10, seed=-1)
+
     def test_degenerate_sample_gives_zero_width(self):
         s = LtrcSample([4.0] * 20, [0.0] * 20, [1] * 20)
         rep = bootstrap_ci(s, ProdEstimator(), ExponentialSpectrum(5.0), BootstrapPlan(replicates=60, seed=1))
