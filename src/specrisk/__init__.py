@@ -26,8 +26,6 @@ from .ltrc import (
     StepDistribution,
     fit_pl,
     pl_quantile,
-    risk_set_fraction,
-    uncensored_subdist,
 )
 from .spectra import ExpectedShortfallSpectrum, ExponentialSpectrum
 from .severity import (
@@ -61,7 +59,6 @@ from .estimators import (
 from .inference import (
     BootstrapPlan,
     EdgeworthDiagnostics,
-    VariancePlugin,
     asymptotic_ci,
     bootstrap_ci,
     bootstrap_ci_many,

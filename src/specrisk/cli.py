@@ -24,7 +24,14 @@ from pathlib import Path
 
 from . import __version__
 from .claims import parse_claims
-from .config import dependent_from_config, load_config, model_from_config, scheme_from_config
+from .config import (
+    DEPENDENT_KEYS,
+    ESTIMATE_KEYS,
+    dependent_from_config,
+    load_config,
+    model_from_config,
+    scheme_from_config,
+)
 from .errors import ClaimsFormatError, SpecriskError
 from .estimators import build_estimator
 from .harness import (
@@ -175,7 +182,7 @@ def _jsonable_config(config: dict) -> dict:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
-    file_cfg = load_config(args.config) if args.config else {}
+    file_cfg = load_config(args.config, ESTIMATE_KEYS) if args.config else {}
     family = x0 = None
     if "family" in file_cfg:
         model = model_from_config(file_cfg)
@@ -272,7 +279,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
         mode=args.mode,
         workers=args.workers,
     )
-    cfg = dependent_from_config(load_config(args.config)) if args.config else None
+    cfg = dependent_from_config(load_config(args.config, DEPENDENT_KEYS)) if args.config else None
 
     def run() -> int:
         if args.design == "dependent":

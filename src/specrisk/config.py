@@ -1,8 +1,10 @@
 """Key-value configuration files for models, windows and generators.
 
 The format is one ``key = value`` pair per line, ``#`` comments allowed.
-Recognized keys: family, x0, theta, alpha, d, u, mode, truncation_lo,
-truncation_hi, rho, phi1, phi2, phi3, mu, target_alpha, target_pc.
+Each command reads its own keys: ``ESTIMATE_KEYS`` (family, x0, theta,
+alpha and the window keys d, u, mode, truncation_lo, truncation_hi) for a
+claims analysis, ``DEPENDENT_KEYS`` (rho, phi1, phi2, phi3, mu,
+target_alpha, target_pc) for the dependent design.
 """
 
 from __future__ import annotations
@@ -17,27 +19,17 @@ from .severity import (
 )
 
 __all__ = [
+    "ESTIMATE_KEYS",
+    "DEPENDENT_KEYS",
     "load_config",
     "model_from_config",
     "scheme_from_config",
     "dependent_from_config",
 ]
 
-_WINDOW_KEYS = {"d", "u", "mode", "truncation_lo", "truncation_hi"}
-_KNOWN_KEYS = {
-    "family",
-    "x0",
-    "theta",
-    "alpha",
-    *_WINDOW_KEYS,
-    "rho",
-    "phi1",
-    "phi2",
-    "phi3",
-    "mu",
-    "target_alpha",
-    "target_pc",
-}
+_WINDOW_KEYS = frozenset({"d", "u", "mode", "truncation_lo", "truncation_hi"})
+ESTIMATE_KEYS = frozenset({"family", "x0", "theta", "alpha"}) | _WINDOW_KEYS
+DEPENDENT_KEYS = frozenset({"rho", "phi1", "phi2", "phi3", "mu", "target_alpha", "target_pc"})
 
 _FAMILY_ALIASES = {
     "exp": ModelFamily.SHIFTED_EXPONENTIAL,
@@ -48,8 +40,8 @@ _FAMILY_ALIASES = {
 }
 
 
-def load_config(path) -> dict[str, str]:
-    """Parse a key = value file; unknown keys are an error."""
+def load_config(path, keys: frozenset[str]) -> dict[str, str]:
+    """Parse a key = value file; a key outside ``keys`` is an error, as nothing would read it."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -59,10 +51,10 @@ def load_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise ClaimsFormatError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in keys:
                 raise ClaimsFormatError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    f"{', '.join(sorted(_KNOWN_KEYS))}"
+                    f"{path}:{lineno}: unknown key {key!r}; allowed keys: "
+                    f"{', '.join(sorted(keys))}"
                 )
             out[key] = value
     return out

@@ -6,7 +6,7 @@ spectrum, and calling the estimator does both.  ``prod`` is the
 product-limit plug-in; ``emp`` integrates the raw empirical quantiles;
 ``kernel`` smooths the product-limit quantile function; ``ml`` and ``pm``
 fit the parametric window law by maximum likelihood or percentile matching
-and integrate the fitted parametric quantiles.
+and take the closed-form spectral risk measure of the fitted law.
 """
 
 from __future__ import annotations
@@ -197,18 +197,12 @@ def fit_ml_parameter(sample: LtrcSample, scheme: WindowScheme, family: ModelFami
 
 
 def fit_pm_parameter(
-    sample: LtrcSample,
-    scheme: WindowScheme,
-    family: ModelFamily,
-    p1: float = 0.5,
-    theta_numerator: float | None = None,
+    sample: LtrcSample, scheme: WindowScheme, family: ModelFamily, p1: float = 0.5
 ) -> float:
     """Percentile-matching fit of theta (exponential) or alpha (Pareto).
 
     The exponential display inverts the truncated-percentile identity with
     the deductible as the anchor: theta = (d - x_(ceil(n p1))) / log(1 - p1).
-    Passing ``theta_numerator`` replaces the anchor ``d`` with an explicit
-    value, exposing the alternative literal reading of the display.
     """
     if not 0.0 < p1 < 1.0:
         raise ValueError("p1 must lie in (0, 1)")
@@ -218,8 +212,7 @@ def fit_pm_parameter(
     if x_p1 == d:
         raise EstimationError("matched percentile equals the deductible")
     if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        anchor = d if theta_numerator is None else theta_numerator
-        theta = (anchor - x_p1) / math.log1p(-p1)
+        theta = (d - x_p1) / math.log1p(-p1)
         if theta <= 0:
             raise EstimationError(f"percentile matching produced theta = {theta:.4g} <= 0")
         return theta
@@ -229,49 +222,17 @@ def fit_pm_parameter(
     return alpha
 
 
-def parametric_srm(
-    family: ModelFamily,
-    x0: float,
-    param: float,
-    spectrum,
-    var_convention: str = "quantile",
-) -> float:
-    """Integrate a fitted parametric value-at-risk curve against a spectrum.
+def parametric_srm(family: ModelFamily, x0: float, param: float, spectrum) -> float:
+    """Spectral risk measure of a fitted shifted-exponential or Pareto I law.
 
-    ``var_convention="quantile"`` uses VaR_p = F^{-1}(p) (increasing in p);
-    ``"literal"`` keeps the decreasing survival-level parametrization
-    x0 - theta*log(p) / x0 * p^(-1/alpha) for comparison runs.
+    The quantile x0 - theta ln(1-u), or x0 (1-u)^(-1/alpha), integrates
+    against the spectrum in closed form through its log or power moment.
     """
-    if var_convention not in ("quantile", "literal"):
-        raise ValueError(f"unknown VaR convention {var_convention!r}")
-    flip = var_convention == "literal"
     if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        theta = param
-
-        def var_curve(u):
-            arg = u if flip else 1.0 - u
-            return x0 - theta * np.log(arg)
-
-    else:
-        alpha = param
-        if alpha <= 1.0:
-            raise EstimationError(
-                f"tail index {alpha:.4g} <= 1: the spectral integral diverges"
-            )
-
-        def var_curve(u):
-            arg = u if flip else 1.0 - u
-            return x0 * arg ** (-1.0 / alpha)
-
-    value, _ = integrate.quad(
-        lambda u: float(spectrum.phi(u)) * float(var_curve(u)),
-        0.0,
-        1.0,
-        limit=200,
-        epsabs=1e-12,
-        epsrel=1e-8,
-    )
-    return float(value)
+        return x0 + param * spectrum.log_moment()
+    if param <= 1.0:
+        raise EstimationError(f"tail index {param:.4g} <= 1: the spectral integral diverges")
+    return x0 * spectrum.power_moment(1.0 / param)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@ ALL_DESIGNS = ("iid-exp", "iid-pareto", "dependent")
 
 CALIBRATION_SEED = 727_001  # fixed: mu must not drift with the experiment seed
 
+# Largest sample size a plan accepts.  A replicate holds several float
+# arrays of its size (the sample, its sort and its fit), hundreds of MB at
+# this bound, and far beyond it numpy cannot allocate the draws at all; no
+# design, benchmark or acceptance criterion goes above n = 10 500.
+MAX_SAMPLE_SIZE = 10**7
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -98,6 +104,8 @@ class ExperimentPlan:
             raise ValueError("n and k grids must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("sample sizes must be positive")
+        if any(n > MAX_SAMPLE_SIZE for n in self.n_grid):
+            raise ValueError(f"sample sizes must be at most {MAX_SAMPLE_SIZE}")
         if not all(math.isfinite(k) and k >= 0 for k in self.k_grid):
             raise ValueError("risk-aversion coefficients must be finite and nonnegative")
         if self.master_seed < 0:

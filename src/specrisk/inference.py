@@ -13,7 +13,6 @@ double sum over quantile segments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .ltrc import LtrcSample, PlFit, SortedSample, fit_pl  # noqa: F401 (perfben
 from .rng import derive_rng
 
 __all__ = [
-    "VariancePlugin",
     "estimate_sigma2",
     "EdgeworthDiagnostics",
     "edgeworth_diagnostics",
@@ -37,25 +35,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariancePlugin:
-    """Settings for the plug-in variance evaluation.
-
-    The ``covariance_form`` "pathwise-min" evaluates the covariance kernel
-    at the lower of the two levels (the form that reduces to the classical
-    L-statistic variance without truncation or censoring);
-    "literal-product" keeps the product-of-integrals-minus-uv bracket for
-    comparison.  A smoothed density below ``density_floor`` is refused.
-    """
-
-    density_floor: float = 1e-12
-    covariance_form: str = "pathwise-min"
-
-    def __post_init__(self) -> None:
-        if self.covariance_form not in ("pathwise-min", "literal-product"):
-            raise ValueError(f"unknown covariance form {self.covariance_form!r}")
-
-
+# a smoothed density below this inside the clipped range is refused
+DENSITY_FLOOR = 1e-12
 # evaluation points per block of the banded density sum
 _DENSITY_BLOCK = 64
 # the probability square of the variance integral is clipped to
@@ -68,11 +49,7 @@ def _pl_fit(sample: LtrcSample | PlFit) -> PlFit:
     return sample if isinstance(sample, PlFit) else PlFit.from_sample(sample)
 
 
-def estimate_sigma2(
-    sample: LtrcSample | PlFit,
-    spectrum,
-    plugin: VariancePlugin | None = None,
-) -> float:
+def estimate_sigma2(sample: LtrcSample | PlFit, spectrum) -> float:
     """Plug-in estimate of the asymptotic variance of the PL-based SRM estimate.
 
     Returns the variance of the sqrt(n)-normalized estimator.  The density
@@ -81,8 +58,11 @@ def estimate_sigma2(
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
     falls below the floor inside the clipped integration range.  Given a
     sample's :class:`~specrisk.ltrc.PlFit`, it does not fit again.
+
+    The covariance kernel is evaluated at the lower of the two levels, the
+    form that reduces to the classical L-statistic variance without
+    truncation or censoring.
     """
-    plugin = plugin or VariancePlugin()
     fit = _pl_fit(sample)
     n = fit.dist.n
     q = fit.quantile
@@ -114,29 +94,16 @@ def estimate_sigma2(
         return 0.0
     lo, hi = lo[live], hi[live]
     f_live, g_live = f_hat[live], seg_g[live]
-    if np.any(f_live < plugin.density_floor):
+    if np.any(f_live < DENSITY_FLOOR):
         raise SingularDensityError(
-            f"density estimate below {plugin.density_floor:g} inside the "
+            f"density estimate below {DENSITY_FLOOR:g} inside the "
             f"clipped range (bandwidth {h:g})"
         )
 
-    decay = spectrum.decay_integral(lo, hi)
-    a = decay / f_live
-    if plugin.covariance_form == "pathwise-min":
-        suffix = np.concatenate((np.cumsum(a[::-1])[::-1][1:], [0.0]))
-        sigma2 = float(np.sum(g_live * a * (a + 2.0 * suffix)))
-    else:
-        decay_sq = spectrum.decay_sq_integral(lo, hi)
-        b = (decay - decay_sq) / f_live
-        sigma2 = float(np.sum(g_live * a)) ** 2 - float(np.sum(b)) ** 2
-    if sigma2 < 0.0:
-        warnings.warn(
-            f"variance plug-in produced {sigma2:.4g} < 0; clamping to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        sigma2 = 0.0
-    return sigma2
+    a = spectrum.decay_integral(lo, hi) / f_live
+    suffix = np.concatenate((np.cumsum(a[::-1])[::-1][1:], [0.0]))
+    # every term is a product of nonnegative factors, so the sum is >= 0
+    return float(np.sum(g_live * a * (a + 2.0 * suffix)))
 
 
 def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
@@ -428,12 +395,7 @@ def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def asymptotic_ci(
-    sample: LtrcSample | PlFit,
-    spectrum,
-    plugin: VariancePlugin | None = None,
-    level: float = 0.90,
-) -> EstimateReport:
+def asymptotic_ci(sample: LtrcSample | PlFit, spectrum, level: float = 0.90) -> EstimateReport:
     """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n).
 
     Point and variance share one fit, made here unless ``sample`` is a PlFit.
@@ -443,7 +405,7 @@ def asymptotic_ci(
     fit = _pl_fit(sample)
     n = fit.dist.n
     point = ProdEstimator().evaluate(fit, spectrum)
-    sigma2 = estimate_sigma2(fit, spectrum, plugin)
+    sigma2 = estimate_sigma2(fit, spectrum)
     half = float(stats.norm.ppf(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)
     return EstimateReport(
         estimator="prod",

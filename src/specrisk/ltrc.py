@@ -24,8 +24,6 @@ __all__ = [
     "QuantileFunction",
     "SortedSample",
     "PlFit",
-    "risk_set_fraction",
-    "uncensored_subdist",
     "fit_pl",
     "pl_quantile",
     "EXACT_PRODUCT_LIMIT",
@@ -75,18 +73,6 @@ class LtrcSample:
     def sorted_order(self) -> np.ndarray:
         """Indices sorting by y, uncensored before censored at equal y."""
         return np.lexsort((-self.delta, self.y))
-
-
-def risk_set_fraction(sample: LtrcSample, z: float) -> float:
-    """Fraction of observations with t <= z <= y (the empirical risk set)."""
-    count = int(np.count_nonzero((sample.t <= z) & (z <= sample.y)))
-    return count / len(sample)
-
-
-def uncensored_subdist(sample: LtrcSample, y: float) -> float:
-    """Empirical sub-distribution of uncensored values: mean of 1{Y<=y, delta=1}."""
-    count = int(np.count_nonzero((sample.y <= y) & (sample.delta == 1)))
-    return count / len(sample)
 
 
 @dataclass(frozen=True)

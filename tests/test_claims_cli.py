@@ -8,7 +8,7 @@ import pytest
 
 from specrisk import ClaimsFormatError, LtrcSample, WindowScheme, parse_claims, write_ltrc_csv
 from specrisk.cli import _fmt, main
-from specrisk.config import load_config, model_from_config, scheme_from_config
+from specrisk.config import ESTIMATE_KEYS, load_config, model_from_config, scheme_from_config
 
 
 class TestParseClaims:
@@ -110,7 +110,7 @@ class TestConfigFiles:
         path.write_text(
             "# severity setup\nfamily = exp\nx0 = 1000\ntheta = 1000\nd = 4000\nu = 14000\n"
         )
-        cfg = load_config(path)
+        cfg = load_config(path, ESTIMATE_KEYS)
         model = model_from_config(cfg)
         scheme = scheme_from_config(cfg)
         assert model.theta == 1000.0
@@ -122,7 +122,7 @@ class TestConfigFiles:
         path = tmp_path / "model.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ClaimsFormatError, match="unknown key"):
-            load_config(path)
+            load_config(path, ESTIMATE_KEYS)
 
     def test_window_keys_decide_the_window(self):
         assert scheme_from_config({"family": "exp", "x0": "1000"}) is None
@@ -222,6 +222,11 @@ class TestCli:
             (["--config", "unknown.cfg"], "unknown key 'frobnicate'"),
             (["--config", "seed.cfg"], "unknown key 'seed'"),
             (["--config", "nox0.cfg"], "x0 must be strictly positive"),
+            (
+                ["--config", "rho.cfg"],
+                "unknown key 'rho'; allowed keys: alpha, d, family, mode, theta, "
+                "truncation_hi, truncation_lo, u, x0",
+            ),
         ],
     )
     def test_invalid_estimate_flag_is_usage_error(
@@ -236,6 +241,7 @@ class TestCli:
             "unknown.cfg": "frobnicate = 3\n",
             "seed.cfg": "seed = 5\n",
             "nox0.cfg": "family = exp\nd = 4000\n",
+            "rho.cfg": "family = exp\nx0 = 1000\nd = 4000\nrho = 0.5\n",
         }
         for name, text in configs.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -288,12 +294,22 @@ class TestCli:
                 ["simulate", "--design", "iid-exp", "--config", "rho2.cfg"],
                 "--config applies only to --design dependent, got --design iid-exp",
             ),
+            (
+                ["simulate", "--design", "dependent", "--config", "d5.cfg"],
+                "unknown key 'd'; allowed keys: mu, phi1, phi2, phi3, rho, target_alpha, target_pc",
+            ),
+            (
+                ["simulate", "--design", "iid-exp", "--n", "1e300", "--k", "1", "--reps", "2"],
+                "sample sizes must be at most 10000000",
+            ),
+            (["coverage", "--n", "10000001"], "sample sizes must be at most 10000000"),
         ],
     )
     def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         # refused before any sample is drawn or any worker is started
         monkeypatch.chdir(tmp_path)
         (tmp_path / "rho2.cfg").write_text("rho = 2\n", encoding="utf-8")
+        (tmp_path / "d5.cfg").write_text("rho = 0.1\nd = 5\n", encoding="utf-8")
         argv = [argv[0], "--n", "30", *argv[1:]]
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
 

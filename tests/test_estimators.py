@@ -29,6 +29,7 @@ from specrisk.estimators import (
 )
 from specrisk import harness
 from specrisk.ltrc import QuantileFunction, fit_pl, pl_quantile
+from specrisk.severity import theoretical_srm
 
 from conftest import random_ltrc_sample
 from test_severity import exp_srm_closed_form, pareto_srm_closed_form
@@ -208,45 +209,43 @@ class TestPmEstimator:
         with pytest.raises(EstimationError, match="deductible"):
             fit_pm_parameter(s, WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 0.25)
 
-    def test_literal_numerator_reading_exposed(self):
+    def test_deductible_is_the_anchor(self):
         s = LtrcSample([4600.0], [4000.0], [1])
-        default = fit_pm_parameter(s, WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 0.5)
-        literal = fit_pm_parameter(
-            s, WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 0.5, theta_numerator=4200.0
-        )
-        assert default == pytest.approx(600.0 / -math.log(0.5), rel=1e-12)
-        assert literal == pytest.approx(400.0 / -math.log(0.5), rel=1e-12)
+        theta = fit_pm_parameter(s, WINDOW, ModelFamily.SHIFTED_EXPONENTIAL, 0.5)
+        assert theta == pytest.approx(600.0 / -math.log(0.5), rel=1e-12)
+
+
+PARAMETRIC_SPECTRA = [ExponentialSpectrum(k) for k in (0.0, 1.0, 5.0, 10.0, 20.0, 100.0, 200.0)] + [
+    ExpectedShortfallSpectrum(p) for p in (0.0, 0.5, 0.9)
+]
 
 
 class TestParametricSrm:
     @pytest.mark.parametrize("k", [1.0, 5.0, 20.0, 200.0])
-    def test_exponential_quadrature_matches_closed_form(self, k):
+    def test_exponential_matches_closed_form(self, k):
         val = parametric_srm(ModelFamily.SHIFTED_EXPONENTIAL, 1000.0, 1000.0, ExponentialSpectrum(k))
-        assert val == pytest.approx(exp_srm_closed_form(1000.0, 1000.0, k), rel=1e-7)
+        assert val == pytest.approx(exp_srm_closed_form(1000.0, 1000.0, k), rel=1e-13)
 
     @pytest.mark.parametrize("k", [1.0, 5.0, 20.0, 200.0])
-    def test_pareto_quadrature_matches_closed_form(self, k):
+    def test_pareto_matches_closed_form(self, k):
         val = parametric_srm(ModelFamily.PARETO_I, 1000.0, 2.0, ExponentialSpectrum(k))
-        assert val == pytest.approx(pareto_srm_closed_form(1000.0, 2.0, k), rel=1e-6)
+        assert val == pytest.approx(pareto_srm_closed_form(1000.0, 2.0, k), rel=1e-13)
+
+    @pytest.mark.parametrize("model", [harness.EXP_MODEL, harness.PARETO_MODEL], ids=["exp", "pareto"])
+    @pytest.mark.parametrize("spectrum", PARAMETRIC_SPECTRA, ids=lambda s: s.describe())
+    def test_matches_quadrature_of_the_quantile(self, model, spectrum):
+        param = model.theta if model.family is ModelFamily.SHIFTED_EXPONENTIAL else model.alpha
+        val = parametric_srm(model.family, model.x0, param, spectrum)
+        assert val == pytest.approx(theoretical_srm(model.quantile, spectrum), rel=1e-9)
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(EstimationError, match="diverges"):
             parametric_srm(ModelFamily.PARETO_I, 1000.0, 0.9, ExponentialSpectrum(1.0))
 
-    def test_literal_convention_downweights(self):
-        # the survival-level parametrization pairs decreasing VaR with the
-        # increasing weight function, so it must come out strictly lower
-        quantile = parametric_srm(
-            ModelFamily.SHIFTED_EXPONENTIAL, 1000.0, 1000.0, ExponentialSpectrum(5.0)
-        )
-        literal = parametric_srm(
-            ModelFamily.SHIFTED_EXPONENTIAL,
-            1000.0,
-            1000.0,
-            ExponentialSpectrum(5.0),
-            var_convention="literal",
-        )
-        assert literal < quantile
+    def test_unit_tail_index_rejected(self):
+        for spectrum in (ExponentialSpectrum(0.0), ExpectedShortfallSpectrum(0.5)):
+            with pytest.raises(EstimationError, match="diverges"):
+                parametric_srm(ModelFamily.PARETO_I, 1000.0, 1.0, spectrum)
 
 
 class TestKernelEstimator:

@@ -18,7 +18,6 @@ from specrisk import (
     PlFit,
     ProdEstimator,
     SingularDensityError,
-    VariancePlugin,
     asymptotic_ci,
     bootstrap_ci,
     bootstrap_ci_many,
@@ -159,22 +158,12 @@ class TestSigma2:
         oracle *= 1000.0**2  # 1/f(F^-1(u)) = theta / (1-u)
         assert sigma2 == pytest.approx(oracle, rel=0.2)
 
-    def test_literal_product_form_differs(self):
-        rng = np.random.default_rng(5)
-        s = LtrcSample.from_complete_data(1.0 + rng.exponential(1.0, 300))
-        spec = ExponentialSpectrum(1.0)
-        min_form = estimate_sigma2(s, spec)
-        literal = estimate_sigma2(
-            s, spec, VariancePlugin(covariance_form="literal-product")
-        )
-        assert literal >= 0.0
-        assert literal != pytest.approx(min_form, rel=0.05)
-
-    def test_density_floor_triggers(self):
+    def test_density_floor_triggers(self, monkeypatch):
         rng = np.random.default_rng(6)
         s = LtrcSample.from_complete_data(rng.exponential(1.0, 50))
+        monkeypatch.setattr(inference, "DENSITY_FLOOR", 1e6)
         with pytest.raises(SingularDensityError, match="below"):
-            estimate_sigma2(s, ExponentialSpectrum(1.0), VariancePlugin(density_floor=1e6))
+            estimate_sigma2(s, ExponentialSpectrum(1.0))
 
 
 def _dense_epanechnikov_density(dist, at, h, chunk=256):
@@ -240,15 +229,13 @@ class TestBandedDensity:
         assert np.all(np.abs(banded - oracle) <= 1e-13 * np.abs(oracle))
 
     @pytest.mark.parametrize("name", ["iid-exp-2000", "ties"])
-    @pytest.mark.parametrize("form", ["pathwise-min", "literal-product"])
-    def test_sigma2_matches_dense_kernel_sum(self, density_samples, monkeypatch, name, form):
+    def test_sigma2_matches_dense_kernel_sum(self, density_samples, monkeypatch, name):
         s = density_samples[name]
-        plugin = VariancePlugin(covariance_form=form)
         spectra = [ExponentialSpectrum(k) for k in (0.0, 1.0, 200.0)]
         spectra.append(ExpectedShortfallSpectrum(0.9))
-        banded = [estimate_sigma2(s, spec, plugin) for spec in spectra]
+        banded = [estimate_sigma2(s, spec) for spec in spectra]
         monkeypatch.setattr(inference, "_epanechnikov_density", _dense_epanechnikov_density)
-        dense = [estimate_sigma2(s, spec, plugin) for spec in spectra]
+        dense = [estimate_sigma2(s, spec) for spec in spectra]
         assert banded == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
@@ -547,9 +534,7 @@ class TestSharedFit:
         assert isinstance(fit, PlFit)
         for spec in _REPLICATE_SPECTRA:
             assert asymptotic_ci(s, spec) == asymptotic_ci(fit, spec)
-            for form in ("pathwise-min", "literal-product"):
-                plugin = VariancePlugin(covariance_form=form)
-                assert estimate_sigma2(s, spec, plugin) == estimate_sigma2(fit, spec, plugin)
+            assert estimate_sigma2(s, spec) == estimate_sigma2(fit, spec)
         for level in (0.5, 0.9):
             assert edgeworth_diagnostics(s, level) == edgeworth_diagnostics(fit, level)
 

@@ -11,8 +11,6 @@ from specrisk import (
     StepDistribution,
     fit_pl,
     pl_quantile,
-    risk_set_fraction,
-    uncensored_subdist,
 )
 from specrisk import harness, ltrc
 
@@ -34,34 +32,6 @@ class TestSampleTypes:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError):
             s.y[0] = 5.0
-
-
-class TestRiskSet:
-    def test_full_risk_set(self):
-        s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
-        assert risk_set_fraction(s, 1.0) == 1.0
-
-    def test_half_risk_set(self):
-        s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
-        assert risk_set_fraction(s, 2.0) == 0.5
-
-    def test_empty_risk_set_below_truncation(self):
-        s = LtrcSample([2.0, 3.0], [1.5, 1.6], [1, 1])
-        assert risk_set_fraction(s, 1.0) == 0.0
-
-
-class TestUncensoredSubdist:
-    def test_full_mass(self):
-        s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
-        assert uncensored_subdist(s, 2.0) == 1.0
-
-    def test_no_uncensored(self):
-        s = LtrcSample([1.0, 2.0], [0.0, 0.0], [0, 0])
-        assert uncensored_subdist(s, 5.0) == 0.0
-
-    def test_partial_count(self):
-        s = LtrcSample([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1, 0, 1])
-        assert uncensored_subdist(s, 2.5) == pytest.approx(1.0 / 3.0, abs=0)
 
 
 class TestFitPl:
