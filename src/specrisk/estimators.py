@@ -2,7 +2,8 @@
 
 Five estimators share one interface: ``prepare(sample)`` does the
 k-independent work once, ``evaluate(ctx, spectrum)`` integrates against a
-spectrum, and calling the estimator does both.  ``prod`` is the
+spectrum, and calling the estimator does both; ``replicates`` estimates
+bootstrap replicates from integer weights.  ``prod`` is the
 product-limit plug-in; ``emp`` integrates the raw empirical quantiles;
 ``kernel`` smooths the product-limit quantile function; ``ml`` and ``pm``
 fit the parametric window law by maximum likelihood or percentile matching
@@ -11,6 +12,7 @@ and take the closed-form spectral risk measure of the fitted law.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -19,7 +21,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import EstimationError
-from .ltrc import LtrcSample, PlFit, QuantileFunction, SortedSample, fit_pl, pl_quantile
+from .ltrc import LtrcSample, PlFit, QuantileFunction, SortedSample, StepDistribution
+from .ltrc import fit_pl, pl_quantile
 from .severity import ModelFamily, WindowScheme
 
 __all__ = [
@@ -57,6 +60,15 @@ def srm_from_sorted(values_sorted: np.ndarray, spectrum) -> float:
     grid = np.arange(n + 1) / n
     weights = spectrum.segment_integral(grid[:-1], grid[1:])
     return float(np.sum(values_sorted * weights))
+
+
+def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
+    """sum_g x_g * segment_integral(F_b,g-1, F_bg) per row b of ``levels``, for each spectrum."""
+    # column gathers can return Fortran order, in which np.sum along a
+    # row does not add pairwise and its rounding depends on the row count
+    levels = np.ascontiguousarray(levels)
+    lower = np.concatenate((np.zeros((levels.shape[0], 1)), levels[:, :-1]), axis=1)
+    return np.array([np.sum(x * spec.segment_integral(lower, levels), axis=1) for spec in spectra])
 
 
 def estimate_prod(sample: LtrcSample, spectrum) -> float:
@@ -167,9 +179,24 @@ def _clipped_g(v: float) -> float:
 # parametric window-law estimators
 
 
-def _order_statistic_index(n: int, p: float) -> int:
-    """Clamped ceiling index for the [np] order-statistic convention."""
-    return min(n, max(1, math.ceil(n * p)))
+def _ml_fit(y, delta, weights: np.ndarray, scheme: WindowScheme, family: ModelFamily) -> np.ndarray:
+    """Censored-likelihood fit per row of integer ``weights`` on (y, delta); NaN where it fails.
+
+    With g(x) = x - d (exponential) or ln(x/d) (Pareto), the exposure sums
+    w g(y) over uncensored points and w g(u) over points at a finite limit
+    u.  With m the uncensored weight, theta = exposure / m and alpha =
+    m / exposure.
+    """
+    d, u = scheme.deductible, scheme.limit
+    exponential = family is ModelFamily.SHIFTED_EXPONENTIAL
+    interior = delta == 1
+    g = (lambda x: x - d) if exponential else (lambda x: np.log(x / d))
+    exposure = np.sum(weights * np.where(interior, g(y), 0.0), axis=1)
+    if math.isfinite(u):
+        exposure += g(u) * np.sum(weights * ~interior, axis=1)
+    m = np.sum(weights * interior, axis=1)
+    numer, denom = (exposure, m) if exponential else (m, exposure)
+    return np.where(denom > 0, numer / np.where(denom > 0, denom, 1), np.nan)
 
 
 def fit_ml_parameter(sample: LtrcSample, scheme: WindowScheme, family: ModelFamily) -> float:
@@ -178,22 +205,24 @@ def fit_ml_parameter(sample: LtrcSample, scheme: WindowScheme, family: ModelFami
     Works on fixed-window data: uncensored observations sit inside (d, u)
     and censored ones at the limit.
     """
-    d, u = scheme.deductible, scheme.limit
-    x = sample.y
-    interior = sample.delta == 1
-    n_cens = int(np.count_nonzero(~interior))
-    n_int = int(np.count_nonzero(interior))
-    if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        if n_int == 0:
+    param = float(_ml_fit(sample.y, sample.delta, np.ones((1, len(sample))), scheme, family)[0])
+    if math.isnan(param):
+        if family is ModelFamily.SHIFTED_EXPONENTIAL:
             raise EstimationError("no uncensored observations inside the window")
-        numer = float(np.sum(x[interior] - d)) + (u - d) * n_cens
-        return numer / n_int
-    denom = float(np.sum(np.log(x[interior] / d)))
-    if math.isfinite(u):
-        denom += math.log(u / d) * n_cens
-    if denom <= 0.0:
         raise EstimationError("degenerate window sample: zero log-spacing denominator")
-    return n_int / denom
+    return param
+
+
+def _pm_fit(y_sorted: np.ndarray, weights: np.ndarray, d: float, family: ModelFamily, p1: float):
+    """Matched percentile and unchecked fit per row of integer weights aligned with ``y_sorted``."""
+    n = y_sorted.size
+    rank = min(n, max(1, math.ceil(n * p1)))
+    # the rank-th order statistic sits where the cumulative weight first reaches the rank
+    x_p1 = y_sorted[np.sum(np.cumsum(weights, axis=1) < rank, axis=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family is ModelFamily.SHIFTED_EXPONENTIAL:
+            return x_p1, (d - x_p1) / math.log1p(-p1)
+        return x_p1, math.log1p(-p1) / np.log(d / x_p1)
 
 
 def fit_pm_parameter(
@@ -207,19 +236,14 @@ def fit_pm_parameter(
     if not 0.0 < p1 < 1.0:
         raise ValueError("p1 must lie in (0, 1)")
     d = scheme.deductible
-    n = len(sample)
-    x_p1 = float(np.sort(sample.y)[_order_statistic_index(n, p1) - 1])
+    ones = np.ones((1, len(sample)), dtype=np.int64)
+    x_p1, param = (float(v[0]) for v in _pm_fit(np.sort(sample.y), ones, d, family, p1))
     if x_p1 == d:
         raise EstimationError("matched percentile equals the deductible")
-    if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        theta = (d - x_p1) / math.log1p(-p1)
-        if theta <= 0:
-            raise EstimationError(f"percentile matching produced theta = {theta:.4g} <= 0")
-        return theta
-    alpha = math.log1p(-p1) / math.log(d / x_p1)
-    if alpha <= 0:
-        raise EstimationError(f"percentile matching produced alpha = {alpha:.4g} <= 0")
-    return alpha
+    if not param > 0:
+        name = "theta" if family is ModelFamily.SHIFTED_EXPONENTIAL else "alpha"
+        raise EstimationError(f"percentile matching produced {name} = {param:.4g} <= 0")
+    return param
 
 
 def parametric_srm(family: ModelFamily, x0: float, param: float, spectrum) -> float:
@@ -250,6 +274,24 @@ class SrmEstimator:
     def evaluate(self, ctx, spectrum) -> float:
         raise NotImplementedError
 
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        """Estimates of the resamples holding original observation j ``weights[b, j]`` times.
+
+        One row per spectrum, one column per resample b; NaN where one fails.
+        """
+        raise NotImplementedError
+
+    def evaluate_each(self, contexts, spectra) -> np.ndarray:
+        """``evaluate`` of each context at each spectrum; NaN for a None context or a failure."""
+        out = np.full((len(spectra), len(contexts)), np.nan)
+        for b, ctx in enumerate(contexts):
+            if ctx is None:
+                continue
+            for i, spectrum in enumerate(spectra):
+                with contextlib.suppress(EstimationError):
+                    out[i, b] = self.evaluate(ctx, spectrum)
+        return out
+
     def __call__(self, sample: LtrcSample, spectrum) -> float:
         return self.evaluate(self.prepare(sample), spectrum)
 
@@ -264,9 +306,9 @@ class ProdEstimator(SrmEstimator):
     def evaluate(self, ctx: PlFit, spectrum) -> float:
         return srm_from_quantile(ctx.quantile, spectrum)
 
-    def replicate_levels(self, sorted_sample: SortedSample, weights: np.ndarray):
-        """Quantile values and, per row of ``weights``, the CDF level reached at each."""
-        return sorted_sample.y[sorted_sample.starts], sorted_sample.pl_cdf(weights)
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        levels = sorted_sample.pl_cdf(weights)
+        return _srm_from_levels(sorted_sample.y[sorted_sample.starts], levels, spectra)
 
 
 @dataclass(frozen=True)
@@ -279,10 +321,9 @@ class EmpEstimator(SrmEstimator):
     def evaluate(self, ctx, spectrum) -> float:
         return srm_from_sorted(ctx, spectrum)
 
-    def replicate_levels(self, sorted_sample: SortedSample, weights: np.ndarray):
-        """Sorted values and, per row of ``weights``, the empirical level reached at each."""
-        n = sorted_sample.y.size
-        return sorted_sample.y, np.cumsum(weights[:, sorted_sample.order], axis=1) / n
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        levels = np.cumsum(weights[:, sorted_sample.order], axis=1) / sorted_sample.y.size
+        return _srm_from_levels(sorted_sample.y, levels, spectra)
 
 
 @dataclass(frozen=True)
@@ -312,6 +353,11 @@ class KernelEstimator(SrmEstimator):
         )
         return float(value)
 
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        x = sorted_sample.y[sorted_sample.starts]
+        qs = [pl_quantile(StepDistribution(x, cdf)) for cdf in sorted_sample.pl_cdf(weights)]
+        return self.evaluate_each([KernelQuantileSmoother(q=q, h=self.h) for q in qs], spectra)
+
 
 @dataclass(frozen=True)
 class MlEstimator(SrmEstimator):
@@ -327,6 +373,11 @@ class MlEstimator(SrmEstimator):
 
     def evaluate(self, ctx, spectrum) -> float:
         return parametric_srm(self.family, self.x0, ctx, spectrum)
+
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        w = np.take(weights, sorted_sample.order, axis=1)  # C order: row sums add pairwise
+        params = _ml_fit(sorted_sample.y, sorted_sample.delta, w, self.scheme, self.family)
+        return self.evaluate_each([None if math.isnan(p) else p for p in params.tolist()], spectra)
 
 
 @dataclass(frozen=True)
@@ -344,6 +395,12 @@ class PmEstimator(SrmEstimator):
 
     def evaluate(self, ctx, spectrum) -> float:
         return parametric_srm(self.family, self.x0, ctx, spectrum)
+
+    def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        s, d = sorted_sample, self.scheme.deductible
+        _, params = _pm_fit(s.y, weights[:, s.order], d, self.family, self.p1)
+        # a percentile at the deductible gives theta = -0 or alpha = -inf, refused here too
+        return self.evaluate_each([p if p > 0 else None for p in params.tolist()], spectra)
 
 
 ESTIMATOR_NAMES = ("prod", "emp", "kernel", "ml", "pm")

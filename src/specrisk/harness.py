@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .errors import EstimationError, NumericalError, SpecriskError
+from .errors import EstimationError, SpecriskError
 from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_sorted
 from .inference import BootstrapPlan, bootstrap_ci
 from .ltrc import LtrcSample
@@ -194,13 +194,9 @@ def _replicate_range(args) -> np.ndarray:
         for e_idx, est in enumerate(estimators):
             try:
                 ctx = est.prepare(sample)
-            except (EstimationError, NumericalError):
-                continue
-            for k_idx, spec in enumerate(spectra):
-                try:
-                    out[row, e_idx, k_idx] = est.evaluate(ctx, spec)
-                except (EstimationError, NumericalError):
-                    pass
+            except EstimationError:
+                ctx = None
+            out[row, e_idx] = est.evaluate_each([ctx], spectra)[:, 0]
     return out
 
 

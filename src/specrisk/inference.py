@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import BootstrapError, EstimationError, NumericalError, SingularDensityError
+from .errors import BootstrapError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
 from .ltrc import LtrcSample, PlFit, SortedSample, fit_pl  # noqa: F401 (perfbench tests read it)
 from .rng import derive_rng
@@ -251,15 +251,7 @@ def bootstrap_ci(
     spectrum,
     plan: BootstrapPlan,
 ) -> EstimateReport:
-    """Percentile bootstrap interval for one estimator on one sample.
-
-    Observations are resampled as whole (y, t, delta) triples.  Replicates
-    whose estimator evaluation fails are dropped and counted; more than 10%
-    drops refuses the interval.  Replicate streams derive from
-    ``(plan.seed, replicate index)``, so results are independent of
-    evaluation order; intervals are order statistics of the replicate
-    estimates.
-    """
+    """Percentile bootstrap interval at one spectrum: see :func:`bootstrap_ci_many`."""
     return bootstrap_ci_many(sample, estimator, (spectrum,), plan)[0]
 
 
@@ -269,16 +261,14 @@ def bootstrap_ci_many(
     spectra,
     plan: BootstrapPlan,
 ) -> list[EstimateReport]:
-    """Percentile bootstrap for several spectra, sharing resample fits.
+    """Percentile bootstrap intervals for one estimator at several spectra.
 
-    The resampled indices and the per-replicate fit are computed once per
-    replicate and integrated against every spectrum, so the reports are
-    identical to running :func:`bootstrap_ci` per spectrum with the same
-    plan, at a fraction of the cost when the spectrum grid is wide.
-    Estimators with ``replicate_levels`` (``prod`` and ``emp``) refit no
-    resample: every replicate is a row of integer weights on the sorted
-    original sample, see :func:`_weighted_replicates`; the others refit
-    each resample through their ``prepare`` and ``evaluate``.
+    Observations are resampled as whole (y, t, delta) triples, each
+    replicate from a stream derived from ``(plan.seed, replicate index)``,
+    and estimated once for every spectrum, see :func:`_weighted_replicates`.
+    Each report equals that of :func:`bootstrap_ci` at its spectrum.
+    Replicates that fail are dropped and counted; more than 10% drops
+    refuses the interval.  Intervals are order statistics of the replicates.
     """
     spectra = tuple(spectra)
     n = len(sample)
@@ -286,21 +276,18 @@ def bootstrap_ci_many(
     # point estimates on the original sample: failures propagate
     ctx0 = estimator.prepare(sample)
     points = [estimator.evaluate(ctx0, spec) for spec in spectra]
-    if hasattr(estimator, "replicate_levels"):
-        estimates = list(_weighted_replicates(sample, estimator, spectra, plan))
-        failures = [0] * len(spectra)
-    else:
-        estimates, failures = _refit_replicates(sample, estimator, spectra, plan)
+    estimates = _weighted_replicates(sample, estimator, spectra, plan)
 
     reports = []
     for i, spectrum in enumerate(spectra):
-        if failures[i] > MAX_FAILURE_FRACTION * plan.replicates:
+        reps = np.sort(estimates[i][~np.isnan(estimates[i])])
+        used = reps.size
+        failures = plan.replicates - used
+        if failures > MAX_FAILURE_FRACTION * plan.replicates:
             raise BootstrapError(
-                f"{failures[i]}/{plan.replicates} bootstrap replicates failed "
+                f"{failures}/{plan.replicates} bootstrap replicates failed "
                 f"for {estimator.name!r}; interval refused"
             )
-        reps = np.sort(np.asarray(estimates[i]))
-        used = reps.size
         std_error = float(np.std(reps, ddof=1)) if used >= 2 else None
         ci_low = ci_high = None
         if used >= MIN_REPLICATES_FOR_CI:
@@ -318,32 +305,23 @@ def bootstrap_ci_many(
                 ci_level=plan.ci_level if ci_low is not None else None,
                 n_effective=n,
                 replicates_used=used,
-                replicate_failures=failures[i],
+                replicate_failures=failures,
             )
         )
     return reports
 
 
-def _resample_indices(plan: BootstrapPlan, b: int, n: int) -> np.ndarray:
-    """Indices of replicate ``b``: a stream of its own, so order never matters."""
-    return derive_rng(plan.seed, b).integers(0, n, n)
-
-
-# upper bound on replicates x observations per block of weighted replicates
-_REPLICATE_BLOCK_CELLS = 1 << 17
+# replicates x observations per block; larger blocks page-fault their temporaries in afresh
+_REPLICATE_BLOCK_CELLS = 1 << 15
 
 
 def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan) -> np.ndarray:
     """Replicate estimates, one row per spectrum, without building a resample.
 
     Replicate b holds observation j ``w_bj`` times, the count of j among its
-    indices.  ``estimator.replicate_levels`` turns a block of weight rows
-    into the quantile value of each sorted group g and the level F_bg the
-    replicate's CDF reaches there, and the estimate is
-    sum_g x_g * spectrum.segment_integral(F_b,g-1, F_bg).  Groups a replicate
-    misses have F_bg = F_b,g-1 and add nothing.  Each spectrum is integrated
-    on its own and each row is summed on its own, so a value depends neither
-    on the other spectra nor on the block it falls in.
+    indices.  ``estimator.replicates`` turns each block of weight rows into
+    estimates on the once-sorted sample, NaN where a replicate fails.  A
+    value does not depend on the block it falls in.
     """
     n = len(sample)
     sorted_sample = SortedSample.from_sample(sample)
@@ -351,41 +329,11 @@ def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: Bootstrap
     rows = max(1, _REPLICATE_BLOCK_CELLS // n)
     for start in range(0, plan.replicates, rows):
         stop = min(start + rows, plan.replicates)
-        idx = np.stack([_resample_indices(plan, b, n) for b in range(start, stop)])
+        idx = np.stack([derive_rng(plan.seed, b).integers(0, n, n) for b in range(start, stop)])
         idx += n * np.arange(stop - start)[:, None]
         weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
-        x, levels = estimator.replicate_levels(sorted_sample, weights)
-        # column gathers can return Fortran order, in which np.sum along a
-        # row does not add pairwise and its rounding depends on the block
-        levels = np.ascontiguousarray(levels)
-        lower = np.concatenate((np.zeros((levels.shape[0], 1)), levels[:, :-1]), axis=1)
-        for i, spectrum in enumerate(spectra):
-            out[i, start:stop] = np.sum(x * spectrum.segment_integral(lower, levels), axis=1)
+        out[:, start:stop] = estimator.replicates(sorted_sample, weights, spectra)
     return out
-
-
-def _refit_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan):
-    """Replicate estimates and failure counts per spectrum, refitting every resample.
-
-    A failed ``prepare`` fails the replicate for every spectrum.
-    """
-    n = len(sample)
-    estimates: list[list[float]] = [[] for _ in spectra]
-    failures = [0] * len(spectra)
-    for b in range(plan.replicates):
-        idx = _resample_indices(plan, b, n)
-        resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
-        try:
-            ctx = estimator.prepare(resampled)
-        except (EstimationError, NumericalError):
-            failures = [f + 1 for f in failures]
-            continue
-        for i, spec in enumerate(spectra):
-            try:
-                estimates[i].append(estimator.evaluate(ctx, spec))
-            except (EstimationError, NumericalError):
-                failures[i] += 1
-    return estimates, failures
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> float:

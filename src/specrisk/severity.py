@@ -176,11 +176,10 @@ def window_quantile(model: SeverityModel, scheme: WindowScheme, p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
         raise ValueError("quantile level must lie in [0, 1]")
+    branch = window_branch_point(model, scheme)
     if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
-        branch = -math.expm1(-(u - d) / model.theta) if math.isfinite(u) else 1.0
         body = d - model.theta * np.log1p(-np.minimum(p_arr, branch))
     else:
-        branch = 1.0 - (d / u) ** model.alpha if math.isfinite(u) else 1.0
         body = d * (1.0 - np.minimum(p_arr, branch)) ** (-1.0 / model.alpha)
     out = np.where(p_arr < branch, body, u)
     return float(out) if out.ndim == 0 else out

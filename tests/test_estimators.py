@@ -168,6 +168,13 @@ class TestMlEstimator:
         assert alpha == pytest.approx(expected, rel=1e-12)
         assert alpha == pytest.approx(2.0 / (3.0 * math.log(1.1)), rel=1e-12)
 
+    def test_theta_uncapped_window_is_mean_excess(self):
+        # an infinite limit censors nothing and adds no exposure
+        y = np.array([4200.0, 5100.0, 4700.0])
+        s = LtrcSample(y, np.full(3, 4000.0), np.ones(3, dtype=int))
+        theta = fit_ml_parameter(s, WindowScheme.fixed(4000.0, math.inf), ModelFamily.SHIFTED_EXPONENTIAL)
+        assert theta == pytest.approx(float(np.mean(y - 4000.0)), rel=1e-14)
+
     def test_no_interior_points_raises(self):
         s = LtrcSample([14000.0, 14000.0], [4000.0] * 2, [0, 0])
         with pytest.raises(EstimationError, match="no uncensored"):

@@ -11,23 +11,29 @@ from specrisk import (
     BootstrapError,
     BootstrapPlan,
     EdgeworthDiagnostics,
-    EmpEstimator,
+    EstimationError,
     ExpectedShortfallSpectrum,
     ExponentialSpectrum,
     LtrcSample,
+    MlEstimator,
+    ModelFamily,
     PlFit,
     ProdEstimator,
     SingularDensityError,
+    WindowScheme,
     asymptotic_ci,
     bootstrap_ci,
     bootstrap_ci_many,
+    build_estimator,
     edgeworth_cdf,
     edgeworth_diagnostics,
     estimate_sigma2,
     fit_pl,
     pl_quantile,
+    sample_ltrc_iid,
 )
 from specrisk import estimators, harness, inference, ltrc
+from specrisk.estimators import ESTIMATOR_NAMES
 from specrisk.rng import derive_rng
 
 from conftest import random_ltrc_sample
@@ -375,44 +381,39 @@ class TestBootstrap:
         assert lo in reps and hi in reps
 
     def test_failure_budget_enforced(self):
-        from specrisk import EstimationError
-
-        class SometimesFailing:
-            # fails whenever the resample starts above 1.5, which happens in
-            # roughly three quarters of the resamples of this sample
-            name = "sometimes"
-
-            def prepare(self, sample):
-                return sample
-
-            def evaluate(self, sample, spectrum):
-                if float(sample.y[0]) > 1.5:
-                    raise EstimationError("synthetic failure")
-                return float(sample.y.mean())
-
-        s = LtrcSample([1.0, 2.0, 2.0, 2.0], [0.0] * 4, [1] * 4)
+        # the one interior point is missed by about 3 in 10 resamples: (3/4)^4
+        ml = MlEstimator(scheme=WINDOW, family=ModelFamily.SHIFTED_EXPONENTIAL, x0=1000.0)
+        s = _WINDOW_SAMPLES["no-interior"]
         with pytest.raises(BootstrapError, match="interval refused"):
-            bootstrap_ci(s, SometimesFailing(), ExponentialSpectrum(1.0), BootstrapPlan(replicates=100, seed=2))
+            bootstrap_ci(s, ml, ExponentialSpectrum(1.0), BootstrapPlan(replicates=100, seed=2))
 
 
 def _refit_loop(sample, estimator, spectra, plan):
     """Replicate estimates by refitting every resample: one row per spectrum.
 
-    The reference for the weighted replicates of ``prod`` and ``emp``; also
-    returns, per replicate, whether the resample misses the largest y and
-    whether its product-limit fit has a zero factor.
+    The reference for the weighted replicates; a replicate whose fit or
+    evaluation raises ``EstimationError`` is NaN.  Also returns, per
+    replicate, whether the resample misses the largest y and whether its
+    product-limit fit has a zero factor.
     """
     n = len(sample)
-    values = np.empty((len(spectra), plan.replicates))
+    values = np.full((len(spectra), plan.replicates), np.nan)
     misses_max = np.zeros(plan.replicates, dtype=bool)
     zero_factor = np.zeros(plan.replicates, dtype=bool)
     for b in range(plan.replicates):
         idx = derive_rng(plan.seed, b).integers(0, n, n)
         resampled = LtrcSample(sample.y[idx], sample.t[idx], sample.delta[idx])
-        ctx = estimator.prepare(resampled)
-        values[:, b] = [estimator.evaluate(ctx, spec) for spec in spectra]
         misses_max[b] = resampled.y.max() < sample.y.max()
         zero_factor[b] = fit_pl(resampled).zero_factor_count > 0
+        try:
+            ctx = estimator.prepare(resampled)
+        except EstimationError:
+            continue
+        for i, spec in enumerate(spectra):
+            try:
+                values[i, b] = estimator.evaluate(ctx, spec)
+            except EstimationError:
+                pass
     return values, misses_max, zero_factor
 
 
@@ -434,20 +435,63 @@ _REPLICATE_SAMPLES = {
 }
 
 
+WINDOW = WindowScheme.fixed(4000.0, 14000.0)
+
+# fixed-window samples for ml and pm; all but the first two make some resamples fail
+_WINDOW_SAMPLES = {
+    "exp-window": sample_ltrc_iid(harness.EXP_MODEL, WINDOW, 40, seed=3),
+    "pareto-window": sample_ltrc_iid(harness.PARETO_MODEL, WINDOW, 40, seed=4),
+    "no-interior": LtrcSample([14000.0] * 3 + [5000.0], [4000.0] * 4, [0, 0, 0, 1]),
+    "at-deductible": LtrcSample([4000.0, 4000.0, 4500.0, 6000.0, 14000.0], [4000.0] * 5, [1, 1, 1, 1, 0]),
+    "heavy-tail": LtrcSample([5000.0, 12000.0, 13000.0, 14000.0, 14000.0], [4000.0] * 5, [1, 1, 1, 0, 0]),
+    "rare-interior": LtrcSample([14000.0] * 7 + [5000.0, 6000.0, 9000.0], [4000.0] * 10, [0] * 7 + [1] * 3),
+    "rare-deductible": LtrcSample(
+        [4000.0, 4000.0, 4500.0, 5000.0, 5500.0, 6000.0, 7000.0, 8000.0, 9000.0, 14000.0],
+        [4000.0] * 10,
+        [1] * 9 + [0],
+    ),
+}
+
+
+def _replicate_cases():
+    for name in ESTIMATOR_NAMES:
+        if name in ("ml", "pm"):
+            for family in ModelFamily:
+                for sample in _WINDOW_SAMPLES:
+                    yield pytest.param(name, family, sample, id=f"{sample}-{name}-{family.value}")
+        else:
+            for sample in _REPLICATE_SAMPLES:
+                yield pytest.param(name, None, sample, id=f"{sample}-{name}")
+
+
+def _case(name, family, sample_name):
+    samples = _WINDOW_SAMPLES if family else _REPLICATE_SAMPLES
+    return build_estimator(name, WINDOW, family, 1000.0), samples[sample_name]
+
+
 class TestWeightedReplicates:
-    @pytest.mark.parametrize("estimator", [ProdEstimator(), EmpEstimator()], ids=["prod", "emp"])
-    @pytest.mark.parametrize("name", list(_REPLICATE_SAMPLES))
-    def test_matches_refit_loop(self, name, estimator):
-        s = _REPLICATE_SAMPLES[name]
+    @pytest.mark.parametrize("name, family, sample_name", list(_replicate_cases()))
+    def test_matches_refit_loop(self, name, family, sample_name):
+        estimator, s = _case(name, family, sample_name)
         plan = BootstrapPlan(replicates=60, seed=17)
         fast = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
         slow, _, _ = _refit_loop(s, estimator, _REPLICATE_SPECTRA, plan)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.isnan(fast), np.isnan(slow))
+        rtol = 1e-8 if name == "kernel" else 1e-12
+        np.testing.assert_allclose(fast, slow, rtol=rtol, atol=0.0)
 
-        reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
-        for report in reports:
-            assert report.replicates_used == plan.replicates
-            assert report.replicate_failures == 0
+        failures = np.isnan(slow).sum(axis=1)
+        over_budget = failures.max() > inference.MAX_FAILURE_FRACTION * plan.replicates
+        try:
+            reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
+        except BootstrapError:
+            assert over_budget
+            return
+        except EstimationError:  # the point estimate on the sample itself fails
+            return
+        assert not over_budget
+        assert [r.replicate_failures for r in reports] == failures.tolist()
+        assert [r.replicates_used for r in reports] == (plan.replicates - failures).tolist()
 
     @pytest.mark.parametrize(
         "name, flag",
@@ -462,13 +506,33 @@ class TestWeightedReplicates:
         seen = {"misses_max": misses_max, "zero_factor": zero_factor}[flag]
         assert seen.any() and not seen.all()
 
-    @pytest.mark.parametrize("estimator", [ProdEstimator(), EmpEstimator()], ids=["prod", "emp"])
-    def test_blocks_do_not_change_values(self, monkeypatch, estimator):
-        s = _REPLICATE_SAMPLES["random-ties"]
+    @pytest.mark.parametrize(
+        "name, family, sample_name",
+        [
+            ("ml", ModelFamily.SHIFTED_EXPONENTIAL, "no-interior"),
+            ("ml", ModelFamily.SHIFTED_EXPONENTIAL, "rare-interior"),
+            ("ml", ModelFamily.PARETO_I, "heavy-tail"),
+            ("pm", ModelFamily.SHIFTED_EXPONENTIAL, "at-deductible"),
+            ("pm", ModelFamily.SHIFTED_EXPONENTIAL, "rare-deductible"),
+            ("pm", ModelFamily.PARETO_I, "heavy-tail"),
+        ],
+    )
+    def test_failure_cases_fail_in_part(self, name, family, sample_name):
+        # no interior point, the matched percentile at the deductible, alpha <= 1;
+        # the rare cases stay within the failure budget, so reports count them
+        estimator, s = _case(name, family, sample_name)
+        slow, _, _ = _refit_loop(s, estimator, _REPLICATE_SPECTRA, BootstrapPlan(replicates=60, seed=17))
+        failed = np.isnan(slow)
+        assert failed.any() and not failed.all()
+
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_blocks_do_not_change_values(self, monkeypatch, name):
+        family = ModelFamily.PARETO_I if name in ("ml", "pm") else None
+        estimator, s = _case(name, family, "pareto-window" if family else "random-ties")
         plan = BootstrapPlan(replicates=70, seed=5)
         one_block = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
         one_block_reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
-        monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", 3 * len(s))  # 24 blocks
+        monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", len(s))  # one replicate per block
         blocked = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
         assert np.array_equal(blocked, one_block)
         assert bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan) == one_block_reports
