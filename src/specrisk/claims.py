@@ -115,11 +115,9 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
     return ClaimsFile(groups=groups, n_rows=n_rows, rejected=tuple(rejected))
 
 
-def write_ltrc_csv(path, groups: dict[str, LtrcSample], header_lines: tuple[str, ...] = ()) -> None:
+def write_ltrc_csv(path, groups: dict[str, LtrcSample]) -> None:
     """Serialize grouped LTRC samples; numeric fields round-trip exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
         fh.write("y,t,delta,group\n")
         for group, sample in sorted(groups.items()):
             for yi, ti, di in zip(sample.y, sample.t, sample.delta):

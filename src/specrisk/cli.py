@@ -35,6 +35,10 @@ from .config import (
 from .errors import ClaimsFormatError, SpecriskError
 from .estimators import build_estimator
 from .harness import (
+    CALIBRATION_SEED,
+    CALIBRATION_TOLERANCE,
+    TARGET_CENSORING_PC,
+    TARGET_TRUNCATION_RATE,
     CoverageCell,
     ExperimentPlan,
     MCCell,
@@ -141,15 +145,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header_lines(config: dict) -> list[str]:
-    lines = [f"# specrisk {__version__}"]
-    for key in sorted(config):
-        lines.append(f"# {key}={config[key]}")
-    return lines
-
-
 def _write_csv(path: Path, config: dict, columns: list[str], rows: list[list]) -> None:
-    out = _header_lines(config)
+    out = [f"# specrisk {__version__}", *(f"# {key}={config[key]}" for key in sorted(config))]
     out.append(",".join(columns))
     out.extend(",".join(_fmt(v) for v in row) for row in rows)
     _atomic_write(path, "\n".join(out) + "\n")
@@ -197,6 +194,8 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
             raise ValueError("--family requires --x0")
         family = ModelFamily.SHIFTED_EXPONENTIAL if args.family == "exp" else ModelFamily.PARETO_I
         x0 = args.x0
+    elif args.x0 is not None:
+        raise ValueError("--x0 requires --family")
     if args.format == "raw" and scheme is None:
         raise ValueError("raw claims need --deductible/--limit (or a config file window)")
     names = tuple(args.estimators.split(","))
@@ -425,12 +424,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(cov)
 
     cal = sub.add_parser("calibrate", help="solve the dependent-model truncation location")
-    cal.add_argument("--target-alpha", type=float, default=0.30)
-    cal.add_argument("--pc", type=float, default=0.10)
-    cal.add_argument("--phi2", type=float, default=1.087)
-    cal.add_argument("--rho", type=float, default=0.1)
-    cal.add_argument("--tolerance", type=_TOLERANCE, default=0.005)
-    cal.add_argument("--calibration-seed", type=_SEED, default=727_001)
+    cal.add_argument("--target-alpha", type=float, default=TARGET_TRUNCATION_RATE)
+    cal.add_argument("--pc", type=float, default=TARGET_CENSORING_PC)
+    cal.add_argument("--phi2", type=float, default=DependentModelConfig.phi2)
+    cal.add_argument("--rho", type=float, default=DependentModelConfig.rho)
+    cal.add_argument("--tolerance", type=_TOLERANCE, default=CALIBRATION_TOLERANCE)
+    cal.add_argument("--calibration-seed", type=_SEED, default=CALIBRATION_SEED)
     add_common(cal)
 
     return parser

@@ -4,7 +4,7 @@ The format is one ``key = value`` pair per line, ``#`` comments allowed.
 Each command reads its own keys: ``ESTIMATE_KEYS`` (family, x0, theta,
 alpha and the window keys d, u, mode, truncation_lo, truncation_hi) for a
 claims analysis, ``DEPENDENT_KEYS`` (rho, phi1, phi2, phi3, mu,
-target_alpha, target_pc) for the dependent design.
+target_pc) for the dependent design.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
 
 _WINDOW_KEYS = frozenset({"d", "u", "mode", "truncation_lo", "truncation_hi"})
 ESTIMATE_KEYS = frozenset({"family", "x0", "theta", "alpha"}) | _WINDOW_KEYS
-DEPENDENT_KEYS = frozenset({"rho", "phi1", "phi2", "phi3", "mu", "target_alpha", "target_pc"})
+DEPENDENT_KEYS = frozenset({"rho", "phi1", "phi2", "phi3", "mu", "target_pc"})
 
 _FAMILY_ALIASES = {
     "exp": ModelFamily.SHIFTED_EXPONENTIAL,
@@ -80,7 +80,7 @@ def scheme_from_config(cfg: dict[str, str]) -> WindowScheme | None:
     if mode in ("fixed", "fixed-thresholds"):
         return WindowScheme.fixed(d, u)
     if mode in ("random", "random-truncation"):
-        law = TruncationLaw.uniform(
+        law = TruncationLaw(
             float(cfg.get("truncation_lo", "0")), float(cfg.get("truncation_hi", "nan"))
         )
         return WindowScheme.random_truncation(law, limit=u, deductible=d)
@@ -88,14 +88,12 @@ def scheme_from_config(cfg: dict[str, str]) -> WindowScheme | None:
 
 
 def dependent_from_config(cfg: dict[str, str]) -> DependentModelConfig:
-    return DependentModelConfig(
-        rho=float(cfg.get("rho", "0.1")),
-        phi1=float(cfg.get("phi1", "0.3")),
-        phi2=float(cfg.get("phi2", "1.087")),
-        phi3=float(cfg.get("phi3", "0.3")),
-        mu=float(cfg.get("mu", "0")),
-        target_truncation_rate=(
-            float(cfg["target_alpha"]) if "target_alpha" in cfg else None
-        ),
-        target_censoring_pc=(float(cfg["target_pc"]) if "target_pc" in cfg else None),
-    )
+    """The dependent design from the keys present; an absent key keeps its
+    :class:`DependentModelConfig` default.
+
+    Every key names its field, except ``target_pc`` for
+    ``target_censoring_pc``.  The run does not solve for mu: it is the
+    ``mu`` key, such as a value ``specrisk calibrate`` wrote, or 0.
+    """
+    fields = {"target_pc": "target_censoring_pc"}
+    return DependentModelConfig(**{fields.get(k, k): float(v) for k, v in cfg.items()})

@@ -84,6 +84,9 @@ def estimate_emp(sample: LtrcSample, spectrum) -> float:
 # ---------------------------------------------------------------------------
 # kernel-smoothed quantile estimator
 
+# bandwidth of the Epanechnikov kernel on the probability scale
+KERNEL_BANDWIDTH = 0.4
+
 
 @dataclass(frozen=True)
 class KernelQuantileSmoother:
@@ -296,9 +299,8 @@ class SrmEstimator:
         return self.evaluate(self.prepare(sample), spectrum)
 
 
-@dataclass(frozen=True)
 class ProdEstimator(SrmEstimator):
-    name: str = "prod"
+    name = "prod"
 
     def prepare(self, sample: LtrcSample) -> PlFit:
         return PlFit.from_sample(sample)
@@ -311,9 +313,8 @@ class ProdEstimator(SrmEstimator):
         return _srm_from_levels(sorted_sample.y[sorted_sample.starts], levels, spectra)
 
 
-@dataclass(frozen=True)
 class EmpEstimator(SrmEstimator):
-    name: str = "emp"
+    name = "emp"
 
     def prepare(self, sample: LtrcSample):
         return np.sort(sample.y)
@@ -326,19 +327,13 @@ class EmpEstimator(SrmEstimator):
         return _srm_from_levels(sorted_sample.y, levels, spectra)
 
 
-@dataclass(frozen=True)
 class KernelEstimator(SrmEstimator):
     """Kernel-quantile estimate: smooth the product-limit inverse, then integrate."""
 
-    h: float = 0.4
-    name: str = "kernel"
-
-    def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("bandwidth must be strictly positive")
+    name = "kernel"
 
     def prepare(self, sample: LtrcSample) -> KernelQuantileSmoother:
-        return KernelQuantileSmoother(q=pl_quantile(fit_pl(sample)), h=self.h)
+        return KernelQuantileSmoother(q=pl_quantile(fit_pl(sample)), h=KERNEL_BANDWIDTH)
 
     def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
         pts = [p for p in (ctx.h, 1.0 - ctx.h) if 0.0 < p < 1.0]
@@ -356,7 +351,8 @@ class KernelEstimator(SrmEstimator):
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         x = sorted_sample.y[sorted_sample.starts]
         qs = [pl_quantile(StepDistribution(x, cdf)) for cdf in sorted_sample.pl_cdf(weights)]
-        return self.evaluate_each([KernelQuantileSmoother(q=q, h=self.h) for q in qs], spectra)
+        smoothers = [KernelQuantileSmoother(q=q, h=KERNEL_BANDWIDTH) for q in qs]
+        return self.evaluate_each(smoothers, spectra)
 
 
 @dataclass(frozen=True)
@@ -366,7 +362,7 @@ class MlEstimator(SrmEstimator):
     scheme: WindowScheme
     family: ModelFamily
     x0: float
-    name: str = "ml"
+    name = "ml"
 
     def prepare(self, sample: LtrcSample):
         return fit_ml_parameter(sample, self.scheme, self.family)
@@ -388,7 +384,7 @@ class PmEstimator(SrmEstimator):
     family: ModelFamily
     x0: float
     p1: float = 0.5
-    name: str = "pm"
+    name = "pm"
 
     def prepare(self, sample: LtrcSample):
         return fit_pm_parameter(sample, self.scheme, self.family, self.p1)

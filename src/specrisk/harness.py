@@ -67,12 +67,13 @@ LIMIT = 14000.0
 # (0, 2.5 x0): wide enough that ignoring truncation visibly biases the
 # empirical estimator, narrow enough that the product-limit fit stays
 # identified down to the support left endpoint at small n.
-RANDOM_TRUNCATION_LAW = TruncationLaw.uniform(0.0, 2500.0)
+RANDOM_TRUNCATION_LAW = TruncationLaw(0.0, 2500.0)
 
 IID_DESIGNS = {"iid-exp": EXP_MODEL, "iid-pareto": PARETO_MODEL}
 ALL_DESIGNS = ("iid-exp", "iid-pareto", "dependent")
 
-CALIBRATION_SEED = 727_001  # fixed: mu must not drift with the experiment seed
+# draws of the dependent design's Monte Carlo oracle of the loss marginal
+ORACLE_DRAWS = 1_000_000
 
 # Largest sample size a plan accepts.  A replicate holds several float
 # arrays of its size (the sample, its sort and its fit), hundreds of MB at
@@ -93,7 +94,6 @@ class ExperimentPlan:
     master_seed: int = 20_250_101
     mode: str = "random-truncation"  # iid designs: or "fixed-thresholds"
     workers: int = 1
-    oracle_draws: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.design not in ALL_DESIGNS:
@@ -235,7 +235,7 @@ def _theoretical_targets(
         cfg = default_dependent_config()
     oracle = np.sort(
         sample_dependent_marginal(
-            cfg, plan.oracle_draws, derive_seed(plan.master_seed, "dependent-oracle")
+            cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
         )
     )
     return cfg, {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
@@ -349,22 +349,23 @@ def run_iid_experiment(plan: ExperimentPlan) -> MCResult:
     return MCResult(cells=cells, metadata=meta)
 
 
-def default_dependent_config(
-    rho: float = 0.1,
-    phi2: float = 1.087,
-    target_truncation_rate: float = 0.30,
-    target_censoring_pc: float = 0.10,
-    calibration_tolerance: float = 0.005,
-) -> DependentModelConfig:
+# The dependent design's standard calibration: the retention and censoring
+# targets, and the bisection's tolerance and seed.  The seed is fixed, so mu
+# does not drift with the experiment seed.  rho and the phi amplitudes are
+# the defaults of DependentModelConfig.
+TARGET_TRUNCATION_RATE = 0.30
+TARGET_CENSORING_PC = 0.10
+CALIBRATION_TOLERANCE = 0.005
+CALIBRATION_SEED = 727_001
+
+
+def default_dependent_config() -> DependentModelConfig:
     """The dependent design at its standard calibration, with mu solved for."""
     cfg = DependentModelConfig(
-        rho=rho,
-        phi2=phi2,
-        target_truncation_rate=target_truncation_rate,
-        target_censoring_pc=target_censoring_pc,
+        target_truncation_rate=TARGET_TRUNCATION_RATE, target_censoring_pc=TARGET_CENSORING_PC
     )
     mu = calibrate_truncation_location(
-        cfg, target_truncation_rate, tolerance=calibration_tolerance, seed=CALIBRATION_SEED
+        cfg, TARGET_TRUNCATION_RATE, CALIBRATION_TOLERANCE, CALIBRATION_SEED
     )
     return cfg.with_mu(mu)
 
@@ -386,7 +387,7 @@ def run_dependent_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | N
             "mu": cfg.mu,
             "target_truncation_rate": cfg.target_truncation_rate,
             "target_censoring_pc": cfg.target_censoring_pc,
-            "oracle_draws": plan.oracle_draws,
+            "oracle_draws": ORACLE_DRAWS,
             "rmse_target": "MC oracle of the loss marginal",
         }
     )
@@ -452,20 +453,20 @@ def run_coverage_experiment(
     bootstrap_replicates: int = 200,
     intervals: int = 500,
     level: float = 0.90,
-    cfg: DependentModelConfig | None = None,
 ) -> CoverageResult:
     """Fraction of percentile bootstrap intervals covering the theoretical SRM.
 
     Every (n, k) cell builds ``intervals`` independent samples, a percentile
     interval from ``bootstrap_replicates`` resamples for each, and counts
-    hits on the design's theoretical value.  Refused intervals (degenerate
-    resampling) count as misses and are reported separately.  The arguments
-    are checked before any target is computed.
+    hits on the design's theoretical value; the dependent design runs at its
+    standard calibration.  Refused intervals (degenerate resampling) count
+    as misses and are reported separately.  The arguments are checked
+    before any target is computed.
     """
     if intervals < 1:
         raise ValueError("intervals must be at least 1")
     BootstrapPlan(replicates=bootstrap_replicates, ci_level=level)  # built to check both
-    cfg, theoretical = _theoretical_targets(plan, cfg)
+    cfg, theoretical = _theoretical_targets(plan, None)
     cells = []
     for n in plan.n_grid:
         for k in plan.k_grid:

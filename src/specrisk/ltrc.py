@@ -80,7 +80,7 @@ class StepDistribution:
     """A right-continuous nondecreasing step CDF.
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
-    before the first knot the CDF equals ``left_value``.  When the fit was
+    before the first knot the CDF is 0.  When the fit was
     carried in exact rational arithmetic, ``exact_values[j]`` is the same
     value as a pair of coprime ints ``(num, den)`` meaning num/den, and
     ``values[j]`` is its correctly rounded float.
@@ -88,7 +88,6 @@ class StepDistribution:
 
     knots: np.ndarray
     values: np.ndarray
-    left_value: float = 0.0
     exact_values: tuple[tuple[int, int], ...] | None = None
     zero_factor_count: int = 0
     n: int = 0
@@ -102,16 +101,16 @@ class StepDistribution:
             raise ValueError("a step distribution needs at least one knot")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if np.any(np.diff(values) < 0) or values[0] < self.left_value:
+        if np.any(np.diff(values) < 0) or values[0] < 0.0:
             raise ValueError("CDF values must be nondecreasing")
-        if values[-1] != 1.0 or np.any(values > 1.0) or self.left_value < 0.0:
+        if values[-1] != 1.0 or np.any(values > 1.0):
             raise ValueError("CDF values must lie in [0, 1] and reach 1 at the last knot")
 
     def cdf(self, x):
         """Evaluate the CDF at scalar or array ``x``."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.knots, x, side="right")
-        padded = np.concatenate(([self.left_value], self.values))
+        padded = np.concatenate(([0.0], self.values))
         out = padded[idx]
         return float(out) if out.ndim == 0 else out
 
@@ -126,7 +125,7 @@ class StepDistribution:
 
     def jumps(self) -> np.ndarray:
         """Probability mass at each knot."""
-        return np.diff(np.concatenate(([self.left_value], self.values)))
+        return np.diff(self.values, prepend=0.0)
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ def _prefix_sums(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> StepDistribution:
+def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
     """Fit the product-limit CDF of an LTRC sample.
 
     The estimate multiplies, over uncensored observations with value <= x,
@@ -234,18 +233,17 @@ def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> Step
     Ties in y are swept uncensored-first, and tied uncensored points each
     contribute their own factor at the shared risk-set count.
 
-    With ``exact`` left as None the survival product is carried as an exact
-    rational for samples up to ``EXACT_PRODUCT_LIMIT`` observations and in
-    log space above.  A factor can be exactly zero before the largest y
-    (risk set of size one at an uncensored point); the fit then absorbs all
-    remaining mass at that knot and reports the event in
+    Sample size alone picks the arithmetic: the survival product is an
+    exact rational for samples up to ``EXACT_PRODUCT_LIMIT`` observations
+    and is carried in log space above.  A factor can be exactly zero before
+    the largest y (risk set of size one at an uncensored point); the fit
+    then absorbs all remaining mass at that knot and reports the event in
     ``zero_factor_count``.  Given a sample's :class:`SortedSample`, it
     fits without sorting again.
     """
     s = sample if isinstance(sample, SortedSample) else SortedSample.from_sample(sample)
     n = s.y.size
-    if exact is None:
-        exact = n <= EXACT_PRODUCT_LIMIT
+    exact = n <= EXACT_PRODUCT_LIMIT
 
     ys, ds, starts = s.y, s.delta, s.starts
     # risk-set size at each sorted y; >= 1 always
@@ -265,7 +263,6 @@ def fit_pl(sample: LtrcSample | SortedSample, exact: bool | None = None) -> Step
     return StepDistribution(
         knots=ys[starts][keep],
         values=vals[keep],
-        left_value=0.0,
         exact_values=tuple(compress(vals_exact, keep)) if exact else None,
         zero_factor_count=zero_factors,
         n=n,

@@ -89,9 +89,6 @@ class SeverityModel:
         out = np.where(x <= self.x0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, p):
-        return ground_up_quantile(self, p)
-
     def mean(self) -> float:
         if self.family is ModelFamily.SHIFTED_EXPONENTIAL:
             return self.x0 + self.theta
@@ -123,10 +120,6 @@ class TruncationLaw:
         if not self.a < self.b:
             raise ValueError("uniform truncation law needs a < b")
 
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "TruncationLaw":
-        return cls(a, b)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size)
 
@@ -138,34 +131,30 @@ class TruncationLaw:
 class WindowScheme:
     """Deductible/limit window applied to ground-up losses.
 
-    In ``fixed`` mode every observation carries t = deductible and is
-    censored at the limit.  In ``random`` mode the truncation value is drawn
-    from ``truncation_law`` per loss, censoring still happens at the limit,
-    and only pairs with t <= y are retained.
+    Without a ``truncation_law`` the window has fixed thresholds: every
+    observation carries t = deductible and is censored at the limit.  With
+    one it is a random-truncation window: the truncation value is drawn from
+    the law per loss, censoring still happens at the limit, and only pairs
+    with t <= y are retained.
     """
 
     deductible: float
     limit: float
-    mode: str = "fixed"  # "fixed" | "random"
     truncation_law: TruncationLaw | None = None
 
     def __post_init__(self) -> None:
         if not self.deductible < self.limit:
             raise ValueError("deductible must be below the policy limit")
-        if self.mode not in ("fixed", "random"):
-            raise ValueError(f"unknown window mode {self.mode!r}")
-        if self.mode == "random" and self.truncation_law is None:
-            raise ValueError("random-truncation mode requires a truncation law")
 
     @classmethod
     def fixed(cls, deductible: float, limit: float) -> "WindowScheme":
-        return cls(deductible=deductible, limit=limit, mode="fixed")
+        return cls(deductible=deductible, limit=limit)
 
     @classmethod
     def random_truncation(
         cls, law: TruncationLaw, limit: float, deductible: float = 0.0
     ) -> "WindowScheme":
-        return cls(deductible=deductible, limit=limit, mode="random", truncation_law=law)
+        return cls(deductible=deductible, limit=limit, truncation_law=law)
 
 
 def window_quantile(model: SeverityModel, scheme: WindowScheme, p):
@@ -202,17 +191,18 @@ ACCEPTANCE_FLOOR = 1e-6
 def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: int) -> LtrcSample:
     """Draw exactly ``n`` LTRC observations from the windowed severity law.
 
-    Fixed mode rejects ground-up draws at or below the deductible and caps
-    at the limit; random mode draws a truncation value per loss and keeps
-    pairs with t <= y.  Deterministic given ``seed``.  Aborts when the
+    A fixed window rejects ground-up draws at or below the deductible and
+    caps at the limit; a random-truncation window draws a truncation value
+    per loss and keeps pairs with t <= y.  Deterministic given ``seed``.  Aborts when the
     acceptance probability falls below ``ACCEPTANCE_FLOOR``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = derive_rng(seed)
     u_cap = scheme.limit
+    law = scheme.truncation_law
 
-    if scheme.mode == "fixed":
+    if law is None:
         accept_prob = 1.0 - float(model.cdf(scheme.deductible))
         if accept_prob < ACCEPTANCE_FLOOR:
             raise GenerationError(
@@ -227,12 +217,12 @@ def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: in
     while got < n:
         batch = max(256, 2 * (n - got))
         x = ground_up_quantile(model, rng.random(batch))
-        if scheme.mode == "fixed":
+        if law is None:
             keep = x > scheme.deductible
             t_batch = np.full(int(keep.sum()), float(scheme.deductible))
             y_batch = np.minimum(x[keep], u_cap)
         else:
-            t = scheme.truncation_law.sample(rng, batch)
+            t = law.sample(rng, batch)
             y = np.minimum(x, u_cap)
             keep = t <= y
             t_batch = t[keep]
@@ -271,7 +261,7 @@ class DependentModelConfig:
     P(X > S) = 1 - Phi(0.5 phi2 / sqrt(phi1^2 + phi3^2)).
     """
 
-    rho: float
+    rho: float = 0.1
     phi1: float = 0.3
     phi2: float = 1.087
     phi3: float = 0.3
@@ -371,17 +361,15 @@ def sample_dependent_marginal(cfg: DependentModelConfig, n_draws: int, seed: int
     return np.sin(np.pi * x1) + cfg.phi1 * cos_part * rng.standard_normal(n_draws)
 
 
-# size of the calibration's common evaluation set and its bisection step cap
+# size of the calibration's common evaluation set, its bisection step cap and
+# the interval of mu the bisection starts from
 CALIBRATION_DRAWS = 200_000
 CALIBRATION_MAX_ITER = 200
+CALIBRATION_BRACKET = (-20.0, 20.0)
 
 
 def calibrate_truncation_location(
-    cfg: DependentModelConfig,
-    target_alpha: float,
-    tolerance: float = 0.005,
-    seed: int = 1_000_003,
-    bracket: tuple[float, float] = (-20.0, 20.0),
+    cfg: DependentModelConfig, target_alpha: float, tolerance: float, seed: int
 ) -> float:
     """Find mu so that the retention probability P(T <= Y) hits ``target_alpha``.
 
@@ -400,10 +388,10 @@ def calibrate_truncation_location(
     def rate(mu: float) -> float:
         return float(np.mean(t0 + mu <= y))
 
-    lo, hi = bracket
+    lo, hi = CALIBRATION_BRACKET
     if not (rate(lo) >= target_alpha >= rate(hi)):
         raise CalibrationError(
-            f"bracket {bracket} does not straddle retention rate {target_alpha}"
+            f"bracket {CALIBRATION_BRACKET} does not straddle retention rate {target_alpha}"
         )
     for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)

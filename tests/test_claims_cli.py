@@ -95,7 +95,8 @@ class TestRoundTrip:
         d = rng.integers(0, 2, size=40)
         groups = {"a": LtrcSample(y[:20], t[:20], d[:20]), "b": LtrcSample(y[20:], t[20:], d[20:])}
         path = tmp_path / "out.csv"
-        write_ltrc_csv(path, groups, header_lines=("seed=1",))
+        write_ltrc_csv(path, groups)
+        path.write_text("# seed=1\n" + path.read_text())
         parsed = parse_claims(path, "ltrc")
         for name, sample in groups.items():
             got = parsed.groups[name]
@@ -127,7 +128,7 @@ class TestConfigFiles:
     def test_window_keys_decide_the_window(self):
         assert scheme_from_config({"family": "exp", "x0": "1000"}) is None
         scheme = scheme_from_config({"mode": "random", "truncation_hi": "2500"})
-        assert scheme.mode == "random" and scheme.truncation_law.describe() == "uniform(0,2500)"
+        assert scheme.truncation_law.describe() == "uniform(0,2500)"
 
 
 def _assert_usage_error(capsys, argv, message, out):
@@ -222,6 +223,8 @@ class TestCli:
             (["--config", "unknown.cfg"], "unknown key 'frobnicate'"),
             (["--config", "seed.cfg"], "unknown key 'seed'"),
             (["--config", "nox0.cfg"], "x0 must be strictly positive"),
+            (["--x0", "1000"], "--x0 requires --family"),
+            (["--config", "model.cfg", "--x0", "3"], "--x0 requires --family"),
             (
                 ["--config", "rho.cfg"],
                 "unknown key 'rho'; allowed keys: alpha, d, family, mode, theta, "
@@ -241,6 +244,7 @@ class TestCli:
             "unknown.cfg": "frobnicate = 3\n",
             "seed.cfg": "seed = 5\n",
             "nox0.cfg": "family = exp\nd = 4000\n",
+            "model.cfg": "family = exp\nx0 = 1000\ntheta = 1000\nd = 4000\n",
             "rho.cfg": "family = exp\nx0 = 1000\nd = 4000\nrho = 0.5\n",
         }
         for name, text in configs.items():
@@ -296,7 +300,11 @@ class TestCli:
             ),
             (
                 ["simulate", "--design", "dependent", "--config", "d5.cfg"],
-                "unknown key 'd'; allowed keys: mu, phi1, phi2, phi3, rho, target_alpha, target_pc",
+                "unknown key 'd'; allowed keys: mu, phi1, phi2, phi3, rho, target_pc",
+            ),
+            (
+                ["simulate", "--design", "dependent", "--config", "alpha.cfg"],
+                "unknown key 'target_alpha'; allowed keys: mu, phi1, phi2, phi3, rho, target_pc",
             ),
             (
                 ["simulate", "--design", "iid-exp", "--n", "1e300", "--k", "1", "--reps", "2"],
@@ -310,6 +318,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "rho2.cfg").write_text("rho = 2\n", encoding="utf-8")
         (tmp_path / "d5.cfg").write_text("rho = 0.1\nd = 5\n", encoding="utf-8")
+        # nothing calibrates to a retention target: mu is the config's mu key
+        (tmp_path / "alpha.cfg").write_text("rho = 0.1\ntarget_alpha = 0.5\n", encoding="utf-8")
         argv = [argv[0], "--n", "30", *argv[1:]]
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
@@ -460,6 +470,18 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
         assert 0.3 < payload["results"]["mu"] < 1.0
+
+    def test_calibrate_defaults_are_the_standard_dependent_design(self, tmp_path):
+        # the flag defaults and default_dependent_config read the same constants
+        from specrisk.harness import default_dependent_config
+
+        assert main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
+        results = json.loads((tmp_path / "cal" / "calibration.json").read_text())["results"]
+        cfg = default_dependent_config()
+        assert results["mu"] == cfg.mu
+        assert (results["rho"], results["phi2"]) == (cfg.rho, cfg.phi2)
+        assert results["target_truncation_rate"] == cfg.target_truncation_rate
+        assert results["target_censoring_pc"] == cfg.target_censoring_pc
 
     def test_env_var_overrides_seed_default(self, tmp_path, monkeypatch):
         claims = self._write_claims(tmp_path)

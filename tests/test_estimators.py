@@ -29,7 +29,7 @@ from specrisk.estimators import (
 )
 from specrisk import harness
 from specrisk.ltrc import QuantileFunction, fit_pl, pl_quantile
-from specrisk.severity import theoretical_srm
+from specrisk.severity import ground_up_quantile, theoretical_srm
 
 from conftest import random_ltrc_sample
 from test_severity import exp_srm_closed_form, pareto_srm_closed_form
@@ -243,7 +243,8 @@ class TestParametricSrm:
     def test_matches_quadrature_of_the_quantile(self, model, spectrum):
         param = model.theta if model.family is ModelFamily.SHIFTED_EXPONENTIAL else model.alpha
         val = parametric_srm(model.family, model.x0, param, spectrum)
-        assert val == pytest.approx(theoretical_srm(model.quantile, spectrum), rel=1e-9)
+        want = theoretical_srm(lambda p: ground_up_quantile(model, p), spectrum)
+        assert val == pytest.approx(want, rel=1e-9)
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(EstimationError, match="diverges"):
@@ -288,11 +289,6 @@ class TestKernelEstimator:
         val = KernelEstimator()(s, ExponentialSpectrum(1.0))
         assert np.isfinite(val)
         assert val < float(np.max(s.y))
-
-    def test_invalid_kernel_settings(self):
-        s = LtrcSample([1.0], [0.0], [1])
-        with pytest.raises(ValueError, match="bandwidth"):
-            KernelEstimator(h=0.0)(s, ExponentialSpectrum(1.0))
 
 
 def _segment_sum_smoother(q: QuantileFunction, h: float, t: float) -> float:

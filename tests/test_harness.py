@@ -119,8 +119,7 @@ class TestDependentExperiment:
 
     def test_runs_and_is_deterministic(self):
         plan = ExperimentPlan(
-            design="dependent", n_grid=(25,), k_grid=(5.0,), replicates=20,
-            master_seed=5, oracle_draws=100_000,
+            design="dependent", n_grid=(25,), k_grid=(5.0,), replicates=20, master_seed=5
         )
         res1 = run_dependent_experiment(plan, self.CFG)
         res2 = run_dependent_experiment(plan, self.CFG)
@@ -129,8 +128,7 @@ class TestDependentExperiment:
 
     def test_auto_calibration_records_mu(self):
         plan = ExperimentPlan(
-            design="dependent", n_grid=(20,), k_grid=(1.0,), replicates=10,
-            master_seed=5, oracle_draws=50_000,
+            design="dependent", n_grid=(20,), k_grid=(1.0,), replicates=10, master_seed=5
         )
         res = run_dependent_experiment(plan)
         assert 0.3 < res.metadata["mu"] < 1.0

@@ -13,6 +13,7 @@ from specrisk import (
     pl_quantile,
 )
 from specrisk import harness, ltrc
+from specrisk.ltrc import SortedSample
 
 from conftest import pl_cdf_bruteforce, random_ltrc_sample
 
@@ -100,9 +101,9 @@ class TestFitPl:
     def test_log_space_path_agrees_with_exact(self):
         rng = np.random.default_rng(9)
         s = random_ltrc_sample(rng, 200)
-        d_exact = fit_pl(s, exact=True)
-        d_float = fit_pl(s, exact=False)
-        np.testing.assert_allclose(d_float.values, d_exact.values, rtol=1e-12)
+        d_exact = fit_pl(s)
+        x, log_space = _log_space_fit(s)
+        np.testing.assert_allclose(log_space, d_exact.cdf(x), rtol=1e-12)
 
     def test_monotone_bounded_and_terminal(self):
         rng = np.random.default_rng(13)
@@ -122,11 +123,21 @@ class TestFitPl:
         assert d.cdf(2.0) == 1.0
 
 
+def _log_space_fit(sample):
+    """The log-space fit of ``sample``: each distinct y and its CDF value.
+
+    ``fit_pl`` takes this path above ``EXACT_PRODUCT_LIMIT`` observations; at
+    any size it is the product-limit CDF of one row of unit weights.
+    """
+    s = SortedSample.from_sample(sample)
+    return s.y[s.starts], s.pl_cdf(np.ones((1, len(sample)), dtype=np.int64))[0]
+
+
 def _log_space_fit_loop(sample):
     """Observation-by-observation log-space product-limit fit.
 
-    The reference for ``fit_pl(..., exact=False)``: returns the knots, the
-    CDF values and the zero-factor count.
+    The reference for the log-space path of ``fit_pl``: returns the knots,
+    the CDF values and the zero-factor count.
     """
     order = sample.sorted_order()
     ys = sample.y[order]
@@ -181,11 +192,10 @@ _EDGE_CASES = pytest.mark.parametrize(
 class TestLogSpaceFit:
     @_EDGE_CASES
     def test_matches_loop_on_edge_cases(self, sample):
-        d = fit_pl(sample, exact=False)
+        x, log_space = _log_space_fit(sample)
         knots, values, zero_factors = _log_space_fit_loop(sample)
-        assert np.array_equal(d.knots, knots)
-        assert np.array_equal(d.values, values)
-        assert d.zero_factor_count == zero_factors
+        assert np.array_equal(log_space[np.searchsorted(x, knots)], values)
+        assert fit_pl(sample).zero_factor_count == zero_factors
 
     def test_matches_loop_on_large_sample_default_path(self):
         rng = np.random.default_rng(10)
@@ -201,7 +211,7 @@ class TestLogSpaceFit:
 def _fraction_fit_loop(sample):
     """Observation-by-observation exact product-limit fit in ``Fraction`` arithmetic.
 
-    The reference for ``fit_pl(..., exact=True)``: returns the knots and the
+    The reference for the exact path of ``fit_pl``: returns the knots and the
     CDF values as ``Fraction`` instances, knots that add no mass dropped.
     """
     order = sample.sorted_order()
