@@ -199,8 +199,11 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     if args.format == "raw" and scheme is None:
         raise ValueError("raw claims need --deductible/--limit (or a config file window)")
     names = tuple(args.estimators.split(","))
+    if args.p1 is not None and "pm" not in names:
+        raise ValueError("--p1 applies only to the pm estimator")
+    p1 = 0.5 if args.p1 is None else args.p1
     estimators = [
-        build_estimator(name, scheme=scheme, family=family, x0=x0, p1=args.p1) for name in names
+        build_estimator(name, scheme=scheme, family=family, x0=x0, p1=p1) for name in names
     ]
     spectra = [ExponentialSpectrum(k) for k in args.k.values]
     plan = BootstrapPlan(replicates=args.bootstrap, seed=args.seed, ci_level=args.level)
@@ -221,6 +224,10 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
             "rejected_rows": len(claims.rejected),
             "n_rows": claims.n_rows,
         }
+        if family is not None:
+            config.update(family=family.value, x0=x0)
+        if "pm" in names:
+            config["p1"] = p1
         columns = [
             "group",
             "estimator",
@@ -290,9 +297,9 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
         columns, rows = _fields_table(MCCell, result.cells)
         _write_table(out_dir, "results", json_config, columns, rows)
 
-        baseline = "prod"
+        baseline = "prod"  # the one baseline of emit_rmse_ratio_log
         if baseline in {c.estimator for c in result.cells}:
-            figure = emit_rmse_ratio_log(result, baseline)
+            figure = emit_rmse_ratio_log(result)
             _write_csv(
                 out_dir / "rmse_log_ratios.csv",
                 {**json_config, "baseline": baseline, "skipped": ";".join(figure.skipped)},
@@ -375,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specrisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=_SEED, default=_env("seed", "20250101"))
+    def add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+        if seeded:
+            p.add_argument("--seed", type=_SEED, default=_env("seed", "20250101"))
         p.add_argument("--out", default=_env("out", "specrisk-out"))
         p.add_argument("--workers", type=_at_least(1), default=_env("workers", "1"))
 
@@ -391,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=_PROBABILITY, default=_env("level", "0.9"))
     est.add_argument("--family", choices=("exp", "pareto"), default=None)
     est.add_argument("--x0", type=_X0, default=None)
-    est.add_argument("--p1", type=_PROBABILITY, default=0.5)
+    est.add_argument("--p1", type=_PROBABILITY, default=None)
     est.add_argument("--config", default=None)
     add_common(est)
 
@@ -430,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--rho", type=float, default=DependentModelConfig.rho)
     cal.add_argument("--tolerance", type=_TOLERANCE, default=CALIBRATION_TOLERANCE)
     cal.add_argument("--calibration-seed", type=_SEED, default=CALIBRATION_SEED)
-    add_common(cal)
+    add_common(cal, seeded=False)
 
     return parser
 

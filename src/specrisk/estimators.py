@@ -92,9 +92,9 @@ KERNEL_BANDWIDTH = 0.4
 class KernelQuantileSmoother:
     """Convolution of a step quantile function with a scaled Epanechnikov kernel.
 
-    The convolution window is clipped to [0, 1] without boundary correction,
-    so the smoother loses kernel mass near both endpoints; that behaviour is
-    part of the estimator being reproduced.
+    The window t +- h, h = ``KERNEL_BANDWIDTH``, is clipped to [0, 1] without
+    boundary correction, so the smoother loses kernel mass near both
+    endpoints; that behaviour is part of the estimator being reproduced.
 
     With G the antiderivative of the kernel, clipped to +-1/2 outside the
     window, the segment sum telescopes over the knots x_j (the segment
@@ -104,67 +104,41 @@ class KernelQuantileSmoother:
 
     Knots at or beyond t +- h add +-1/2 times a prefix sum of the jumps.  The
     knots inside the window add a cubic in (x_j - t)/h, summed from prefix
-    sums of d u^m (m = 0..3) with u = (x - c)/h about the anchor c = a h,
-    a = round(t/h).  Each anchor holds the knots within 1.5h of it, so
-    |u| <= 1.5 and |t - c| <= h/2 bound the cancellation at any h, where
-    moments about one global centre lose it at small h.  Anchors exist only
-    near knots; a window without knots needs none.
+    sums of d u^m (m = 0..3) with u = (x - 1/2)/h about the centre 1/2.  At
+    h = 0.4, |u| and |z| = |t - 1/2|/h stay at or below 1.25 on [0, 1], so
+    expanding the cubic in z cancels at most a few digits.
 
-    Cost: the constructor does all set-up, O(n) numpy work plus a small
-    numpy step per anchor (about 1/h + 5 anchors, at most 5 per knot).  A
-    call is two bisections and a few float operations, O(log n).
-    Accuracy: within about 1e-14 max|v| of summing every segment directly,
-    which the tests check at 1e-13 max|v| for h from 1e-6 to 2.
+    The constructor does O(n) numpy set-up; a call is two bisections and a
+    few float operations.  The tests hold it within 1e-13 max|v| of summing
+    every segment directly.
     """
 
     q: QuantileFunction
-    h: float
 
     def __post_init__(self) -> None:
-        h = self.h
         values = self.q.values
         knots = self.q.segment_lo[1:]
-        jumps = values[:-1] - values[1:]
-        anchors = np.unique(np.rint(knots / h).astype(np.int64)[:, None] + np.arange(-2, 3))
-        centres = anchors * h
-        # the slack covers float rounding of t +- h and a h, a few ulps of 1
-        reach = 1.5 * h + 1e-12
-        starts = np.searchsorted(knots, centres - reach, side="left")
-        ends = np.searchsorted(knots, centres + reach, side="right")
-        offsets = {}
-        blocks = [np.zeros((4, 0))]  # keeps the concatenation valid without knots
-        base = 0
-        for a, c, s, e in zip(anchors.tolist(), centres.tolist(), starts.tolist(), ends.tolist()):
-            u = (knots[s:e] - c) / h
-            d = jumps[s:e]
-            block = np.zeros((4, e - s + 1))
-            np.cumsum([d, d * u, d * u * u, d * u * u * u], axis=1, out=block[:, 1:])
-            blocks.append(block)
-            offsets[a] = base - s
-            base += e - s + 1
+        d = values[:-1] - values[1:]
+        u = (knots - 0.5) / KERNEL_BANDWIDTH
+        moments = np.zeros((4, knots.size + 1))
+        np.cumsum([d, d * u, d * u * u, d * u * u * u], axis=1, out=moments[:, 1:])
         set_ = object.__setattr__
         set_(self, "_knots", knots.tolist())
-        set_(self, "_jump_sums", np.concatenate(([0.0], np.cumsum(jumps))).tolist())
-        set_(self, "_offsets", offsets)
-        set_(self, "_moments", tuple(np.concatenate(blocks, axis=1).tolist()))
+        set_(self, "_moments", tuple(moments.tolist()))
         set_(self, "_ends", (float(values[0]), float(values[-1])))
 
     def __call__(self, t: float) -> float:
-        h = self.h
+        h = KERNEL_BANDWIDTH
         knots = self._knots
         lo = bisect_right(knots, t - h)
         hi = bisect_left(knots, t + h, lo)
         v_first, v_last = self._ends
-        sums = self._jump_sums
+        p0, p1, p2, p3 = self._moments
         total = v_last * _clipped_g((1.0 - t) / h) - v_first * _clipped_g(-t / h)
-        total += 0.5 * (sums[-1] - sums[hi] - sums[lo])
+        total += 0.5 * (p0[-1] - p0[hi] - p0[lo])
         if lo < hi:
-            a = round(t / h)
-            z = (t - a * h) / h
-            off = self._offsets[a]
-            i, j = off + lo, off + hi
-            p0, p1, p2, p3 = self._moments
-            m0, m1, m2, m3 = p0[j] - p0[i], p1[j] - p1[i], p2[j] - p2[i], p3[j] - p3[i]
+            z = (t - 0.5) / h
+            m0, m1, m2, m3 = p0[hi] - p0[lo], p1[hi] - p1[lo], p2[hi] - p2[lo], p3[hi] - p3[lo]
             # sum of d G(u - z) with G(w) = 0.75w - 0.25w^3, expanded in z
             total += 0.75 * (m1 - z * m0) - 0.25 * (
                 m3 - 3.0 * z * m2 + 3.0 * z * z * m1 - z * z * z * m0
@@ -233,8 +207,8 @@ def fit_pm_parameter(
 ) -> float:
     """Percentile-matching fit of theta (exponential) or alpha (Pareto).
 
-    The exponential display inverts the truncated-percentile identity with
-    the deductible as the anchor: theta = (d - x_(ceil(n p1))) / log(1 - p1).
+    The exponential display inverts the truncated-percentile identity at
+    the deductible: theta = (d - x_(ceil(n p1))) / log(1 - p1).
     """
     if not 0.0 < p1 < 1.0:
         raise ValueError("p1 must lie in (0, 1)")
@@ -333,15 +307,14 @@ class KernelEstimator(SrmEstimator):
     name = "kernel"
 
     def prepare(self, sample: LtrcSample) -> KernelQuantileSmoother:
-        return KernelQuantileSmoother(q=pl_quantile(fit_pl(sample)), h=KERNEL_BANDWIDTH)
+        return KernelQuantileSmoother(pl_quantile(fit_pl(sample)))
 
     def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
-        pts = [p for p in (ctx.h, 1.0 - ctx.h) if 0.0 < p < 1.0]
         value, _ = integrate.quad(
             lambda u: float(spectrum.phi(u)) * ctx(u),
             0.0,
             1.0,
-            points=pts or None,
+            points=[KERNEL_BANDWIDTH, 1.0 - KERNEL_BANDWIDTH],
             limit=200,
             epsabs=1e-12,
             epsrel=1e-8,
@@ -351,8 +324,7 @@ class KernelEstimator(SrmEstimator):
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         x = sorted_sample.y[sorted_sample.starts]
         qs = [pl_quantile(StepDistribution(x, cdf)) for cdf in sorted_sample.pl_cdf(weights)]
-        smoothers = [KernelQuantileSmoother(q=q, h=KERNEL_BANDWIDTH) for q in qs]
-        return self.evaluate_each(smoothers, spectra)
+        return self.evaluate_each([KernelQuantileSmoother(q) for q in qs], spectra)
 
 
 @dataclass(frozen=True)

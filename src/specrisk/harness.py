@@ -516,12 +516,11 @@ class FigureData:
     skipped: tuple[str, ...]
 
 
-def emit_rmse_ratio_log(result: MCResult, baseline: str = "prod") -> FigureData:
-    """log(RMSE_estimator / RMSE_baseline) per cell; baseline rows are 0."""
-    estimators = {c.estimator for c in result.cells}
-    if baseline not in estimators:
-        raise ValueError(f"baseline {baseline!r} not present in the results")
-    base = {(c.n, c.k): c.rmse for c in result.cells if c.estimator == baseline}
+def emit_rmse_ratio_log(result: MCResult) -> FigureData:
+    """log(RMSE_estimator / RMSE_prod) per cell; the baseline ``prod`` rows are 0."""
+    if "prod" not in {c.estimator for c in result.cells}:
+        raise ValueError("baseline 'prod' not present in the results")
+    base = {(c.n, c.k): c.rmse for c in result.cells if c.estimator == "prod"}
     rows = []
     skipped = []
     for c in result.cells:
@@ -535,7 +534,7 @@ def emit_rmse_ratio_log(result: MCResult, baseline: str = "prod") -> FigureData:
                 estimator=c.estimator,
                 n=c.n,
                 k=c.k,
-                log_rmse_ratio=0.0 if c.estimator == baseline else math.log(c.rmse / b),
+                log_rmse_ratio=0.0 if c.estimator == "prod" else math.log(c.rmse / b),
             )
         )
     return FigureData(rows=tuple(rows), skipped=tuple(skipped))

@@ -312,7 +312,7 @@ def bootstrap_ci_many(
 
 
 # replicates x observations per block; larger blocks page-fault their temporaries in afresh
-_REPLICATE_BLOCK_CELLS = 1 << 15
+_REPLICATE_BLOCK_CELLS = 1 << 14
 
 
 def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan) -> np.ndarray:

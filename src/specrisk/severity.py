@@ -188,6 +188,31 @@ def window_branch_point(model: SeverityModel, scheme: WindowScheme) -> float:
 ACCEPTANCE_FLOOR = 1e-6
 
 
+def _retained(n: int, oversample: int, draw) -> tuple[np.ndarray, ...]:
+    """The first ``n`` retained draws, one array per column that ``draw(m)`` keeps.
+
+    Each batch draws ``oversample`` times the shortfall, at least 256.
+    Aborts when the first 10 000 draws keep nothing, or when the draws pass
+    the count that the acceptance floor allows for ``n`` observations.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    batches = []
+    got = drawn = 0
+    while got < n:
+        m = max(256, oversample * (n - got))
+        batches.append(draw(m))
+        got += batches[-1][0].size
+        drawn += m
+        if drawn >= 10_000 and got == 0:
+            raise GenerationError(f"no acceptances in {drawn} draws")
+        if drawn > max(10_000.0, n / ACCEPTANCE_FLOOR):
+            raise GenerationError(
+                f"acceptance rate {got / drawn:.3g} too low to produce {n} observations"
+            )
+    return tuple(np.concatenate(column)[:n] for column in zip(*batches))
+
+
 def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: int) -> LtrcSample:
     """Draw exactly ``n`` LTRC observations from the windowed severity law.
 
@@ -196,8 +221,6 @@ def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: in
     per loss and keeps pairs with t <= y.  Deterministic given ``seed``.  Aborts when the
     acceptance probability falls below ``ACCEPTANCE_FLOOR``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = derive_rng(seed)
     u_cap = scheme.limit
     law = scheme.truncation_law
@@ -210,40 +233,18 @@ def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: in
                 f"(deductible {scheme.deductible:g} too deep in the tail)"
             )
 
-    ys: list[np.ndarray] = []
-    ts: list[np.ndarray] = []
-    got = 0
-    drawn = 0
-    while got < n:
-        batch = max(256, 2 * (n - got))
-        x = ground_up_quantile(model, rng.random(batch))
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        x = ground_up_quantile(model, rng.random(m))
+        y = np.minimum(x, u_cap)
         if law is None:
             keep = x > scheme.deductible
-            t_batch = np.full(int(keep.sum()), float(scheme.deductible))
-            y_batch = np.minimum(x[keep], u_cap)
-        else:
-            t = law.sample(rng, batch)
-            y = np.minimum(x, u_cap)
-            keep = t <= y
-            t_batch = t[keep]
-            y_batch = y[keep]
-        drawn += batch
-        got += y_batch.size
-        ys.append(y_batch)
-        ts.append(t_batch)
-        if drawn >= 10_000 and got == 0:
-            raise GenerationError(
-                f"no acceptances in {drawn} draws; empirical acceptance below "
-                f"{1.0 / drawn:.3g}"
-            )
-        if drawn > max(10_000.0, n / ACCEPTANCE_FLOOR):
-            raise GenerationError(
-                f"acceptance rate {got / drawn:.3g} too low to produce {n} observations"
-            )
-    y_all = np.concatenate(ys)[:n]
-    t_all = np.concatenate(ts)[:n]
-    delta = (y_all < u_cap).astype(np.int8)
-    return LtrcSample(y_all, t_all, delta)
+            return y[keep], np.full(int(keep.sum()), float(scheme.deductible))
+        t = law.sample(rng, m)
+        keep = t <= y
+        return y[keep], t[keep]
+
+    y, t = _retained(n, 2, draw)
+    return LtrcSample(y, t, (y < u_cap).astype(np.int8))
 
 
 # how far the phi parameters' censoring fraction may sit from target_censoring_pc
@@ -316,36 +317,18 @@ def sample_ltrc_dependent(cfg: DependentModelConfig, n: int, seed: int) -> LtrcS
     the retained subsequence inherits its mixing behaviour.  Retention keeps
     triples with t <= y.  Deterministic given ``seed``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = derive_rng(seed)
-    ys: list[np.ndarray] = []
-    ts: list[np.ndarray] = []
-    ds: list[np.ndarray] = []
-    got = 0
-    drawn = 0
     x1_prev = None
-    while got < n:
-        m = max(256, 4 * (n - got))
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nonlocal x1_prev
         _, x, s, x1_prev = _dependent_batch(cfg, rng, m, x1_prev)
         y = np.minimum(x, s)
-        delta = (x <= s).astype(np.int8)
         t = cfg.mu + rng.standard_normal(m)
         keep = t <= y
-        ys.append(y[keep])
-        ts.append(t[keep])
-        ds.append(delta[keep])
-        got += int(keep.sum())
-        drawn += m
-        if drawn >= 10_000 and got == 0:
-            raise GenerationError(f"no acceptances in {drawn} draws of the dependent model")
-        if drawn > max(10_000.0, n / ACCEPTANCE_FLOOR):
-            raise GenerationError(
-                f"acceptance rate {got / drawn:.3g} too low to produce {n} observations"
-            )
-    return LtrcSample(
-        np.concatenate(ys)[:n], np.concatenate(ts)[:n], np.concatenate(ds)[:n]
-    )
+        return y[keep], t[keep], (x <= s)[keep].astype(np.int8)
+
+    return LtrcSample(*_retained(n, 4, draw))
 
 
 def sample_dependent_marginal(cfg: DependentModelConfig, n_draws: int, seed: int) -> np.ndarray:

@@ -230,6 +230,7 @@ class TestCli:
                 "unknown key 'rho'; allowed keys: alpha, d, family, mode, theta, "
                 "truncation_hi, truncation_lo, u, x0",
             ),
+            (["--p1", "0.3", "--estimators", "prod"], "--p1 applies only to the pm estimator"),
         ],
     )
     def test_invalid_estimate_flag_is_usage_error(
@@ -332,6 +333,8 @@ class TestCli:
             (["--phi2", "-1"], "phi1, phi2, phi3 must be strictly positive"),
             (["--tolerance", "-1"], "argument --tolerance: must be a nonnegative number"),
             (["--calibration-seed", "-1"], "argument --calibration-seed: must be a nonnegative integer"),
+            # the bisection's seed is --calibration-seed; calibrate has no master seed
+            (["--seed", "5"], "unrecognized arguments: --seed 5"),
         ],
     )
     def test_invalid_calibrate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -407,6 +410,20 @@ class TestCli:
         for line, record in zip(lines[1:], records):
             assert sorted(record) == sorted(columns)
             assert line.split(",") == [_fmt(record[c]) for c in columns]
+
+    def test_parametric_header_records_the_model(self, tmp_path):
+        argv = [
+            "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
+            "--deductible", "500000", "--limit", "1000000", "--estimators", "ml,pm",
+            "--family", "exp", "--x0", "500000", "--p1", "0.3", "--k", "1",
+            "--bootstrap", "55", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        header = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
+        for line in ("# family=shifted-exponential", "# x0=500000.0", "# p1=0.3"):
+            assert line in header
+        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
+        assert (config["family"], config["x0"], config["p1"]) == ("shifted-exponential", 5e5, 0.3)
 
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)

@@ -22,6 +22,7 @@ from specrisk import (
     srm_from_sorted,
 )
 from specrisk.estimators import (
+    KERNEL_BANDWIDTH,
     KernelQuantileSmoother,
     fit_ml_parameter,
     fit_pm_parameter,
@@ -259,22 +260,16 @@ class TestParametricSrm:
 class TestKernelEstimator:
     def test_constant_quantile_is_exact_in_the_interior(self):
         q = QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[6.0])
-        smoother = KernelQuantileSmoother(q=q, h=0.4)
+        smoother = KernelQuantileSmoother(q)
         for t in (0.4, 0.5, 0.6):
             assert smoother(t) == 6.0
         # boundary mass loss below h and above 1-h
         assert smoother(0.0) == pytest.approx(3.0, rel=1e-12)
         assert smoother(1.0) == pytest.approx(3.0, rel=1e-12)
 
-    def test_small_bandwidth_recovers_quantile_at_continuity_points(self):
-        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
-        smoother = KernelQuantileSmoother(q=q, h=1e-4)
-        assert smoother(0.25) == pytest.approx(1.0, rel=1e-9)
-        assert smoother(0.75) == pytest.approx(2.0, rel=1e-9)
-
     def test_closed_form_matches_adaptive_quadrature(self):
         q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
-        smoother = KernelQuantileSmoother(q=q, h=0.4)
+        smoother = KernelQuantileSmoother(q)
         t = 0.5
 
         def integrand(x):
@@ -291,24 +286,26 @@ class TestKernelEstimator:
         assert val < float(np.max(s.y))
 
 
-def _segment_sum_smoother(q: QuantileFunction, h: float, t: float) -> float:
+H = KERNEL_BANDWIDTH
+
+
+def _segment_sum_smoother(q: QuantileFunction, t: float) -> float:
     """Reference smoother: the clipped kernel mass of every segment, summed directly."""
-    lo = np.maximum(q.segment_lo, max(t - h, 0.0))
-    hi = np.minimum(q.segment_hi, min(t + h, 1.0))
-    a = np.clip((lo - t) / h, -1.0, 1.0)
-    b = np.clip((hi - t) / h, -1.0, 1.0)
+    lo = np.maximum(q.segment_lo, max(t - H, 0.0))
+    hi = np.minimum(q.segment_hi, min(t + H, 1.0))
+    a = np.clip((lo - t) / H, -1.0, 1.0)
+    b = np.clip((hi - t) / H, -1.0, 1.0)
     contrib = np.where(b > a, (0.75 * b - 0.25 * b**3) - (0.75 * a - 0.25 * a**3), 0.0)
     return float(np.sum(q.values * contrib))
 
 
-def _reference_kernel_srm(q: QuantileFunction, h: float, spectrum) -> float:
+def _reference_kernel_srm(q: QuantileFunction, spectrum) -> float:
     """The quadrature of ``KernelEstimator.evaluate`` run over the reference smoother."""
-    pts = [p for p in (h, 1.0 - h) if 0.0 < p < 1.0]
     value, _ = integrate.quad(
-        lambda u: float(spectrum.phi(u)) * _segment_sum_smoother(q, h, u),
+        lambda u: float(spectrum.phi(u)) * _segment_sum_smoother(q, u),
         0.0,
         1.0,
-        points=pts or None,
+        points=[H, 1.0 - H],
         limit=200,
         epsabs=1e-12,
         epsrel=1e-8,
@@ -316,33 +313,33 @@ def _reference_kernel_srm(q: QuantileFunction, h: float, spectrum) -> float:
     return value
 
 
-SMOOTHER_BANDWIDTHS = (1e-6, 1e-4, 0.05, 0.4, 0.7, 2.0)
-
-
-def _smoother_points(q: QuantileFunction, h: float) -> np.ndarray:
+def _smoother_points(q: QuantileFunction) -> np.ndarray:
     """A 301-point grid, knots +- h, and 0, 1, h, 1 - h, all inside [0, 1].
 
     Past 300 knots an evenly spaced subset of about 300 is taken: the
-    reference costs O(n) per point, so every knot of a 10 000-knot function
-    would take about 10 s per bandwidth.
+    reference costs O(n) per point.
     """
     knots = q.segment_lo[1:]
     knots = knots[:: max(1, knots.size // 300)]
-    ends = [0.0, 1.0, h, 1.0 - h]
-    pts = np.concatenate((np.linspace(0.0, 1.0, 301), knots - h, knots + h, ends))
+    ends = [0.0, 1.0, H, 1.0 - H]
+    pts = np.concatenate((np.linspace(0.0, 1.0, 301), knots - H, knots + H, ends))
     return pts[(pts >= 0.0) & (pts <= 1.0)]
 
 
-def _window_has_knots(q: QuantileFunction, h: float, pts: np.ndarray) -> np.ndarray:
+def _window_has_knots(q: QuantileFunction, pts: np.ndarray) -> np.ndarray:
     knots = q.segment_lo[1:]
-    return np.searchsorted(knots, pts + h, side="left") > np.searchsorted(knots, pts - h, "right")
+    return np.searchsorted(knots, pts + H, side="left") > np.searchsorted(knots, pts - H, "right")
 
 
 @pytest.fixture(scope="module")
 def smoother_cases():
     tied_hi = np.array([0.1, 0.25, 0.3, 0.55, 0.8, 1.0])
     cfg = harness.default_dependent_config()
-    dependent = harness._generate_sample("dependent", "random-truncation", cfg, 10_500, 44)
+    samples = {
+        "iid-exp-2000": harness._generate_sample("iid-exp", "random-truncation", None, 2000, 44),
+        "iid-pareto-2000": harness._generate_sample("iid-pareto", "fixed-thresholds", None, 2000, 44),
+        "dependent-10500": harness._generate_sample("dependent", "random-truncation", cfg, 10_500, 44),
+    }
     return {
         "one-segment": QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[6.0]),
         "tied-values": QuantileFunction(
@@ -351,33 +348,32 @@ def smoother_cases():
             values=[-2.0, -2.0, 3.0, 3.0, 3.0, 7.5],
         ),
         "n1-sample": pl_quantile(fit_pl(LtrcSample([1500.0], [1000.0], [1]))),
-        "dependent-10500": pl_quantile(fit_pl(dependent)),
+        **{name: pl_quantile(fit_pl(sample)) for name, sample in samples.items()},
     }
 
 
 class TestKernelSmootherOracle:
-    @pytest.mark.parametrize("h", SMOOTHER_BANDWIDTHS)
     @pytest.mark.parametrize(
-        "name", ["one-segment", "tied-values", "n1-sample", "dependent-10500"]
+        "name",
+        ["one-segment", "tied-values", "n1-sample", "iid-exp-2000", "iid-pareto-2000", "dependent-10500"],
     )
-    def test_matches_segment_sum(self, smoother_cases, name, h):
+    def test_matches_segment_sum(self, smoother_cases, name):
         q = smoother_cases[name]
-        smoother = KernelQuantileSmoother(q=q, h=h)
-        pts = _smoother_points(q, h)
+        smoother = KernelQuantileSmoother(q)
+        pts = _smoother_points(q)
         got = np.array([smoother(float(t)) for t in pts])
-        want = np.array([_segment_sum_smoother(q, h, float(t)) for t in pts])
+        want = np.array([_segment_sum_smoother(q, float(t)) for t in pts])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(q.values))
 
     def test_points_reach_both_branches(self, smoother_cases):
-        # the cases above sum knots inside the window by moments and also
-        # meet windows that hold no knot at all
+        # the cases with knots sum the knots inside the window by moments, and
+        # the one-segment and n = 1 cases meet only windows without a knot
         for name, q in smoother_cases.items():
-            for h in SMOOTHER_BANDWIDTHS:
-                inside = _window_has_knots(q, h, _smoother_points(q, h))
-                assert inside.any() == (q.values.size > 1), (name, h)
-        q = smoother_cases["dependent-10500"]
-        for h in (1e-6, 1e-4):
-            assert not _window_has_knots(q, h, _smoother_points(q, h)).all()
+            inside = _window_has_knots(q, _smoother_points(q))
+            if name in ("one-segment", "n1-sample"):
+                assert not inside.any(), name
+            else:
+                assert inside.any(), name
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +401,7 @@ class TestKernelGoldenPreservation:
         ctx = estimator.prepare(kernel_golden_samples[name])
         spectra = [ExponentialSpectrum(k) for k in K_GRID] + [ExpectedShortfallSpectrum(0.9)]
         for spectrum in spectra:
-            want = _reference_kernel_srm(ctx.q, ctx.h, spectrum)
+            want = _reference_kernel_srm(ctx.q, spectrum)
             assert estimator.evaluate(ctx, spectrum) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

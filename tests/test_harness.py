@@ -142,14 +142,14 @@ class TestDependentExperiment:
 class TestFigureData:
     def test_baseline_rows_are_zero(self):
         res = run_iid_experiment(small_iid_plan(replicates=20))
-        fig = emit_rmse_ratio_log(res, "prod")
+        fig = emit_rmse_ratio_log(res)
         for row in fig.rows:
             if row.estimator == "prod":
                 assert row.log_rmse_ratio == 0.0
 
     def test_ratio_arithmetic(self):
         res = run_iid_experiment(small_iid_plan(replicates=20))
-        fig = emit_rmse_ratio_log(res, "prod")
+        fig = emit_rmse_ratio_log(res)
         for row in fig.rows:
             if row.estimator == "prod":
                 continue
@@ -158,9 +158,9 @@ class TestFigureData:
             assert row.log_rmse_ratio == pytest.approx(math.log(cell.rmse / base.rmse))
 
     def test_missing_baseline_rejected(self):
-        res = run_iid_experiment(small_iid_plan(replicates=20))
-        with pytest.raises(ValueError, match="baseline"):
-            emit_rmse_ratio_log(res, "pm")
+        res = run_iid_experiment(small_iid_plan(replicates=20, estimators=("emp", "kernel")))
+        with pytest.raises(ValueError, match="baseline 'prod'"):
+            emit_rmse_ratio_log(res)
 
     def test_zero_baseline_rmse_rows_flagged_not_emitted(self):
         from specrisk.harness import MCCell, MCResult
@@ -173,7 +173,7 @@ class TestFigureData:
             )
 
         res = MCResult(cells=(cell("prod", 0.0), cell("emp", 2.0)), metadata={})
-        fig = emit_rmse_ratio_log(res, "prod")
+        fig = emit_rmse_ratio_log(res)
         assert fig.rows == ()
         assert len(fig.skipped) == 2
 

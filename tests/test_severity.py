@@ -150,6 +150,12 @@ class TestIidSampling:
         with pytest.raises(GenerationError, match="below floor"):
             sample_ltrc_iid(EXP, deep, 10, seed=0)
 
+    def test_no_acceptances_aborts(self):
+        # every truncation value lies above the limit, so no pair has t <= y
+        scheme = WindowScheme.random_truncation(TruncationLaw(20_000.0, 30_000.0), 14000.0)
+        with pytest.raises(GenerationError, match="no acceptances"):
+            sample_ltrc_iid(EXP, scheme, 10, seed=0)
+
 
 class TestDependentModel:
     def test_zero_rho_gives_iid_covariates(self):
@@ -197,6 +203,11 @@ class TestDependentModel:
         assert np.all(s.t <= s.y)
         a = sample_ltrc_dependent(cfg, 750, seed=9)
         assert np.array_equal(s.y, a.y)
+
+    def test_no_acceptances_aborts(self):
+        # truncation values near mu = 50 lie far above every loss of the model
+        with pytest.raises(GenerationError, match="no acceptances"):
+            sample_ltrc_dependent(DependentModelConfig(mu=50.0), 10, seed=0)
 
 
 class TestCalibration:
