@@ -411,19 +411,39 @@ class TestCli:
             assert sorted(record) == sorted(columns)
             assert line.split(",") == [_fmt(record[c]) for c in columns]
 
-    def test_parametric_header_records_the_model(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, recorded",
+        [
+            (
+                ["--estimators", "ml,pm", "--family", "exp", "--x0", "500000", "--p1", "0.3"],
+                {"family": "shifted-exponential", "x0": 5e5, "p1": 0.3},
+            ),
+            # p1 is recorded only when pm runs
+            (
+                ["--estimators", "ml", "--family", "exp", "--x0", "500000"],
+                {"family": "shifted-exponential", "x0": 5e5},
+            ),
+            # no model is resolved: the nonparametric header stays as it was
+            (["--estimators", "prod,emp"], {}),
+        ],
+        ids=["ml-pm", "ml", "prod-emp"],
+    )
+    def test_parametric_header_records_the_model(self, tmp_path, flags, recorded):
         argv = [
             "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
-            "--deductible", "500000", "--limit", "1000000", "--estimators", "ml,pm",
-            "--family", "exp", "--x0", "500000", "--p1", "0.3", "--k", "1",
+            "--deductible", "500000", "--limit", "1000000", *flags, "--k", "1",
             "--bootstrap", "55", "--out", str(tmp_path / "out"),
         ]
         assert main(argv) == 0
         header = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
-        for line in ("# family=shifted-exponential", "# x0=500000.0", "# p1=0.3"):
-            assert line in header
         config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
-        assert (config["family"], config["x0"], config["p1"]) == ("shifted-exponential", 5e5, 0.3)
+        for key in ("family", "x0", "p1"):
+            if key in recorded:
+                assert f"# {key}={recorded[key]}" in header
+                assert config[key] == recorded[key]
+            else:
+                assert not any(line.startswith(f"# {key}=") for line in header)
+                assert key not in config
 
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)
@@ -446,7 +466,20 @@ class TestCli:
         assert code == 0
         text = (tmp_path / "sim" / "results.csv").read_text()
         assert "# master_seed=7" in text
-        assert (tmp_path / "sim" / "rmse_log_ratios.csv").exists()
+        figure = (tmp_path / "sim" / "rmse_log_ratios.csv").read_text().splitlines()
+        assert "# baseline=prod" in figure
+
+    def test_simulate_without_prod_writes_no_figure_data(self, tmp_path):
+        # the log-RMSE ratios are taken against prod, so without it there are none
+        code = main(
+            [
+                "simulate", "--design", "iid-exp", "--n", "20", "--k", "1", "--reps", "4",
+                "--estimators", "emp,kernel", "--seed", "7", "--out", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "sim" / "results.csv").exists()
+        assert not (tmp_path / "sim" / "rmse_log_ratios.csv").exists()
 
     def test_simulate_worker_invariance(self, tmp_path):
         base = [

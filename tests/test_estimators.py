@@ -1,5 +1,6 @@
 """Tests for the five SRM estimators and their shared integration layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,14 @@ class TestKernelEstimator:
         assert smoother(0.0) == pytest.approx(3.0, rel=1e-12)
         assert smoother(1.0) == pytest.approx(3.0, rel=1e-12)
 
+    def test_smoother_is_set_by_its_quantile_function_alone(self):
+        # the bandwidth is the module constant, not a field of the smoother
+        assert [f.name for f in dataclasses.fields(KernelQuantileSmoother)] == ["q"]
+        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
+        # a full window t +- h about the single knot weighs both values equally
+        assert KernelQuantileSmoother(q)(0.5) == pytest.approx(1.5, rel=1e-15)
+        assert 0.0 < KERNEL_BANDWIDTH < 0.5
+
     def test_closed_form_matches_adaptive_quadrature(self):
         q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
         smoother = KernelQuantileSmoother(q)
@@ -363,6 +372,24 @@ class TestKernelSmootherOracle:
         pts = _smoother_points(q)
         got = np.array([smoother(float(t)) for t in pts])
         want = np.array([_segment_sum_smoother(q, float(t)) for t in pts])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(q.values))
+
+    @pytest.mark.parametrize(
+        "name", ["tied-values", "iid-exp-2000", "iid-pareto-2000", "dependent-10500"]
+    )
+    def test_reflection_mirrors_the_smoother(self, smoother_cases, name):
+        # Q'(x) = -Q(1 - x) is again a quantile function, and the symmetric
+        # kernel gives S'(t) = -S(1 - t); the moments about 1/2 see mirrored knots
+        q = smoother_cases[name]
+        mirrored = QuantileFunction(
+            segment_lo=1.0 - q.segment_hi[::-1],
+            segment_hi=1.0 - q.segment_lo[::-1],
+            values=-q.values[::-1],
+        )
+        smoother, reflected = KernelQuantileSmoother(q), KernelQuantileSmoother(mirrored)
+        pts = _smoother_points(q)
+        got = np.array([reflected(float(t)) for t in pts])
+        want = np.array([-smoother(1.0 - float(t)) for t in pts])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(q.values))
 
     def test_points_reach_both_branches(self, smoother_cases):

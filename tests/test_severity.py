@@ -23,7 +23,7 @@ from specrisk import (
     theoretical_srm,
     window_quantile,
 )
-from specrisk.severity import _dependent_batch, window_branch_point
+from specrisk.severity import _dependent_batch, _retained, window_branch_point
 
 EXP = SeverityModel.shifted_exponential(1000.0, 1000.0)
 PARETO = SeverityModel.pareto_i(1000.0, 2.0)
@@ -208,6 +208,84 @@ class TestDependentModel:
         # truncation values near mu = 50 lie far above every loss of the model
         with pytest.raises(GenerationError, match="no acceptances"):
             sample_ltrc_dependent(DependentModelConfig(mu=50.0), 10, seed=0)
+
+
+class TestRetentionLoop:
+    """The accept-until-n loop that both LTRC samplers share."""
+
+    @staticmethod
+    def _counting_draw(keep_every: int, sizes: list):
+        # column 0 counts every draw made so far; each batch keeps the
+        # multiples of ``keep_every``, and column 1 rides along with column 0
+        state = {"next": 0}
+
+        def draw(m):
+            sizes.append(m)
+            x = np.arange(state["next"], state["next"] + m)
+            state["next"] += m
+            kept = x[x % keep_every == 0]
+            return kept, -kept
+
+        return draw
+
+    def test_keeps_the_first_n_retained_in_draw_order(self):
+        sizes = []
+        first, second = _retained(700, 2, self._counting_draw(3, sizes))
+        assert len(sizes) > 1
+        assert np.array_equal(first, 3 * np.arange(700))
+        assert np.array_equal(second, -first)
+
+    def test_batch_is_oversample_times_the_shortfall_at_least_256(self):
+        sizes = []
+        _retained(1000, 4, self._counting_draw(5, sizes))
+        # a batch of m draws from ``drawn`` on keeps the multiples of 5 it holds
+        drawn = got = 0
+        for m in sizes:
+            assert m == max(256, 4 * (1000 - got))
+            got += (drawn + m + 4) // 5 - (drawn + 4) // 5
+            drawn += m
+        assert sizes[0] == 4000 and sizes[-1] == 256
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            _retained(n, 2, self._counting_draw(1, []))
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda n: sample_ltrc_iid(EXP, WINDOW, n, seed=0),
+            lambda n: sample_ltrc_dependent(DependentModelConfig(), n, seed=0),
+        ],
+        ids=["iid", "dependent"],
+    )
+    def test_samplers_reject_n_below_one(self, sample):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample(0)
+        assert len(sample(1)) == 1
+
+    def test_nothing_retained_aborts_after_10000_draws(self):
+        sizes = []
+
+        def draw(m):
+            sizes.append(m)
+            return (np.empty(0),)
+
+        with pytest.raises(GenerationError, match="no acceptances in 10240 draws"):
+            _retained(10, 2, draw)
+        assert sizes == [256] * 40
+
+    def test_rate_below_floor_aborts(self):
+        # one acceptance, then none: the draws pass n / ACCEPTANCE_FLOOR = 2e6
+        sizes = []
+
+        def draw(m):
+            sizes.append(m)
+            return (np.ones(1 if len(sizes) == 1 else 0),)
+
+        with pytest.raises(GenerationError, match="too low to produce 2 observations"):
+            _retained(2, 2, draw)
+        assert sum(sizes) > 2_000_000 >= sum(sizes[:-1])
 
 
 class TestCalibration:
