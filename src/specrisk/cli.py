@@ -28,12 +28,12 @@ from .config import (
     DEPENDENT_KEYS,
     ESTIMATE_KEYS,
     dependent_from_config,
+    family_from_config,
     load_config,
-    model_from_config,
     scheme_from_config,
 )
 from .errors import ClaimsFormatError, SpecriskError
-from .estimators import build_estimator
+from .estimators import EstimateReport, build_estimator
 from .harness import (
     CALIBRATION_SEED,
     CALIBRATION_TOLERANCE,
@@ -169,6 +169,12 @@ def _fields_table(cls, items) -> tuple[list[str], list[list]]:
     return columns, [[getattr(item, c) for c in columns] for item in items]
 
 
+# the estimate table: the claims group, then an EstimateReport's fields
+_ESTIMATE_COLUMNS = ["group"] + [
+    "n" if f.name == "n_effective" else f.name for f in dataclasses.fields(EstimateReport)
+]
+
+
 def _jsonable_config(config: dict) -> dict:
     return {k: (v if isinstance(v, (int, float, bool, type(None))) else str(v)) for k, v in config.items()}
 
@@ -182,8 +188,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     file_cfg = load_config(args.config, ESTIMATE_KEYS) if args.config else {}
     family = x0 = None
     if "family" in file_cfg:
-        model = model_from_config(file_cfg)
-        family, x0 = model.family, model.x0
+        family, x0 = family_from_config(file_cfg)
     scheme = scheme_from_config(file_cfg)
     if args.deductible is not None or args.limit is not None:
         d = args.deductible if args.deductible is not None else 0.0
@@ -228,41 +233,14 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
             config.update(family=family.value, x0=x0)
         if "pm" in names:
             config["p1"] = p1
-        columns = [
-            "group",
-            "estimator",
-            "k",
-            "n",
-            "point",
-            "std_error",
-            "ci_low",
-            "ci_high",
-            "ci_level",
-            "replicates_used",
-            "replicate_failures",
+        rows = [
+            [group, *dataclasses.astuple(report)]
+            for group, sample in claims.groups.items()
+            for estimator in estimators
+            for report in bootstrap_ci_many(sample, estimator, spectra, plan)
         ]
-        rows = []
-        for group, sample in claims.groups.items():
-            for estimator in estimators:
-                reports = bootstrap_ci_many(sample, estimator, spectra, plan)
-                for spectrum, report in zip(spectra, reports):
-                    rows.append(
-                        [
-                            group,
-                            report.estimator,
-                            spectrum.k,
-                            report.n_effective,
-                            report.point,
-                            report.std_error,
-                            report.ci_low,
-                            report.ci_high,
-                            report.ci_level,
-                            report.replicates_used,
-                            report.replicate_failures,
-                        ]
-                    )
         out_dir = Path(args.out)
-        _write_table(out_dir, "estimates", _jsonable_config(config), columns, rows)
+        _write_table(out_dir, "estimates", _jsonable_config(config), _ESTIMATE_COLUMNS, rows)
         if claims.rejected:
             lines = [f"line {line}: {reason}" for line, reason in claims.rejected]
             _atomic_write(out_dir / "rejected_rows.txt", "\n".join(lines) + "\n")
@@ -349,13 +327,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Callable[[], int]:
             cfg, args.target_alpha, tolerance=args.tolerance, seed=args.calibration_seed
         )
         payload = {
-            "mu": mu,
-            "rho": cfg.rho,
-            "phi1": cfg.phi1,
-            "phi2": cfg.phi2,
-            "phi3": cfg.phi3,
-            "target_truncation_rate": args.target_alpha,
-            "target_censoring_pc": args.pc,
+            **dataclasses.asdict(cfg.with_mu(mu)),
             "analytic_censoring_fraction": dependent_censoring_fraction(
                 cfg.phi1, cfg.phi2, cfg.phi3
             ),

@@ -1,34 +1,30 @@
 """Key-value configuration files for models, windows and generators.
 
 The format is one ``key = value`` pair per line, ``#`` comments allowed.
-Each command reads its own keys: ``ESTIMATE_KEYS`` (family, x0, theta,
-alpha and the window keys d, u, mode, truncation_lo, truncation_hi) for a
-claims analysis, ``DEPENDENT_KEYS`` (rho, phi1, phi2, phi3, mu,
+Each command reads its own keys: ``ESTIMATE_KEYS`` (family, x0 and the
+window keys d, u, mode, truncation_lo, truncation_hi) for a claims
+analysis, ``DEPENDENT_KEYS`` (rho, phi1, phi2, phi3, mu,
 target_pc) for the dependent design.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import ClaimsFormatError
-from .severity import (
-    DependentModelConfig,
-    ModelFamily,
-    SeverityModel,
-    TruncationLaw,
-    WindowScheme,
-)
+from .severity import DependentModelConfig, ModelFamily, TruncationLaw, WindowScheme
 
 __all__ = [
     "ESTIMATE_KEYS",
     "DEPENDENT_KEYS",
     "load_config",
-    "model_from_config",
+    "family_from_config",
     "scheme_from_config",
     "dependent_from_config",
 ]
 
 _WINDOW_KEYS = frozenset({"d", "u", "mode", "truncation_lo", "truncation_hi"})
-ESTIMATE_KEYS = frozenset({"family", "x0", "theta", "alpha"}) | _WINDOW_KEYS
+ESTIMATE_KEYS = frozenset({"family", "x0"}) | _WINDOW_KEYS
 DEPENDENT_KEYS = frozenset({"rho", "phi1", "phi2", "phi3", "mu", "target_pc"})
 
 _FAMILY_ALIASES = {
@@ -60,14 +56,15 @@ def load_config(path, keys: frozenset[str]) -> dict[str, str]:
     return out
 
 
-def model_from_config(cfg: dict[str, str]) -> SeverityModel:
+def family_from_config(cfg: dict[str, str]) -> tuple[ModelFamily, float]:
+    """The parametric family and its x0, which ``ml`` and ``pm`` fit behind the window."""
     family = _FAMILY_ALIASES.get(cfg.get("family", "").lower())
     if family is None:
         raise ClaimsFormatError(f"config needs a valid family, got {cfg.get('family')!r}")
     x0 = float(cfg.get("x0", "nan"))
-    if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        return SeverityModel.shifted_exponential(x0, float(cfg.get("theta", "nan")))
-    return SeverityModel.pareto_i(x0, float(cfg.get("alpha", "nan")))
+    if not 0.0 < x0 < math.inf:  # NaN, the value of a missing key, fails too
+        raise ClaimsFormatError(f"x0 must be strictly positive and finite, got {cfg.get('x0')!r}")
+    return family, x0
 
 
 def scheme_from_config(cfg: dict[str, str]) -> WindowScheme | None:

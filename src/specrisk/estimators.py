@@ -12,7 +12,6 @@ and take the closed-form spectral risk measure of the fitted law.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -223,17 +222,27 @@ def fit_pm_parameter(
     return param
 
 
-def parametric_srm(family: ModelFamily, x0: float, param: float, spectrum) -> float:
-    """Spectral risk measure of a fitted shifted-exponential or Pareto I law.
+def parametric_srm(family: ModelFamily, x0: float, param, spectrum):
+    """Spectral risk measure of a fitted shifted-exponential or Pareto I law, per parameter.
 
     The quantile x0 - theta ln(1-u), or x0 (1-u)^(-1/alpha), integrates
     against the spectrum in closed form through its log or power moment.
+    ``param`` is a number or an array; the result is NaN where it is NaN and,
+    for Pareto, where alpha <= 1 makes the integral diverge.
     """
+    param = np.asarray(param, dtype=float)
     if family is ModelFamily.SHIFTED_EXPONENTIAL:
-        return x0 + param * spectrum.log_moment()
-    if param <= 1.0:
+        out = x0 + param * spectrum.log_moment()
+    else:
+        out = x0 * spectrum.power_moment(1.0 / np.where(param > 1.0, param, np.nan))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _finite_srm(family: ModelFamily, x0: float, param: float, spectrum) -> float:
+    value = parametric_srm(family, x0, param, spectrum)
+    if math.isnan(value):
         raise EstimationError(f"tail index {param:.4g} <= 1: the spectral integral diverges")
-    return x0 * spectrum.power_moment(1.0 / param)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +266,6 @@ class SrmEstimator:
         One row per spectrum, one column per resample b; NaN where one fails.
         """
         raise NotImplementedError
-
-    def evaluate_each(self, contexts, spectra) -> np.ndarray:
-        """``evaluate`` of each context at each spectrum; NaN for a None context or a failure."""
-        out = np.full((len(spectra), len(contexts)), np.nan)
-        for b, ctx in enumerate(contexts):
-            if ctx is None:
-                continue
-            for i, spectrum in enumerate(spectra):
-                with contextlib.suppress(EstimationError):
-                    out[i, b] = self.evaluate(ctx, spectrum)
-        return out
 
     def __call__(self, sample: LtrcSample, spectrum) -> float:
         return self.evaluate(self.prepare(sample), spectrum)
@@ -324,7 +322,8 @@ class KernelEstimator(SrmEstimator):
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         x = sorted_sample.y[sorted_sample.starts]
         qs = [pl_quantile(StepDistribution(x, cdf)) for cdf in sorted_sample.pl_cdf(weights)]
-        return self.evaluate_each([KernelQuantileSmoother(q) for q in qs], spectra)
+        smoothers = [KernelQuantileSmoother(q) for q in qs]
+        return np.array([[self.evaluate(ctx, spec) for ctx in smoothers] for spec in spectra])
 
 
 @dataclass(frozen=True)
@@ -340,12 +339,12 @@ class MlEstimator(SrmEstimator):
         return fit_ml_parameter(sample, self.scheme, self.family)
 
     def evaluate(self, ctx, spectrum) -> float:
-        return parametric_srm(self.family, self.x0, ctx, spectrum)
+        return _finite_srm(self.family, self.x0, ctx, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         w = np.take(weights, sorted_sample.order, axis=1)  # C order: row sums add pairwise
         params = _ml_fit(sorted_sample.y, sorted_sample.delta, w, self.scheme, self.family)
-        return self.evaluate_each([None if math.isnan(p) else p for p in params.tolist()], spectra)
+        return np.array([parametric_srm(self.family, self.x0, params, spec) for spec in spectra])
 
 
 @dataclass(frozen=True)
@@ -362,13 +361,14 @@ class PmEstimator(SrmEstimator):
         return fit_pm_parameter(sample, self.scheme, self.family, self.p1)
 
     def evaluate(self, ctx, spectrum) -> float:
-        return parametric_srm(self.family, self.x0, ctx, spectrum)
+        return _finite_srm(self.family, self.x0, ctx, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         s, d = sorted_sample, self.scheme.deductible
         _, params = _pm_fit(s.y, weights[:, s.order], d, self.family, self.p1)
         # a percentile at the deductible gives theta = -0 or alpha = -inf, refused here too
-        return self.evaluate_each([p if p > 0 else None for p in params.tolist()], spectra)
+        params = np.where(params > 0, params, np.nan)
+        return np.array([parametric_srm(self.family, self.x0, params, spec) for spec in spectra])
 
 
 ESTIMATOR_NAMES = ("prod", "emp", "kernel", "ml", "pm")
@@ -403,11 +403,11 @@ class EstimateReport:
 
     estimator: str
     k: float | None
+    n_effective: int
     point: float
     std_error: float | None = None
     ci_low: float | None = None
     ci_high: float | None = None
     ci_level: float | None = None
-    n_effective: int = 0
     replicates_used: int = 0
     replicate_failures: int = 0

@@ -15,9 +15,10 @@ count or scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -181,8 +182,8 @@ def _generate_sample(design: str, mode: str, cfg: DependentModelConfig | None, n
 def _replicate_range(args) -> np.ndarray:
     """Worker: evaluate all estimators at all k for a range of replicates.
 
-    Returns an array of shape (len(range), n_estimators, n_k); failed
-    evaluations are NaN.
+    Returns an array of shape (len(range), n_estimators, n_k), NaN where an
+    estimator fails; it fails at every k or at none.
     """
     (plan, cfg, n, r_start, r_stop) = args
     estimators = _plan_estimators(plan)
@@ -192,11 +193,9 @@ def _replicate_range(args) -> np.ndarray:
         seed = derive_seed(plan.master_seed, plan.design, "replicate", n, r)
         sample = _generate_sample(plan.design, plan.mode, cfg, n, seed)
         for e_idx, est in enumerate(estimators):
-            try:
+            with contextlib.suppress(EstimationError):
                 ctx = est.prepare(sample)
-            except EstimationError:
-                ctx = None
-            out[row, e_idx] = est.evaluate_each([ctx], spectra)[:, 0]
+                out[row, e_idx] = [est.evaluate(ctx, spectrum) for spectrum in spectra]
     return out
 
 
@@ -379,17 +378,9 @@ def run_dependent_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | N
     cells = _aggregate(plan, values, theoretical, None)
     meta = _base_metadata(plan)
     meta.update(
-        {
-            "rho": cfg.rho,
-            "phi1": cfg.phi1,
-            "phi2": cfg.phi2,
-            "phi3": cfg.phi3,
-            "mu": cfg.mu,
-            "target_truncation_rate": cfg.target_truncation_rate,
-            "target_censoring_pc": cfg.target_censoring_pc,
-            "oracle_draws": ORACLE_DRAWS,
-            "rmse_target": "MC oracle of the loss marginal",
-        }
+        asdict(cfg),
+        oracle_draws=ORACLE_DRAWS,
+        rmse_target="MC oracle of the loss marginal",
     )
     return MCResult(cells=cells, metadata=meta)
 
@@ -493,7 +484,7 @@ def run_coverage_experiment(
     meta = _base_metadata(plan)
     meta.update({"intervals": intervals, "bootstrap_replicates": bootstrap_replicates, "ci_level": level})
     if plan.design == "dependent":
-        meta["mu"] = cfg.mu
+        meta.update(asdict(cfg))
     return CoverageResult(cells=tuple(cells), metadata=meta)
 
 

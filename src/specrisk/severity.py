@@ -89,13 +89,6 @@ class SeverityModel:
         out = np.where(x <= self.x0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def mean(self) -> float:
-        if self.family is ModelFamily.SHIFTED_EXPONENTIAL:
-            return self.x0 + self.theta
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.x0 * self.alpha / (self.alpha - 1.0)
-
 
 def ground_up_quantile(model: SeverityModel, p):
     """Quantile of the ground-up law; defined for p in [0, 1)."""

@@ -76,20 +76,19 @@ class ExponentialSpectrum:
             return 1.0
         return _ein(self.k) / -math.expm1(-self.k)
 
-    def power_moment(self, s: float) -> float:
-        """Integral of phi(u) (1-u)^(-s) over [0, 1], for 0 <= s < 1.
+    def power_moment(self, s):
+        """Integral of phi(u) (1-u)^(-s) over [0, 1], for 0 <= s < 1 (NaN for a NaN s).
 
         Equals k^s Gamma(1-s) P(1-s, k) / (1 - e^-k), with P the regularized
         lower incomplete gamma function (Abramowitz & Stegun 6.5.1).
         """
-        _check_power(s)
+        s = _check_power(s)
         if self.is_uniform_limit:
-            return 1.0 / (1.0 - s)
-        k = self.k
-        return k**s * special.gamma(1.0 - s) * special.gammainc(1.0 - s, k) / -math.expm1(-k)
-
-    def describe(self) -> str:
-        return f"exponential(k={self.k:g})"
+            out = 1.0 / (1.0 - s)
+        else:
+            k = self.k
+            out = _pow(k, s) * special.gamma(1.0 - s) * special.gammainc(1.0 - s, k) / -math.expm1(-k)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -124,13 +123,11 @@ class ExpectedShortfallSpectrum:
         """Integral of phi(u) (-ln(1-u)) over [0, 1]: 1 - ln(1-p)."""
         return 1.0 - math.log1p(-self.p)
 
-    def power_moment(self, s: float) -> float:
+    def power_moment(self, s):
         """Integral of phi(u) (1-u)^(-s) over [0, 1]: (1-p)^(-s) / (1-s), for 0 <= s < 1."""
-        _check_power(s)
-        return (1.0 - self.p) ** -s / (1.0 - s)
-
-    def describe(self) -> str:
-        return f"expected-shortfall(p={self.p:g})"
+        s = _check_power(s)
+        out = _pow(1.0 - self.p, -s) / (1.0 - s)
+        return float(out) if out.ndim == 0 else out
 
 
 def _ein(k: float) -> float:
@@ -150,9 +147,18 @@ def _ein(k: float) -> float:
     return total
 
 
-def _check_power(s: float) -> None:
-    if not 0.0 <= s < 1.0:
+def _check_power(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    if ((s < 0.0) | (s >= 1.0)).any():  # NaN passes, and gives NaN
         raise ValueError(f"power moment needs 0 <= s < 1, got {s}")
+    return s
+
+
+def _pow(base: float, s: np.ndarray) -> np.ndarray:
+    # C pow per element, as a Python float's ** does: numpy's vectorised power
+    # runs SIMD code on some CPUs that differs from it in the last bit (about
+    # 5% of exponents on an AVX-512 host), so estimates would depend on the CPU
+    return np.array([base**v for v in s.ravel().tolist()]).reshape(s.shape)
 
 
 def _check_segment(a, b):

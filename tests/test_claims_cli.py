@@ -6,9 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from specrisk import ClaimsFormatError, LtrcSample, WindowScheme, parse_claims, write_ltrc_csv
+from specrisk import (
+    ClaimsFormatError,
+    LtrcSample,
+    ModelFamily,
+    WindowScheme,
+    parse_claims,
+    write_ltrc_csv,
+)
 from specrisk.cli import _fmt, main
-from specrisk.config import ESTIMATE_KEYS, load_config, model_from_config, scheme_from_config
+from specrisk.config import ESTIMATE_KEYS, family_from_config, load_config, scheme_from_config
 
 
 class TestParseClaims:
@@ -109,12 +116,11 @@ class TestConfigFiles:
     def test_load_and_build(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text(
-            "# severity setup\nfamily = exp\nx0 = 1000\ntheta = 1000\nd = 4000\nu = 14000\n"
+            "# severity setup\nfamily = exp\nx0 = 1000\nd = 4000\nu = 14000\n"
         )
         cfg = load_config(path, ESTIMATE_KEYS)
-        model = model_from_config(cfg)
         scheme = scheme_from_config(cfg)
-        assert model.theta == 1000.0
+        assert family_from_config(cfg) == (ModelFamily.SHIFTED_EXPONENTIAL, 1000.0)
         assert scheme.deductible == 4000.0 and scheme.limit == 14000.0
 
     @pytest.mark.parametrize("line", ["frobnicate = 3", "seed = 5"])
@@ -227,10 +233,12 @@ class TestCli:
             (["--config", "model.cfg", "--x0", "3"], "--x0 requires --family"),
             (
                 ["--config", "rho.cfg"],
-                "unknown key 'rho'; allowed keys: alpha, d, family, mode, theta, "
+                "unknown key 'rho'; allowed keys: d, family, mode, "
                 "truncation_hi, truncation_lo, u, x0",
             ),
             (["--p1", "0.3", "--estimators", "prod"], "--p1 applies only to the pm estimator"),
+            (["--config", "x0inf.cfg"], "x0 must be strictly positive"),
+            (["--config", "theta.cfg"], "unknown key 'theta'"),
         ],
     )
     def test_invalid_estimate_flag_is_usage_error(
@@ -239,13 +247,15 @@ class TestCli:
         # the input file does not exist: the flags are refused before it is read
         monkeypatch.chdir(tmp_path)
         configs = {
-            "x0neg.cfg": "family = exp\nx0 = -5\ntheta = 1000\n",
+            "x0neg.cfg": "family = exp\nx0 = -5\n",
+            "x0inf.cfg": "family = exp\nx0 = inf\nd = 4000\n",
+            "theta.cfg": "family = exp\nx0 = 1000\ntheta = 1000\nd = 4000\n",
             "window.cfg": "d = 5\nu = 1\n",
             "bogus.cfg": "family = bogus\n",
             "unknown.cfg": "frobnicate = 3\n",
             "seed.cfg": "seed = 5\n",
             "nox0.cfg": "family = exp\nd = 4000\n",
-            "model.cfg": "family = exp\nx0 = 1000\ntheta = 1000\nd = 4000\n",
+            "model.cfg": "family = exp\nx0 = 1000\nd = 4000\n",
             "rho.cfg": "family = exp\nx0 = 1000\nd = 4000\nrho = 0.5\n",
         }
         for name, text in configs.items():
@@ -445,6 +455,34 @@ class TestCli:
                 assert not any(line.startswith(f"# {key}=") for line in header)
                 assert key not in config
 
+    def test_estimate_column_line(self, tmp_path):
+        # the group, then EstimateReport's fields in order: a reorder would move columns
+        argv = [
+            "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
+            "--deductible", "500000", "--k", "1", "--bootstrap", "55",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        text = (tmp_path / "out" / "estimates.csv").read_text()
+        columns = [line for line in text.splitlines() if not line.startswith("#")][0]
+        assert columns == (
+            "group,estimator,k,n,point,std_error,ci_low,ci_high,ci_level,"
+            "replicates_used,replicate_failures"
+        )
+
+    def test_config_model_needs_only_family_and_x0(self, tmp_path):
+        # ml and pm fit their parameter, so the config names no theta or alpha
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("family = exp\nx0 = 500000\nd = 500000\nu = 1000000\n")
+        argv = [
+            "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
+            "--config", str(cfg), "--estimators", "ml,pm", "--k", "1", "--bootstrap", "55",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
+        assert (config["family"], config["x0"]) == ("shifted-exponential", 5e5)
+
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -503,6 +541,24 @@ class TestCli:
         payload = json.loads((tmp_path / "dep" / "results.json").read_text())
         assert 0.3 < float(payload["config"]["mu"]) < 1.0
 
+    def test_dependent_simulate_header_keys(self, tmp_path):
+        # the plan's keys, every DependentModelConfig field and the oracle's two
+        argv = [
+            "simulate", "--design", "dependent", "--n", "15", "--k", "1", "--reps", "2",
+            "--out", str(tmp_path / "dep"),
+        ]
+        assert main(argv) == 0
+        header = (tmp_path / "dep" / "results.csv").read_text().splitlines()
+        keys = [line[2:].split("=", 1)[0] for line in header[1:] if line.startswith("# ")]
+        assert keys == [
+            "command", "design", "estimators", "k_grid", "master_seed", "mode", "mu",
+            "n_grid", "oracle_draws", "package_version", "phi1", "phi2", "phi3",
+            "replicates", "rho", "rmse_target", "target_censoring_pc",
+            "target_truncation_rate",
+        ]
+        config = json.loads((tmp_path / "dep" / "results.json").read_text())["config"]
+        assert sorted(config) == keys
+
     def test_coverage_command(self, tmp_path):
         code = main(
             [
@@ -520,6 +576,16 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
         assert 0.3 < payload["results"]["mu"] < 1.0
+
+    def test_calibrate_result_keys(self, tmp_path):
+        # every DependentModelConfig field, then the bisection's own values
+        assert main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
+        payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
+        assert payload["config"] == {"command": "calibrate"}
+        assert list(payload["results"]) == [
+            "analytic_censoring_fraction", "calibration_seed", "mu", "phi1", "phi2", "phi3",
+            "rho", "target_censoring_pc", "target_truncation_rate", "tolerance",
+        ]
 
     def test_calibrate_defaults_are_the_standard_dependent_design(self, tmp_path):
         # the flag defaults and default_dependent_config read the same constants

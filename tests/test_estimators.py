@@ -15,6 +15,7 @@ from specrisk import (
     LtrcSample,
     MlEstimator,
     ModelFamily,
+    PmEstimator,
     WindowScheme,
     build_estimator,
     estimate_emp,
@@ -224,9 +225,18 @@ class TestPmEstimator:
         assert theta == pytest.approx(600.0 / -math.log(0.5), rel=1e-12)
 
 
-PARAMETRIC_SPECTRA = [ExponentialSpectrum(k) for k in (0.0, 1.0, 5.0, 10.0, 20.0, 100.0, 200.0)] + [
+PARAMETRIC_KS = (0.0, 1.0, 5.0, 10.0, 20.0, 100.0, 200.0)
+PARAMETRIC_SPECTRA = [ExponentialSpectrum(k) for k in PARAMETRIC_KS] + [
     ExpectedShortfallSpectrum(p) for p in (0.0, 0.5, 0.9)
 ]
+PARAMETRIC_SPECTRUM_IDS = [f"exponential(k={k:g})" for k in PARAMETRIC_KS] + [
+    "expected-shortfall(p=0)", "expected-shortfall(p=0.5)", "expected-shortfall(p=0.9)"
+]
+# the families and spectra on which an array of parameters must equal scalar calls
+NAN_RULE_SPECTRA = [ExponentialSpectrum(k) for k in (0.0, 1e-9, 1.0, 200.0)] + [
+    ExpectedShortfallSpectrum(p) for p in (0.0, 0.9)
+]
+NAN_RULE_PARAMS = np.array([math.nan, 0.5, 1.0, 1.0 + 1e-12, 2.0])
 
 
 class TestParametricSrm:
@@ -241,7 +251,7 @@ class TestParametricSrm:
         assert val == pytest.approx(pareto_srm_closed_form(1000.0, 2.0, k), rel=1e-13)
 
     @pytest.mark.parametrize("model", [harness.EXP_MODEL, harness.PARETO_MODEL], ids=["exp", "pareto"])
-    @pytest.mark.parametrize("spectrum", PARAMETRIC_SPECTRA, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("spectrum", PARAMETRIC_SPECTRA, ids=PARAMETRIC_SPECTRUM_IDS)
     def test_matches_quadrature_of_the_quantile(self, model, spectrum):
         param = model.theta if model.family is ModelFamily.SHIFTED_EXPONENTIAL else model.alpha
         val = parametric_srm(model.family, model.x0, param, spectrum)
@@ -249,13 +259,40 @@ class TestParametricSrm:
         assert val == pytest.approx(want, rel=1e-9)
 
     def test_heavy_tail_rejected(self):
-        with pytest.raises(EstimationError, match="diverges"):
-            parametric_srm(ModelFamily.PARETO_I, 1000.0, 0.9, ExponentialSpectrum(1.0))
+        spectrum = ExponentialSpectrum(1.0)
+        assert math.isnan(parametric_srm(ModelFamily.PARETO_I, 1000.0, 0.9, spectrum))
+        for est in (MlEstimator(WINDOW, ModelFamily.PARETO_I, 1000.0),
+                    PmEstimator(WINDOW, ModelFamily.PARETO_I, 1000.0)):
+            with pytest.raises(EstimationError, match="diverges"):
+                est.evaluate(0.9, spectrum)
 
     def test_unit_tail_index_rejected(self):
         for spectrum in (ExponentialSpectrum(0.0), ExpectedShortfallSpectrum(0.5)):
-            with pytest.raises(EstimationError, match="diverges"):
-                parametric_srm(ModelFamily.PARETO_I, 1000.0, 1.0, spectrum)
+            assert math.isnan(parametric_srm(ModelFamily.PARETO_I, 1000.0, 1.0, spectrum))
+            for est in (MlEstimator(WINDOW, ModelFamily.PARETO_I, 1000.0),
+                        PmEstimator(WINDOW, ModelFamily.PARETO_I, 1000.0)):
+                with pytest.raises(EstimationError, match="diverges"):
+                    est.evaluate(1.0, spectrum)
+
+    @pytest.mark.parametrize("family", list(ModelFamily), ids=["exp", "pareto"])
+    @pytest.mark.parametrize("spectrum", NAN_RULE_SPECTRA, ids=repr)
+    def test_array_equals_scalar_calls(self, family, spectrum):
+        # a bootstrap replicate's value is the same fit evaluated on its own, NaN included
+        got = parametric_srm(family, 1000.0, NAN_RULE_PARAMS, spectrum)
+        want = [parametric_srm(family, 1000.0, float(p), spectrum) for p in NAN_RULE_PARAMS]
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+        undefined = np.isnan(NAN_RULE_PARAMS)
+        if family is ModelFamily.PARETO_I:
+            undefined |= NAN_RULE_PARAMS <= 1.0
+        assert np.array_equal(np.isnan(got), undefined)
+
+    @pytest.mark.parametrize("spectrum", NAN_RULE_SPECTRA, ids=repr)
+    def test_power_moment_array_equals_scalar_calls(self, spectrum):
+        s = np.array([math.nan, 0.0, 0.5, 1.0 / (1.0 + 1e-12), 1.0 / 3.0, 0.9])
+        got = spectrum.power_moment(s)
+        want = [spectrum.power_moment(float(v)) for v in s]
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(s))
 
 
 class TestKernelEstimator:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from specrisk import DependentModelConfig, harness
+from specrisk import (
+    DependentModelConfig,
+    EstimationError,
+    ExponentialSpectrum,
+    ProdEstimator,
+    estimate_prod,
+    harness,
+)
 from specrisk.harness import (
     ExperimentPlan,
     default_dependent_config,
@@ -14,6 +21,7 @@ from specrisk.harness import (
     run_dependent_experiment,
     run_iid_experiment,
 )
+from specrisk.rng import derive_seed
 
 
 def small_iid_plan(**overrides):
@@ -67,7 +75,47 @@ class TestPlanValidation:
         )
 
 
+def _unlucky(sample) -> bool:
+    """A replicate the failing estimators below refuse: about a third of them."""
+    return int(sample.y.max()) % 3 == 0
+
+
+class _PrepareFails(ProdEstimator):
+    def prepare(self, sample):
+        if _unlucky(sample):
+            raise EstimationError("refused in prepare")
+        return super().prepare(sample)
+
+
+class _EvaluateFails(ProdEstimator):
+    def prepare(self, sample):
+        return super().prepare(sample), _unlucky(sample)
+
+    def evaluate(self, ctx, spectrum):
+        fit, unlucky = ctx
+        if unlucky:
+            raise EstimationError("refused in evaluate")
+        return super().evaluate(fit, spectrum)
+
+
 class TestIidExperiment:
+    def test_failures_counted_per_k(self, monkeypatch):
+        # a failed prepare or evaluate is a NaN that the cell counts at every k
+        plan = small_iid_plan(estimators=("prod", "emp"))
+        failing = [_PrepareFails(), _EvaluateFails()]
+        monkeypatch.setattr(harness, "_plan_estimators", lambda plan: failing)
+        res = run_iid_experiment(plan)
+        seeds = [derive_seed(71, "iid-exp", "replicate", 20, r) for r in range(plan.replicates)]
+        samples = [harness._generate_sample("iid-exp", plan.mode, None, 20, s) for s in seeds]
+        kept = [s for s in samples if not _unlucky(s)]
+        assert 0 < len(kept) < len(samples)
+        for name in ("prod", "emp"):
+            for k in plan.k_grid:
+                cell = res.cell(name, 20, k)
+                assert cell.failures == len(samples) - len(kept)
+                want = np.mean([estimate_prod(s, ExponentialSpectrum(k)) for s in kept])
+                assert cell.mean == pytest.approx(want, rel=1e-12)
+
     def test_deterministic_reruns(self):
         res1 = run_iid_experiment(small_iid_plan())
         res2 = run_iid_experiment(small_iid_plan())

@@ -322,10 +322,11 @@ class TestTheoreticalSrm:
             assert val == pytest.approx(42.0, rel=1e-9)
 
     def test_uniform_limit_matches_means(self):
+        # the means x0 + theta and x0 alpha / (alpha - 1) of EXP and PARETO
         val = theoretical_srm(lambda p: ground_up_quantile(EXP, p), ExponentialSpectrum(0.0))
-        assert val == pytest.approx(EXP.mean(), rel=1e-4)
+        assert val == pytest.approx(2000.0, rel=1e-4)
         val = theoretical_srm(lambda p: ground_up_quantile(PARETO, p), ExponentialSpectrum(0.0))
-        assert val == pytest.approx(PARETO.mean(), rel=1e-4)
+        assert val == pytest.approx(2000.0, rel=1e-4)
 
     @pytest.mark.parametrize("k", [1.0, 5.0, 10.0, 20.0, 100.0, 200.0])
     def test_exponential_matches_closed_form(self, k):

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from specrisk import ExpectedShortfallSpectrum, ExponentialSpectrum
 
@@ -109,6 +109,17 @@ class TestExponentialSpectrum:
         assert spec.log_moment() == 1.0
         assert spec.power_moment(0.0) == 1.0
         assert spec.power_moment(0.75) == 4.0
+
+    def test_array_power_moment_uses_c_pow(self):
+        # float arithmetic per element: numpy's SIMD power differs in the last bit on some CPUs
+        s = np.linspace(0.01, 0.99, 199).tolist()
+        want = [(1.0 - 0.9) ** -v / (1.0 - v) for v in s]
+        assert np.array_equal(ExpectedShortfallSpectrum(0.9).power_moment(np.array(s)), want)
+        want = [
+            5.0**v * special.gamma(1.0 - v) * special.gammainc(1.0 - v, 5.0) / -math.expm1(-5.0)
+            for v in s
+        ]
+        assert np.array_equal(ExponentialSpectrum(5.0).power_moment(np.array(s)), want)
 
     @pytest.mark.parametrize("s", [-0.1, 1.0, 2.0])
     def test_power_moment_needs_s_below_one(self, s):
