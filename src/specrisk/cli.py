@@ -4,9 +4,9 @@ Every output file embeds the fully resolved configuration and master seed in
 a comment header (CSV) or a ``config`` object (JSON), and reruns with the
 same flags produce byte-identical files regardless of worker count.
 
-Each subcommand resolves its flags, ``SPECRISK_*`` defaults and config file
-into the objects it runs on before any work, so a bad value exits 2 (usage
-error) before a claims file is read, a sample drawn or a worker started.
+Each subcommand resolves its flags and ``SPECRISK_*`` defaults into the
+objects it runs on before any work, so a bad value exits 2 (usage error)
+before a claims file is read, a sample drawn or a worker started.
 Unreadable files, claims-file errors and computation failures exit 1.
 """
 
@@ -24,15 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .claims import parse_claims
-from .config import (
-    DEPENDENT_KEYS,
-    ESTIMATE_KEYS,
-    dependent_from_config,
-    family_from_config,
-    load_config,
-    scheme_from_config,
-)
-from .errors import ClaimsFormatError, SpecriskError
+from .errors import SpecriskError
 from .estimators import EstimateReport, build_estimator
 from .harness import (
     CALIBRATION_SEED,
@@ -48,7 +40,7 @@ from .harness import (
     run_dependent_experiment,
     run_iid_experiment,
 )
-from .inference import BootstrapPlan, bootstrap_ci_many
+from .inference import MIN_REPLICATES_FOR_CI, BootstrapPlan, bootstrap_ci_many
 from .severity import (
     DependentModelConfig,
     ModelFamily,
@@ -185,11 +177,7 @@ def _jsonable_config(config: dict) -> dict:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
-    file_cfg = load_config(args.config, ESTIMATE_KEYS) if args.config else {}
-    family = x0 = None
-    if "family" in file_cfg:
-        family, x0 = family_from_config(file_cfg)
-    scheme = scheme_from_config(file_cfg)
+    scheme = family = x0 = None
     if args.deductible is not None or args.limit is not None:
         d = args.deductible if args.deductible is not None else 0.0
         u = args.limit if args.limit is not None else math.inf
@@ -202,7 +190,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     elif args.x0 is not None:
         raise ValueError("--x0 requires --family")
     if args.format == "raw" and scheme is None:
-        raise ValueError("raw claims need --deductible/--limit (or a config file window)")
+        raise ValueError("raw claims need --deductible/--limit")
     names = tuple(args.estimators.split(","))
     if args.p1 is not None and "pm" not in names:
         raise ValueError("--p1 applies only to the pm estimator")
@@ -250,9 +238,24 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     return run
 
 
+# simulate's dependent-design flags and the DependentModelConfig field each sets
+_DEPENDENT_FLAGS = {
+    "--rho": "rho",
+    "--phi1": "phi1",
+    "--phi2": "phi2",
+    "--phi3": "phi3",
+    "--mu": "mu",
+    "--pc": "target_censoring_pc",
+}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
-    if args.config and args.design != "dependent":
-        raise ValueError(f"--config applies only to --design dependent, got --design {args.design}")
+    given = {f: getattr(args, f) for f in _DEPENDENT_FLAGS.values() if getattr(args, f) is not None}
+    if given and args.design != "dependent":
+        raise ValueError(
+            f"{', '.join(_DEPENDENT_FLAGS)} apply only to --design dependent, "
+            f"got --design {args.design}"
+        )
     plan = ExperimentPlan(
         design=args.design,
         n_grid=args.n,
@@ -263,7 +266,8 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
         mode=args.mode,
         workers=args.workers,
     )
-    cfg = dependent_from_config(load_config(args.config, DEPENDENT_KEYS)) if args.config else None
+    # no dependent flag runs the standard calibration; with any, mu is --mu or 0
+    cfg = DependentModelConfig(**given) if given else None
 
     def run() -> int:
         if args.design == "dependent":
@@ -290,6 +294,11 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> Callable[[], int]:
+    if args.bootstrap < MIN_REPLICATES_FOR_CI:
+        raise ValueError(
+            f"--bootstrap must be at least {MIN_REPLICATES_FOR_CI} to build an interval, "
+            f"got {args.bootstrap}"
+        )
     plan = ExperimentPlan(
         design=args.design,
         n_grid=args.n,
@@ -372,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--family", choices=("exp", "pareto"), default=None)
     est.add_argument("--x0", type=_X0, default=None)
     est.add_argument("--p1", type=_PROBABILITY, default=None)
-    est.add_argument("--config", default=None)
     add_common(est)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo design")
@@ -386,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("random-truncation", "fixed-thresholds"),
         default="random-truncation",
     )
-    sim.add_argument("--config", default=None)
+    for flag, field in _DEPENDENT_FLAGS.items():
+        sim.add_argument(flag, dest=field, type=float, default=None)
     add_common(sim)
 
     cov = sub.add_parser("coverage", help="bootstrap interval coverage study")
@@ -429,8 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             run = _COMMANDS[args.command](args)
-        except (ValueError, ClaimsFormatError) as exc:
-            # a flag combination or config file the objects refuse: a usage error
+        except ValueError as exc:
+            # a flag combination the objects refuse: a usage error
             parser.error(str(exc))
         return run()
     except (SpecriskError, OSError) as exc:

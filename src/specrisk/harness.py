@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .errors import EstimationError, SpecriskError
 from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_sorted
-from .inference import BootstrapPlan, bootstrap_ci
+from .inference import MIN_REPLICATES_FOR_CI, BootstrapPlan, bootstrap_ci
 from .ltrc import LtrcSample
 from .rng import derive_seed
 from .severity import (
@@ -452,11 +452,16 @@ def run_coverage_experiment(
     hits on the design's theoretical value; the dependent design runs at its
     standard calibration.  Refused intervals (degenerate resampling) count
     as misses and are reported separately.  The arguments are checked
-    before any target is computed.
+    before any target is computed; fewer than ``MIN_REPLICATES_FOR_CI``
+    resamples would refuse every interval.
     """
     if intervals < 1:
         raise ValueError("intervals must be at least 1")
     BootstrapPlan(replicates=bootstrap_replicates, ci_level=level)  # built to check both
+    if bootstrap_replicates < MIN_REPLICATES_FOR_CI:
+        raise ValueError(
+            f"bootstrap_replicates must be at least {MIN_REPLICATES_FOR_CI} to build an interval"
+        )
     cfg, theoretical = _theoretical_targets(plan, None)
     cells = []
     for n in plan.n_grid:
@@ -482,7 +487,13 @@ def run_coverage_experiment(
                 )
             )
     meta = _base_metadata(plan)
-    meta.update({"intervals": intervals, "bootstrap_replicates": bootstrap_replicates, "ci_level": level})
+    del meta["replicates"]  # each cell builds `intervals` samples, not plan.replicates
+    meta.update(
+        estimators=[ProdEstimator.name],
+        intervals=intervals,
+        bootstrap_replicates=bootstrap_replicates,
+        ci_level=level,
+    )
     if plan.design == "dependent":
         meta.update(asdict(cfg))
     return CoverageResult(cells=tuple(cells), metadata=meta)

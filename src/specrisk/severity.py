@@ -59,7 +59,7 @@ class SeverityModel:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        # written so that NaN, a config file's value for a missing key, fails too
+        # written so that NaN fails too
         if not self.x0 > 0:
             raise ValueError("x0 must be strictly positive")
         if self.family is ModelFamily.SHIFTED_EXPONENTIAL:
@@ -144,10 +144,8 @@ class WindowScheme:
         return cls(deductible=deductible, limit=limit)
 
     @classmethod
-    def random_truncation(
-        cls, law: TruncationLaw, limit: float, deductible: float = 0.0
-    ) -> "WindowScheme":
-        return cls(deductible=deductible, limit=limit, truncation_law=law)
+    def random_truncation(cls, law: TruncationLaw, limit: float) -> "WindowScheme":
+        return cls(deductible=0.0, limit=limit, truncation_law=law)
 
 
 def window_quantile(model: SeverityModel, scheme: WindowScheme, p):
@@ -266,8 +264,11 @@ class DependentModelConfig:
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1:
             raise ValueError("|rho| must be below 1")
-        if min(self.phi1, self.phi2, self.phi3) <= 0:
+        # written so that NaN fails too
+        if not all(phi > 0 for phi in (self.phi1, self.phi2, self.phi3)):
             raise ValueError("phi1, phi2, phi3 must be strictly positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         for name in ("target_truncation_rate", "target_censoring_pc"):
             rate = getattr(self, name)
             if rate is not None and not 0.0 < rate < 1.0:

@@ -1,5 +1,6 @@
 """Tests for claims ingestion, serialization and the command-line surface."""
 
+import dataclasses
 import json
 import math
 
@@ -8,14 +9,14 @@ import pytest
 
 from specrisk import (
     ClaimsFormatError,
+    DependentModelConfig,
     LtrcSample,
-    ModelFamily,
     WindowScheme,
     parse_claims,
     write_ltrc_csv,
 )
 from specrisk.cli import _fmt, main
-from specrisk.config import ESTIMATE_KEYS, family_from_config, load_config, scheme_from_config
+from specrisk.harness import ExperimentPlan, run_dependent_experiment
 
 
 class TestParseClaims:
@@ -112,31 +113,6 @@ class TestRoundTrip:
             assert np.array_equal(got.delta, sample.delta)
 
 
-class TestConfigFiles:
-    def test_load_and_build(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text(
-            "# severity setup\nfamily = exp\nx0 = 1000\nd = 4000\nu = 14000\n"
-        )
-        cfg = load_config(path, ESTIMATE_KEYS)
-        scheme = scheme_from_config(cfg)
-        assert family_from_config(cfg) == (ModelFamily.SHIFTED_EXPONENTIAL, 1000.0)
-        assert scheme.deductible == 4000.0 and scheme.limit == 14000.0
-
-    @pytest.mark.parametrize("line", ["frobnicate = 3", "seed = 5"])
-    def test_unknown_key_rejected(self, tmp_path, line):
-        # no builder reads a seed, so accepting one would ignore it silently
-        path = tmp_path / "model.cfg"
-        path.write_text(line + "\n")
-        with pytest.raises(ClaimsFormatError, match="unknown key"):
-            load_config(path, ESTIMATE_KEYS)
-
-    def test_window_keys_decide_the_window(self):
-        assert scheme_from_config({"family": "exp", "x0": "1000"}) is None
-        scheme = scheme_from_config({"mode": "random", "truncation_hi": "2500"})
-        assert scheme.truncation_law.describe() == "uniform(0,2500)"
-
-
 def _assert_usage_error(capsys, argv, message, out):
     """``argv`` exits 2 with ``message`` on the last stderr line, no traceback and no output."""
     with pytest.raises(SystemExit) as err:
@@ -222,44 +198,18 @@ class TestCli:
             (["--workers", "0"], "argument --workers: must be an integer of at least 1"),
             (["--seed", "-1"], "argument --seed: must be a nonnegative integer"),
             (["--family", "exp", "--x0", "-5"], "argument --x0: must be a positive finite number"),
+            (["--family", "exp", "--x0", "inf"], "argument --x0: must be a positive finite number"),
             (["--deductible", "5", "--limit", "1"], "deductible must be below the policy limit"),
-            (["--config", "x0neg.cfg"], "x0 must be strictly positive"),
-            (["--config", "window.cfg"], "deductible must be below the policy limit"),
-            (["--config", "bogus.cfg"], "config needs a valid family, got 'bogus'"),
-            (["--config", "unknown.cfg"], "unknown key 'frobnicate'"),
-            (["--config", "seed.cfg"], "unknown key 'seed'"),
-            (["--config", "nox0.cfg"], "x0 must be strictly positive"),
+            (["--family", "bogus"], "argument --family: invalid choice: 'bogus'"),
+            (["--family", "exp"], "--family requires --x0"),
             (["--x0", "1000"], "--x0 requires --family"),
-            (["--config", "model.cfg", "--x0", "3"], "--x0 requires --family"),
-            (
-                ["--config", "rho.cfg"],
-                "unknown key 'rho'; allowed keys: d, family, mode, "
-                "truncation_hi, truncation_lo, u, x0",
-            ),
             (["--p1", "0.3", "--estimators", "prod"], "--p1 applies only to the pm estimator"),
-            (["--config", "x0inf.cfg"], "x0 must be strictly positive"),
-            (["--config", "theta.cfg"], "unknown key 'theta'"),
+            (["--format", "raw"], "raw claims need --deductible/--limit"),
+            (["--config", "model.cfg"], "unrecognized arguments: --config model.cfg"),
         ],
     )
-    def test_invalid_estimate_flag_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, flags, message
-    ):
+    def test_invalid_estimate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         # the input file does not exist: the flags are refused before it is read
-        monkeypatch.chdir(tmp_path)
-        configs = {
-            "x0neg.cfg": "family = exp\nx0 = -5\n",
-            "x0inf.cfg": "family = exp\nx0 = inf\nd = 4000\n",
-            "theta.cfg": "family = exp\nx0 = 1000\ntheta = 1000\nd = 4000\n",
-            "window.cfg": "d = 5\nu = 1\n",
-            "bogus.cfg": "family = bogus\n",
-            "unknown.cfg": "frobnicate = 3\n",
-            "seed.cfg": "seed = 5\n",
-            "nox0.cfg": "family = exp\nd = 4000\n",
-            "model.cfg": "family = exp\nx0 = 1000\nd = 4000\n",
-            "rho.cfg": "family = exp\nx0 = 1000\nd = 4000\nrho = 0.5\n",
-        }
-        for name, text in configs.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
         argv = ["estimate", "--input", str(tmp_path / "missing.csv"), *flags]
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
@@ -301,21 +251,37 @@ class TestCli:
                 ["simulate", "--design", "iid-exp", "--estimators", "prod,bogus"],
                 "unknown estimator 'bogus'; valid names: prod, emp, kernel, ml, pm",
             ),
+            (["simulate", "--design", "dependent", "--rho", "2"], "|rho| must be below 1"),
             (
-                ["simulate", "--design", "dependent", "--config", "rho2.cfg"],
-                "|rho| must be below 1",
+                ["simulate", "--design", "dependent", "--phi2", "0"],
+                "phi1, phi2, phi3 must be strictly positive",
             ),
             (
-                ["simulate", "--design", "iid-exp", "--config", "rho2.cfg"],
-                "--config applies only to --design dependent, got --design iid-exp",
+                ["simulate", "--design", "dependent", "--phi1", "nan"],
+                "phi1, phi2, phi3 must be strictly positive",
+            ),
+            (["simulate", "--design", "dependent", "--mu", "inf"], "mu must be finite"),
+            (
+                ["simulate", "--design", "dependent", "--pc", "0.4"],
+                "phi parameters give censoring fraction 0.1001, not the target 0.4000",
             ),
             (
-                ["simulate", "--design", "dependent", "--config", "d5.cfg"],
-                "unknown key 'd'; allowed keys: mu, phi1, phi2, phi3, rho, target_pc",
+                ["simulate", "--design", "iid-exp", "--rho", "0.2"],
+                "--rho, --phi1, --phi2, --phi3, --mu, --pc apply only to --design dependent, "
+                "got --design iid-exp",
             ),
             (
-                ["simulate", "--design", "dependent", "--config", "alpha.cfg"],
-                "unknown key 'target_alpha'; allowed keys: mu, phi1, phi2, phi3, rho, target_pc",
+                ["simulate", "--design", "dependent", "--rho", "abc"],
+                "argument --rho: invalid float value: 'abc'",
+            ),
+            # nothing calibrates to a retention target: mu is --mu, or 0
+            (
+                ["simulate", "--design", "dependent", "--target-alpha", "0.5"],
+                "unrecognized arguments: --target-alpha 0.5",
+            ),
+            (
+                ["coverage", "--bootstrap", "49"],
+                "--bootstrap must be at least 50 to build an interval, got 49",
             ),
             (
                 ["simulate", "--design", "iid-exp", "--n", "1e300", "--k", "1", "--reps", "2"],
@@ -324,13 +290,8 @@ class TestCli:
             (["coverage", "--n", "10000001"], "sample sizes must be at most 10000000"),
         ],
     )
-    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+    def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):
         # refused before any sample is drawn or any worker is started
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "rho2.cfg").write_text("rho = 2\n", encoding="utf-8")
-        (tmp_path / "d5.cfg").write_text("rho = 0.1\nd = 5\n", encoding="utf-8")
-        # nothing calibrates to a retention target: mu is the config's mu key
-        (tmp_path / "alpha.cfg").write_text("rho = 0.1\ntarget_alpha = 0.5\n", encoding="utf-8")
         argv = [argv[0], "--n", "30", *argv[1:]]
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
@@ -371,21 +332,6 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(*env)
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
-
-    def test_window_only_config_builds_the_window(self, tmp_path):
-        # a config with window keys but no d or u still sets the window raw claims need
-        cfg = tmp_path / "window.cfg"
-        cfg.write_text("mode = random\ntruncation_lo = 0\ntruncation_hi = 2500\n")
-        code = main(
-            [
-                "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
-                "--config", str(cfg), "--k", "1", "--bootstrap", "60",
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 0
-        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
-        assert config["deductible"] == 0.0 and config["limit"] == math.inf
 
     @pytest.mark.parametrize(
         "argv, stem",
@@ -470,19 +416,6 @@ class TestCli:
             "replicates_used,replicate_failures"
         )
 
-    def test_config_model_needs_only_family_and_x0(self, tmp_path):
-        # ml and pm fit their parameter, so the config names no theta or alpha
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text("family = exp\nx0 = 500000\nd = 500000\nu = 1000000\n")
-        argv = [
-            "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
-            "--config", str(cfg), "--estimators", "ml,pm", "--k", "1", "--bootstrap", "55",
-            "--out", str(tmp_path / "out"),
-        ]
-        assert main(argv) == 0
-        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
-        assert (config["family"], config["x0"]) == ("shifted-exponential", 5e5)
-
     def test_parametric_estimator_without_window_is_usage_error(self, tmp_path):
         claims = self._write_claims(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -559,17 +492,51 @@ class TestCli:
         config = json.loads((tmp_path / "dep" / "results.json").read_text())["config"]
         assert sorted(config) == keys
 
+    @pytest.mark.parametrize(
+        "flags, cfg",
+        [
+            (
+                ["--rho", "0.2", "--phi1", "0.3", "--phi2", "1.087", "--phi3", "0.3",
+                 "--mu", "0.5", "--pc", "0.1"],
+                DependentModelConfig(
+                    rho=0.2, phi1=0.3, phi2=1.087, phi3=0.3, mu=0.5, target_censoring_pc=0.1
+                ),
+            ),
+            # a flag without --mu runs at mu = 0: simulate does not calibrate
+            (["--rho", "0.2"], DependentModelConfig(rho=0.2)),
+        ],
+        ids=["all-six", "rho-only"],
+    )
+    def test_dependent_simulate_flags_set_the_design(self, tmp_path, flags, cfg):
+        argv = [
+            "simulate", "--design", "dependent", "--n", "20", "--k", "1,20", "--reps", "4",
+            *flags, "--out", str(tmp_path / "dep"),
+        ]
+        assert main(argv) == 0
+        plan = ExperimentPlan(design="dependent", n_grid=(20,), k_grid=(1.0, 20.0), replicates=4)
+        expected = run_dependent_experiment(plan, cfg)
+        records = json.loads((tmp_path / "dep" / "results.json").read_text())["results"]
+        assert records == [dataclasses.asdict(cell) for cell in expected.cells]
+        header = (tmp_path / "dep" / "results.csv").read_text().splitlines()
+        for field, value in dataclasses.asdict(cfg).items():
+            assert f"# {field}={value}" in header
+
     def test_coverage_command(self, tmp_path):
+        # only prod intervals are built, and --reps of them per cell
         code = main(
             [
                 "coverage", "--design", "iid-exp", "--n", "20", "--k", "1",
-                "--reps", "6", "--bootstrap", "55", "--seed", "4",
+                "--reps", "1", "--bootstrap", "55", "--seed", "4",
                 "--out", str(tmp_path / "cov"),
             ]
         )
         assert code == 0
-        text = (tmp_path / "cov" / "coverage.csv").read_text()
-        assert "coverage" in text.splitlines()[-2] or "coverage" in text
+        header = (tmp_path / "cov" / "coverage.csv").read_text().splitlines()
+        assert "# estimators=['prod']" in header and "# intervals=1" in header
+        assert not any(line.startswith("# replicates=") for line in header)
+        config = json.loads((tmp_path / "cov" / "coverage.json").read_text())["config"]
+        assert (config["estimators"], config["intervals"]) == ("['prod']", 1)
+        assert "replicates" not in config
 
     def test_calibrate_command(self, tmp_path):
         code = main(["calibrate", "--target-alpha", "0.3", "--out", str(tmp_path / "cal")])

@@ -249,6 +249,8 @@ class TestCoverage:
             (dict(intervals=0), "intervals must be at least 1"),
             (dict(level=1.5), "ci_level must lie in"),
             (dict(bootstrap_replicates=0), "replicates must be at least 1"),
+            # too few resamples for any interval: every one would be refused
+            (dict(bootstrap_replicates=49), "bootstrap_replicates must be at least 50"),
         ],
     )
     def test_bad_arguments_refused_before_targets(self, monkeypatch, kwargs, message):
