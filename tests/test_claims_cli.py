@@ -401,6 +401,24 @@ class TestCli:
                 assert not any(line.startswith(f"# {key}=") for line in header)
                 assert key not in config
 
+    @pytest.mark.parametrize(
+        "flags, window",
+        [
+            (["--limit", "1000000"], (0.0, 1e6)),
+            (["--deductible", "500000"], (5e5, math.inf)),
+        ],
+        ids=["limit-only", "deductible-only"],
+    )
+    def test_one_window_flag_builds_the_window(self, tmp_path, flags, window):
+        # either window flag alone sets the window raw claims need; the other keeps its default
+        argv = [
+            "estimate", "--input", str(self._write_claims(tmp_path)), "--format", "raw",
+            *flags, "--k", "1", "--bootstrap", "55", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "out" / "estimates.json").read_text())["config"]
+        assert (config["deductible"], config["limit"]) == window
+
     def test_estimate_column_line(self, tmp_path):
         # the group, then EstimateReport's fields in order: a reorder would move columns
         argv = [
