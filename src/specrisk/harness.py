@@ -217,27 +217,24 @@ def _map_chunks(worker, head: tuple, total: int, workers: int) -> list:
 
 def _theoretical_targets(
     plan: ExperimentPlan, cfg: DependentModelConfig | None
-) -> tuple[DependentModelConfig | None, dict[float, float]]:
-    """The design's config and its target per k.
+) -> dict[float, float]:
+    """The design's target per k.
 
     The iid designs target the ground-up SRM; the dependent design, at
-    ``cfg`` or else its standard calibration, targets a large-sample MC
-    oracle of the loss marginal.
+    ``cfg``, targets a large-sample MC oracle of the loss marginal.
     """
     if plan.design in IID_DESIGNS:
         model = IID_DESIGNS[plan.design]
-        return cfg, {
+        return {
             k: theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(k))
             for k in plan.k_grid
         }
-    if cfg is None:
-        cfg = default_dependent_config()
     oracle = np.sort(
         sample_dependent_marginal(
             cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
         )
     )
-    return cfg, {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
+    return {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
 
 
 def _run_cells(plan: ExperimentPlan, cfg: DependentModelConfig | None) -> dict[int, np.ndarray]:
@@ -320,7 +317,7 @@ def run_iid_experiment(plan: ExperimentPlan) -> MCResult:
         raise ValueError("run_iid_experiment requires an iid design")
     model = IID_DESIGNS[plan.design]
     fixed_scheme = WindowScheme.fixed(DEDUCTIBLE, LIMIT)
-    _, theoretical = _theoretical_targets(plan, None)
+    theoretical = _theoretical_targets(plan, None)
     branch = window_branch_point(model, fixed_scheme)
     theoretical_window = {
         k: theoretical_srm(
@@ -373,8 +370,10 @@ def run_dependent_experiment(plan: ExperimentPlan, cfg: DependentModelConfig | N
     """Run the dependent design; calibrates mu if no config is supplied."""
     if plan.design != "dependent":
         raise ValueError("run_dependent_experiment requires the dependent design")
-    cfg, theoretical = _theoretical_targets(plan, cfg)
+    cfg = cfg or default_dependent_config()
+    # replicates first: a design that retains nothing fails before the oracle
     values = _run_cells(plan, cfg)
+    theoretical = _theoretical_targets(plan, cfg)
     cells = _aggregate(plan, values, theoretical, None)
     meta = _base_metadata(plan)
     meta.update(
@@ -462,7 +461,8 @@ def run_coverage_experiment(
         raise ValueError(
             f"bootstrap_replicates must be at least {MIN_REPLICATES_FOR_CI} to build an interval"
         )
-    cfg, theoretical = _theoretical_targets(plan, None)
+    cfg = default_dependent_config() if plan.design == "dependent" else None
+    theoretical = _theoretical_targets(plan, cfg)
     cells = []
     for n in plan.n_grid:
         for k in plan.k_grid:

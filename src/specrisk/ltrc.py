@@ -11,9 +11,9 @@ one-step survival factors over risk sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +26,7 @@ __all__ = [
     "PlFit",
     "fit_pl",
     "pl_quantile",
-    "EXACT_PRODUCT_LIMIT",
 ]
-
-# Above this sample size the survival product is accumulated in log space
-# (max relative error ~n*eps < 1e-12 at the sizes that path serves); at or
-# below it the product is carried as an exact rational.
-EXACT_PRODUCT_LIMIT = 10_000
 
 
 class LtrcSample:
@@ -80,17 +74,19 @@ class StepDistribution:
     """A right-continuous nondecreasing step CDF.
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
-    before the first knot the CDF is 0.  When the fit was
-    carried in exact rational arithmetic, ``exact_values[j]`` is the same
-    value as a pair of coprime ints ``(num, den)`` meaning num/den, and
-    ``values[j]`` is its correctly rounded float.
+    before the first knot the CDF is 0.  A fit keeps the :class:`SortedSample`
+    it was fitted on, from which ``cdf_exact`` computes exact values.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    exact_values: tuple[tuple[int, int], ...] | None = None
     zero_factor_count: int = 0
     n: int = 0
+    sorted_sample: SortedSample | None = field(default=None, compare=False, repr=False)
+
+    # Not a field and always None: perfbench/tracing.py counts exact fits by
+    # it until the benchmark drops that counter (ROADMAP item 7).
+    exact_values = None
 
     def __post_init__(self) -> None:
         knots = np.asarray(self.knots, dtype=float)
@@ -115,13 +111,15 @@ class StepDistribution:
         return float(out) if out.ndim == 0 else out
 
     def cdf_exact(self, x: float) -> Fraction:
-        """Exact CDF value at ``x``; requires an exactly fitted distribution."""
-        if self.exact_values is None:
+        """Exact CDF value at ``x``; the first call computes every run's value."""
+        s = self.sorted_sample
+        if s is None:
             raise ValueError("distribution was not fitted in exact arithmetic")
-        idx = int(np.searchsorted(self.knots, x, side="right"))
-        if idx == 0:
-            return Fraction(0)
-        return Fraction(*self.exact_values[idx - 1])
+        return Fraction(*self._exact_pairs[np.searchsorted(s.y[s.starts], x, side="right")])
+
+    @cached_property
+    def _exact_pairs(self) -> list[tuple[int, int]]:
+        return [(0, 1), *_exact_cdf(self.sorted_sample)]
 
     def jumps(self) -> np.ndarray:
         """Probability mass at each knot."""
@@ -233,9 +231,11 @@ def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
     Ties in y are swept uncensored-first, and tied uncensored points each
     contribute their own factor at the shared risk-set count.
 
-    Sample size alone picks the arithmetic: the survival product is an
-    exact rational for samples up to ``EXACT_PRODUCT_LIMIT`` observations
-    and is carried in log space above.  A factor can be exactly zero before
+    The survival product is summed in log space, except on the leading run:
+    the uncensored points before the first tie, censored point or late
+    entry.  Its risk sets drop by one from R_0, so after c of its points the
+    factors telescope to F = c/R_0, one correctly rounded division, and
+    complete data give exactly j/n.  A factor can be exactly zero before
     the largest y (risk set of size one at an uncensored point); the fit
     then absorbs all remaining mass at that knot and reports the event in
     ``zero_factor_count``.  Given a sample's :class:`SortedSample`, it
@@ -243,18 +243,19 @@ def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
     """
     s = sample if isinstance(sample, SortedSample) else SortedSample.from_sample(sample)
     n = s.y.size
-    exact = n <= EXACT_PRODUCT_LIMIT
-
     ys, ds, starts = s.y, s.delta, s.starts
     # risk-set size at each sorted y; >= 1 always
     risk = s.entered - s.passed
-    zero_factors = int(np.count_nonzero((ds == 1) & (risk == 1) & (ys < ys[-1])))
+    unc = ds == 1
+    zero_factors = int(np.count_nonzero(unc & (risk == 1) & (ys < ys[-1])))
 
-    if exact:
-        vals_exact = _exact_cdf(ds, risk, starts)
-        vals = np.array([num / den for num, den in vals_exact])
-    else:
-        vals = _log_space_cdf(ds, risk[None, :], starts, np.ones((1, n), dtype=np.int64))[0]
+    vals = _log_space_cdf(ds, risk[None, :], starts, np.ones((1, n), dtype=np.int64))[0]
+    in_run = unc & (risk + np.arange(n) == risk[0])
+    run = n if in_run.all() else int(in_run.argmin())
+    # uncensored points read by each group but the last; a prefix reads the run
+    unc_read = unc.cumsum()[starts[1:] - 1]
+    lead = int(unc_read.searchsorted(run, side="right"))
+    vals[:lead] = unc_read[:lead] / risk[0]
 
     # keep only knots that add mass, i.e. exceed every earlier value; the last
     # group (y_max) always has value 1
@@ -263,25 +264,25 @@ def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
     return StepDistribution(
         knots=ys[starts][keep],
         values=vals[keep],
-        exact_values=tuple(compress(vals_exact, keep)) if exact else None,
         zero_factor_count=zero_factors,
         n=n,
+        sorted_sample=s,
     )
 
 
-def _exact_cdf(ds: np.ndarray, risk: np.ndarray, starts: np.ndarray) -> list[tuple[int, int]]:
+def _exact_cdf(s: SortedSample) -> list[tuple[int, int]]:
     """CDF value at each run of equal sorted y, as a coprime pair (num, den).
 
     The survival product num/den is kept in lowest terms: each factor
     (R-1)/R is cross-reduced against it by two gcds, as ``Fraction``
-    multiplication does.  The CDF value (den - num)/den then has coprime
-    terms, and int true division rounds it correctly.  A run reads the
-    product after its last uncensored point (a run without one carries the
-    previous value); the run of the largest y has value 1.
+    multiplication does, so the CDF value (den - num)/den has coprime terms.
+    A run reads the product after its last uncensored point (a run without
+    one carries the previous value); the run of the largest y has value 1.
     """
+    ds, risk, starts = s.delta, s.entered - s.passed, s.starts
     unc = ds == 1
-    # number of uncensored points up to the end of each run
-    reads = np.cumsum(unc)[np.concatenate((starts[1:], [ds.size])) - 1]
+    # number of uncensored points up to the end of each run but the last
+    reads = np.cumsum(unc)[starts[1:] - 1]
     surv = [(1, 1)]
     num = den = 1
     for r in risk[unc].tolist():
@@ -290,9 +291,7 @@ def _exact_cdf(ds: np.ndarray, risk: np.ndarray, starts: np.ndarray) -> list[tup
         num = (num // g1) * ((r - 1) // g2)
         den = (den // g2) * (r // g1)
         surv.append((num, den))
-    vals = [(den - num, den) for num, den in map(surv.__getitem__, reads[:-1].tolist())]
-    vals.append((1, 1))
-    return vals
+    return [(den - num, den) for num, den in map(surv.__getitem__, reads.tolist())] + [(1, 1)]
 
 
 def _log_space_cdf(

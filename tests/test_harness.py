@@ -9,6 +9,7 @@ from specrisk import (
     DependentModelConfig,
     EstimationError,
     ExponentialSpectrum,
+    GenerationError,
     ProdEstimator,
     estimate_prod,
     harness,
@@ -173,6 +174,20 @@ class TestDependentExperiment:
         res2 = run_dependent_experiment(plan, self.CFG)
         assert res1.cells == res2.cells
         assert res1.metadata["mu"] == pytest.approx(0.664)
+
+    def test_retaining_nothing_fails_before_the_oracle(self, monkeypatch):
+        draws = []
+        original = harness.sample_dependent_marginal
+
+        def counting_marginal(*args):
+            draws.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "sample_dependent_marginal", counting_marginal)
+        plan = ExperimentPlan(design="dependent", n_grid=(20,), k_grid=(1.0,), replicates=2)
+        with pytest.raises(GenerationError):
+            run_dependent_experiment(plan, DependentModelConfig(mu=1e6))
+        assert draws == []
 
     def test_auto_calibration_records_mu(self):
         plan = ExperimentPlan(

@@ -1,6 +1,5 @@
 """Tests for the product-limit core: risk sets, fits, quantile inversion."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from specrisk import (
     fit_pl,
     pl_quantile,
 )
-from specrisk import harness, ltrc
+from specrisk import harness
 from specrisk.ltrc import SortedSample
 
 from conftest import pl_cdf_bruteforce, random_ltrc_sample
@@ -40,7 +39,7 @@ class TestFitPl:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         d = fit_pl(s)
         assert d.knots.tolist() == [1.0, 2.0]
-        assert d.exact_values == ((1, 2), (1, 1))
+        assert [d.cdf_exact(x) for x in d.knots] == [Fraction(1, 2), Fraction(1)]
         assert d.cdf_exact(1.0) == Fraction(1, 2)
         assert d.cdf(0.5) == 0.0
         assert d.cdf(1.0) == 0.5
@@ -96,7 +95,7 @@ class TestFitPl:
         d1 = fit_pl(s)
         d2 = fit_pl(LtrcSample(s.y[perm], s.t[perm], s.delta[perm]))
         assert d1.knots.tolist() == d2.knots.tolist()
-        assert d1.exact_values == d2.exact_values
+        assert [d1.cdf_exact(x) for x in d1.knots] == [d2.cdf_exact(x) for x in d1.knots]
 
     def test_log_space_path_agrees_with_exact(self):
         rng = np.random.default_rng(9)
@@ -126,8 +125,8 @@ class TestFitPl:
 def _log_space_fit(sample):
     """The log-space fit of ``sample``: each distinct y and its CDF value.
 
-    ``fit_pl`` takes this path above ``EXACT_PRODUCT_LIMIT`` observations; at
-    any size it is the product-limit CDF of one row of unit weights.
+    It is the product-limit CDF of one row of unit weights.  ``fit_pl`` takes
+    these values and replaces those of its leading run by exact ratios.
     """
     s = SortedSample.from_sample(sample)
     return s.y[s.starts], s.pl_cdf(np.ones((1, len(sample)), dtype=np.int64))[0]
@@ -184,8 +183,13 @@ _EDGE_CASES = pytest.mark.parametrize(
         LtrcSample([2.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1]),
         LtrcSample([4.0], [1.0], [1]),
         LtrcSample([1.0, 3.0], [0.5, 0.0], [0, 1]),
+        # the censored group after the leading run reads the run's product
+        LtrcSample(np.arange(1.0, 8.0), [0.0] * 7, [1, 1, 0, 1, 1, 1, 1]),
     ],
-    ids=["tied-mixed-delta", "censored-max", "zero-factor", "all-tied", "n=1", "n=2"],
+    ids=[
+        "tied-mixed-delta", "censored-max", "zero-factor", "all-tied", "n=1", "n=2",
+        "censored-after-run",
+    ],
 )
 
 
@@ -201,7 +205,6 @@ class TestLogSpaceFit:
         rng = np.random.default_rng(10)
         s = random_ltrc_sample(rng, 10_500, tie_prob=0.2)
         d = fit_pl(s)
-        assert d.exact_values is None  # above EXACT_PRODUCT_LIMIT
         knots, values, zero_factors = _log_space_fit_loop(s)
         assert np.array_equal(d.knots, knots)
         assert np.array_equal(d.values, values)
@@ -249,33 +252,56 @@ def exact_oracle_samples():
     return {
         "iid-exp-2000": harness._generate_sample("iid-exp", "random-truncation", None, 2000, 41),
         "dependent-2000": harness._generate_sample("dependent", "random-truncation", cfg, 2000, 42),
-        "dependent-10000": harness._generate_sample(
-            "dependent", "random-truncation", cfg, ltrc.EXACT_PRODUCT_LIMIT, 43
-        ),
+        "dependent-10000": harness._generate_sample("dependent", "random-truncation", cfg, 10_000, 43),
+        "dependent-10500": harness._generate_sample("dependent", "random-truncation", cfg, 10_500, 44),
     }
+
+
+def _leading_run_sample(end):
+    # y = 1..60, all entered at t = 0 and uncensored, except the point that ends
+    # the leading run after 40 points: a censored y = 41, or a late entry at 40.5
+    delta, t = np.ones(60, dtype=int), np.zeros(60)
+    if end == "censored":
+        delta[40] = 0
+    else:
+        t[59] = 40.5
+    return LtrcSample(np.arange(1.0, 61.0), t, delta)
 
 
 class TestExactFit:
     @staticmethod
     def _check_against_oracle(sample):
         d = fit_pl(sample)
-        assert d.exact_values is not None
         knots, fractions = _fraction_fit_loop(sample)
         assert np.array_equal(d.knots, knots)
-        assert np.array_equal(d.values, np.array([float(f) for f in fractions]))
-        assert d.exact_values == tuple((f.numerator, f.denominator) for f in fractions)
-        assert all(den > 0 and math.gcd(num, den) == 1 for num, den in d.exact_values)
+        np.testing.assert_allclose(d.values, [float(f) for f in fractions], rtol=1e-14, atol=0)
         for x, f in zip(knots, fractions):
             assert d.cdf_exact(x) == f
+        return d, fractions
 
     @_EDGE_CASES
     def test_matches_fraction_loop_on_edge_cases(self, sample):
         self._check_against_oracle(sample)
 
-    @pytest.mark.parametrize("name", ["iid-exp-2000", "dependent-2000", "dependent-10000"])
+    @pytest.mark.parametrize(
+        "name", ["iid-exp-2000", "dependent-2000", "dependent-10000", "dependent-10500"]
+    )
     def test_matches_fraction_loop_on_benchmark_sized_samples(self, exact_oracle_samples, name):
-        # dependent-10000 is the largest sample the default path fits exactly
         self._check_against_oracle(exact_oracle_samples[name])
+
+    def test_matches_fraction_loop_on_random_tied_samples(self):
+        rng = np.random.default_rng(17)
+        zero_factor_fits = 0
+        for _ in range(300):
+            s = random_ltrc_sample(rng, int(rng.integers(2, 80)), tie_prob=0.4)
+            d, _ = self._check_against_oracle(s)
+            zero_factor_fits += d.zero_factor_count > 0
+        assert zero_factor_fits > 0
+
+    @pytest.mark.parametrize("end", ["censored", "late-entry"])
+    def test_leading_run_is_correctly_rounded(self, end):
+        d, fractions = self._check_against_oracle(_leading_run_sample(end))
+        assert np.array_equal(d.values[:40], [float(f) for f in fractions[:40]])
 
 
 class TestQuantile:
@@ -325,3 +351,5 @@ class TestStepDistribution:
             StepDistribution(knots=[1.0, 2.0], values=[0.7, 0.5])
         with pytest.raises(ValueError, match="reach 1"):
             StepDistribution(knots=[1.0], values=[0.9])
+        with pytest.raises(ValueError, match="not fitted"):
+            StepDistribution(knots=[1.0], values=[1.0]).cdf_exact(1.0)
