@@ -21,7 +21,6 @@ from .errors import (
 )
 from .ltrc import (
     LtrcSample,
-    PlFit,
     QuantileFunction,
     StepDistribution,
     fit_pl,

@@ -57,19 +57,19 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
         reader = csv.DictReader(row for _, row in kept)
         if reader.fieldnames is None:
             raise ClaimsFormatError(f"{path}: missing header row")
-        fields = [name.strip() for name in reader.fieldnames]
+        # rows are read by the stripped names, so "y, t, delta" is a valid header
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
         required = {"y", "t", "delta"} if fmt == "ltrc" else {"claim"}
-        missing = required - set(fields)
+        missing = required - set(reader.fieldnames)
         if missing:
             raise ClaimsFormatError(
                 f"{path}: missing required column(s) {', '.join(sorted(missing))}"
             )
-        has_group = "group" in fields
 
         for record in reader:
             line = kept[reader.line_num - 1][0]
             n_rows += 1
-            group = (record.get("group") or _DEFAULT_GROUP).strip() if has_group else _DEFAULT_GROUP
+            group = (record.get("group") or "").strip() or _DEFAULT_GROUP
             try:
                 if fmt == "ltrc":
                     y = float(record["y"])

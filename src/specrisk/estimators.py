@@ -20,8 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import EstimationError
-from .ltrc import LtrcSample, PlFit, QuantileFunction, SortedSample, StepDistribution
-from .ltrc import fit_pl, pl_quantile
+from .ltrc import LtrcSample, QuantileFunction, SortedSample, StepDistribution, fit_pl
 from .severity import ModelFamily, WindowScheme
 
 __all__ = [
@@ -72,7 +71,7 @@ def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
 
 def estimate_prod(sample: LtrcSample, spectrum) -> float:
     """Product-limit plug-in estimate of the spectral risk measure."""
-    return srm_from_quantile(pl_quantile(fit_pl(sample)), spectrum)
+    return srm_from_quantile(fit_pl(sample).quantile, spectrum)
 
 
 def estimate_emp(sample: LtrcSample, spectrum) -> float:
@@ -274,10 +273,10 @@ class SrmEstimator:
 class ProdEstimator(SrmEstimator):
     name = "prod"
 
-    def prepare(self, sample: LtrcSample) -> PlFit:
-        return PlFit.from_sample(sample)
+    def prepare(self, sample: LtrcSample) -> StepDistribution:
+        return fit_pl(sample)
 
-    def evaluate(self, ctx: PlFit, spectrum) -> float:
+    def evaluate(self, ctx: StepDistribution, spectrum) -> float:
         return srm_from_quantile(ctx.quantile, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
@@ -305,7 +304,7 @@ class KernelEstimator(SrmEstimator):
     name = "kernel"
 
     def prepare(self, sample: LtrcSample) -> KernelQuantileSmoother:
-        return KernelQuantileSmoother(pl_quantile(fit_pl(sample)))
+        return KernelQuantileSmoother(fit_pl(sample).quantile)
 
     def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
         value, _ = integrate.quad(
@@ -321,8 +320,8 @@ class KernelEstimator(SrmEstimator):
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         x = sorted_sample.y[sorted_sample.starts]
-        qs = [pl_quantile(StepDistribution(x, cdf)) for cdf in sorted_sample.pl_cdf(weights)]
-        smoothers = [KernelQuantileSmoother(q) for q in qs]
+        dists = [StepDistribution(x, cdf) for cdf in sorted_sample.pl_cdf(weights)]
+        smoothers = [KernelQuantileSmoother(d.quantile) for d in dists]
         return np.array([[self.evaluate(ctx, spec) for ctx in smoothers] for spec in spectra])
 
 

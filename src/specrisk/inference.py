@@ -20,7 +20,7 @@ from scipy import stats
 
 from .errors import BootstrapError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
-from .ltrc import LtrcSample, PlFit, SortedSample, fit_pl  # noqa: F401 (perfbench tests read it)
+from .ltrc import LtrcSample, SortedSample, StepDistribution, fit_pl
 from .rng import derive_rng
 
 __all__ = [
@@ -44,12 +44,16 @@ _DENSITY_BLOCK = 64
 VARIANCE_CLIP = 1e-3
 
 
-def _pl_fit(sample: LtrcSample | PlFit) -> PlFit:
-    """``sample`` itself if it is already fitted, else its product-limit fit."""
-    return sample if isinstance(sample, PlFit) else PlFit.from_sample(sample)
+def _pl_fit(sample: LtrcSample | StepDistribution) -> StepDistribution:
+    """The product-limit fit of ``sample``, or ``sample`` itself if it is a fit."""
+    if not isinstance(sample, StepDistribution):
+        return fit_pl(sample)
+    if sample.sorted_sample is None:
+        raise ValueError("distribution was not fitted on a sample")
+    return sample
 
 
-def estimate_sigma2(sample: LtrcSample | PlFit, spectrum) -> float:
+def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
     """Plug-in estimate of the asymptotic variance of the PL-based SRM estimate.
 
     Returns the variance of the sqrt(n)-normalized estimator.  The density
@@ -57,19 +61,20 @@ def estimate_sigma2(sample: LtrcSample | PlFit, spectrum) -> float:
     single-atom fits return 0.  Raises
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
     falls below the floor inside the clipped integration range.  Given a
-    sample's :class:`~specrisk.ltrc.PlFit`, it does not fit again.
+    sample's product-limit fit, ``fit_pl(sample)``, it does not fit again.
 
     The covariance kernel is evaluated at the lower of the two levels, the
     form that reduces to the classical L-statistic variance without
     truncation or censoring.
     """
     fit = _pl_fit(sample)
-    n = fit.dist.n
+    n = fit.n
     q = fit.quantile
     if q.values.size < 2:
         return 0.0
-    unc = fit.sorted_sample.delta == 1
-    y_unc, risk_unc = fit.sorted_sample.y[unc], fit.risk[unc]
+    s = fit.sorted_sample
+    unc = s.delta == 1
+    y_unc, risk_unc = s.y[unc], s.risk[unc]
 
     # cumulative risk-weighted uncensored mass G(w) = (1/n) sum C_n^{-2},
     # evaluated at the quantile segment values
@@ -85,7 +90,7 @@ def estimate_sigma2(sample: LtrcSample | PlFit, spectrum) -> float:
     if iqr == 0.0:
         return 0.0
     h = n ** (-0.2) * iqr / 1.349
-    f_hat = _epanechnikov_density(fit.dist, q.values, h)
+    f_hat = _epanechnikov_density(fit, q.values, h)
 
     lo = np.maximum(q.segment_lo, VARIANCE_CLIP)
     hi = np.minimum(q.segment_hi, 1.0 - VARIANCE_CLIP)
@@ -171,12 +176,14 @@ class EdgeworthDiagnostics:
             raise ValueError("sigma01_sq must be nonnegative")
 
 
-def edgeworth_diagnostics(sample: LtrcSample | PlFit, level: float) -> EdgeworthDiagnostics:
-    """Evaluate the expansion ingredients on a sample, or its PlFit, at one level."""
+def edgeworth_diagnostics(
+    sample: LtrcSample | StepDistribution, level: float
+) -> EdgeworthDiagnostics:
+    """Evaluate the expansion ingredients on a sample, or its fit, at one level."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     fit = _pl_fit(sample)
-    n = fit.dist.n
+    n = fit.n
     s = fit.sorted_sample
     bound = fit.quantile(level)
     if bound >= s.y[-1]:
@@ -185,7 +192,7 @@ def edgeworth_diagnostics(sample: LtrcSample | PlFit, level: float) -> Edgeworth
             "the expansion ingredients are not defined there"
         )
     unc = s.delta == 1
-    c_inv = n / fit.risk[unc].astype(float)  # 1 / C_n at uncensored points
+    c_inv = n / s.risk[unc].astype(float)  # 1 / C_n at uncensored points
     in_range = s.y[unc] <= bound
     sigma01_sq = float(np.sum(c_inv[in_range] ** 2)) / n
     i3 = float(np.sum(c_inv[in_range] ** 3)) / n
@@ -343,15 +350,17 @@ def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def asymptotic_ci(sample: LtrcSample | PlFit, spectrum, level: float = 0.90) -> EstimateReport:
+def asymptotic_ci(
+    sample: LtrcSample | StepDistribution, spectrum, level: float = 0.90
+) -> EstimateReport:
     """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n).
 
-    Point and variance share one fit, made here unless ``sample`` is a PlFit.
+    Point and variance share one fit, made here unless ``sample`` is a fit.
     """
     if not 0.0 <= level < 1.0:
         raise ValueError("level must lie in [0, 1)")
     fit = _pl_fit(sample)
-    n = fit.dist.n
+    n = fit.n
     point = ProdEstimator().evaluate(fit, spectrum)
     sigma2 = estimate_sigma2(fit, spectrum)
     half = float(stats.norm.ppf(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)

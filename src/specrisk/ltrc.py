@@ -23,7 +23,6 @@ __all__ = [
     "StepDistribution",
     "QuantileFunction",
     "SortedSample",
-    "PlFit",
     "fit_pl",
     "pl_quantile",
 ]
@@ -75,7 +74,8 @@ class StepDistribution:
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
     before the first knot the CDF is 0.  A fit keeps the :class:`SortedSample`
-    it was fitted on, from which ``cdf_exact`` computes exact values.
+    it was fitted on, from which ``cdf_exact`` computes exact values and the
+    asymptotic inference reads risk sets, so an analysis fits once.
     """
 
     knots: np.ndarray
@@ -114,8 +114,13 @@ class StepDistribution:
         """Exact CDF value at ``x``; the first call computes every run's value."""
         s = self.sorted_sample
         if s is None:
-            raise ValueError("distribution was not fitted in exact arithmetic")
+            raise ValueError("distribution was not fitted on a sample")
         return Fraction(*self._exact_pairs[np.searchsorted(s.y[s.starts], x, side="right")])
+
+    @cached_property
+    def quantile(self) -> QuantileFunction:
+        """The generalized inverse :func:`pl_quantile`, computed on first use."""
+        return pl_quantile(self)
 
     @cached_property
     def _exact_pairs(self) -> list[tuple[int, int]]:
@@ -173,7 +178,8 @@ class SortedSample:
     sample at a sorted y_i is a weighted count,
     R(i) = sum_j w_j 1{t_j <= y_i} - sum_j w_j 1{y_j < y_i}, so it comes from
     cumulative weight sums at positions that depend on the sample alone and
-    are found here once.  With unit weights, R(i) = entered[i] - passed[i].
+    are found here once.  With unit weights, R(i) = entered[i] - passed[i],
+    held as ``risk``.
     """
 
     order: np.ndarray  # original index at each sorted position
@@ -183,6 +189,7 @@ class SortedSample:
     t_order: np.ndarray  # original indices by increasing t
     entered: np.ndarray  # #{t_j <= y_i} at each sorted position
     passed: np.ndarray  # #{y_j < y_i} at each sorted position
+    risk: np.ndarray  # entered - passed: risk-set size at each sorted position, >= 1
 
     @classmethod
     def from_sample(cls, sample: LtrcSample) -> "SortedSample":
@@ -190,14 +197,17 @@ class SortedSample:
         ys = sample.y[order]
         # tied t need no order: prefix sums are read only past the last of a tie
         t_order = np.argsort(sample.t)
+        entered = np.searchsorted(sample.t[t_order], ys, side="right")
+        passed = np.searchsorted(ys, ys, side="left")
         return cls(
             order=order,
             y=ys,
             delta=sample.delta[order],
             starts=np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))),
             t_order=t_order,
-            entered=np.searchsorted(sample.t[t_order], ys, side="right"),
-            passed=np.searchsorted(ys, ys, side="left"),
+            entered=entered,
+            passed=passed,
+            risk=entered - passed,
         )
 
     def pl_cdf(self, weights: np.ndarray) -> np.ndarray:
@@ -222,7 +232,7 @@ def _prefix_sums(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
+def fit_pl(sample: LtrcSample) -> StepDistribution:
     """Fit the product-limit CDF of an LTRC sample.
 
     The estimate multiplies, over uncensored observations with value <= x,
@@ -238,14 +248,11 @@ def fit_pl(sample: LtrcSample | SortedSample) -> StepDistribution:
     complete data give exactly j/n.  A factor can be exactly zero before
     the largest y (risk set of size one at an uncensored point); the fit
     then absorbs all remaining mass at that knot and reports the event in
-    ``zero_factor_count``.  Given a sample's :class:`SortedSample`, it
-    fits without sorting again.
+    ``zero_factor_count``.
     """
-    s = sample if isinstance(sample, SortedSample) else SortedSample.from_sample(sample)
+    s = SortedSample.from_sample(sample)
     n = s.y.size
-    ys, ds, starts = s.y, s.delta, s.starts
-    # risk-set size at each sorted y; >= 1 always
-    risk = s.entered - s.passed
+    ys, ds, starts, risk = s.y, s.delta, s.starts, s.risk
     unc = ds == 1
     zero_factors = int(np.count_nonzero(unc & (risk == 1) & (ys < ys[-1])))
 
@@ -279,7 +286,7 @@ def _exact_cdf(s: SortedSample) -> list[tuple[int, int]]:
     A run reads the product after its last uncensored point (a run without
     one carries the previous value); the run of the largest y has value 1.
     """
-    ds, risk, starts = s.delta, s.entered - s.passed, s.starts
+    ds, risk, starts = s.delta, s.risk, s.starts
     unc = ds == 1
     # number of uncensored points up to the end of each run but the last
     reads = np.cumsum(unc)[starts[1:] - 1]
@@ -335,24 +342,3 @@ def pl_quantile(dist: StepDistribution) -> QuantileFunction:
     x = dist.knots[keep]
     lo = np.concatenate(([0.0], hi[:-1]))
     return QuantileFunction(segment_lo=lo, segment_hi=hi, values=x)
-
-
-@dataclass(frozen=True)
-class PlFit:
-    """A sample's product-limit fit with the sorted sample it was fitted on.
-
-    ``risk`` is the risk-set count entered - passed at each sorted point, at
-    least 1 as every observation is in its own risk set.  The asymptotic
-    inference takes a ``PlFit`` in place of a sample, so an analysis fits once.
-    """
-
-    sorted_sample: SortedSample
-    risk: np.ndarray
-    dist: StepDistribution
-    quantile: QuantileFunction
-
-    @classmethod
-    def from_sample(cls, sample: LtrcSample) -> "PlFit":
-        s = SortedSample.from_sample(sample)
-        dist = fit_pl(s)
-        return cls(sorted_sample=s, risk=s.entered - s.passed, dist=dist, quantile=pl_quantile(dist))

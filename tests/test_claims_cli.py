@@ -50,6 +50,33 @@ class TestParseClaims:
         assert sorted(out.groups) == ["1981", "1982"]
         assert len(out.groups["1981"]) == 2
 
+    def test_spaced_header_parses_like_plain_header(self, tmp_path):
+        rows = "2,1,1,1981\n3,1,0,1981\n5,2,1,1982\n"
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("y,t,delta,group\n" + rows)
+        spaced.write_text("y, t, delta, group\n" + rows)
+        a, b = parse_claims(plain, "ltrc"), parse_claims(spaced, "ltrc")
+        assert sorted(a.groups) == sorted(b.groups) == ["1981", "1982"]
+        for g in a.groups:
+            for field in ("y", "t", "delta"):
+                assert np.array_equal(getattr(a.groups[g], field), getattr(b.groups[g], field))
+        assert (a.n_rows, a.rejected) == (b.n_rows, b.rejected)
+        argv = ["estimate", "--format", "ltrc", "--estimators", "prod", "--k", "1"]
+        for path in (plain, spaced):
+            assert main(argv + ["--input", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        results = [
+            json.loads((tmp_path / stem / "estimates.json").read_text())["results"]
+            for stem in ("plain", "spaced")
+        ]
+        assert results[0] == results[1]
+
+    def test_blank_group_cell_is_the_default_group(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text("y,t,delta,group\n2,1,1,\n3,1,1,  \n5,2,1,1982\n")
+        out = parse_claims(path, "ltrc")
+        assert sorted(out.groups) == ["1982", "all"]
+        assert out.groups["all"].y.tolist() == [2.0, 3.0]
+
     def test_invariant_violations_rejected_with_line_numbers(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text("y,t,delta\n2,1,1\n1,5,1\n2,1,7\n")

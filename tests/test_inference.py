@@ -17,9 +17,9 @@ from specrisk import (
     LtrcSample,
     MlEstimator,
     ModelFamily,
-    PlFit,
     ProdEstimator,
     SingularDensityError,
+    StepDistribution,
     WindowScheme,
     asymptotic_ci,
     bootstrap_ci,
@@ -595,7 +595,7 @@ class TestSharedFit:
     def test_fit_gives_the_sample_results(self, context_samples, name):
         s = context_samples[name]
         fit = ProdEstimator().prepare(s)
-        assert isinstance(fit, PlFit)
+        assert isinstance(fit, StepDistribution)
         for spec in _REPLICATE_SPECTRA:
             assert asymptotic_ci(s, spec) == asymptotic_ci(fit, spec)
             assert estimate_sigma2(s, spec) == estimate_sigma2(fit, spec)
@@ -627,3 +627,32 @@ class TestSharedFit:
         assert fits(lambda: asymptotic_ci(fit, spec)) == 0
         assert fits(lambda: estimate_sigma2(fit, spec)) == 0
         assert fits(lambda: edgeworth_diagnostics(fit, 0.9)) == 0
+
+    def test_quantile_is_computed_once(self, context_samples, monkeypatch):
+        fit = fit_pl(context_samples["tied-mixed-delta"])
+        expected = pl_quantile(fit)
+        calls = []
+
+        def counting_quantile(dist):
+            calls.append(1)
+            return pl_quantile(dist)
+
+        monkeypatch.setattr(ltrc, "pl_quantile", counting_quantile)
+        q = fit.quantile
+        assert fit.quantile is q and len(calls) == 1
+        for name in ("segment_lo", "segment_hi", "values"):
+            assert np.array_equal(getattr(q, name), getattr(expected, name))
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            lambda d: asymptotic_ci(d, ExponentialSpectrum(1.0)),
+            lambda d: estimate_sigma2(d, ExponentialSpectrum(1.0)),
+            lambda d: edgeworth_diagnostics(d, 0.5),
+        ],
+        ids=["asymptotic_ci", "estimate_sigma2", "edgeworth_diagnostics"],
+    )
+    def test_distribution_without_sample_is_refused(self, analysis):
+        dist = StepDistribution(knots=[1.0, 2.0, 3.0], values=[0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="distribution was not fitted on a sample"):
+            analysis(dist)

@@ -351,5 +351,5 @@ class TestStepDistribution:
             StepDistribution(knots=[1.0, 2.0], values=[0.7, 0.5])
         with pytest.raises(ValueError, match="reach 1"):
             StepDistribution(knots=[1.0], values=[0.9])
-        with pytest.raises(ValueError, match="not fitted"):
+        with pytest.raises(ValueError, match="not fitted on a sample"):
             StepDistribution(knots=[1.0], values=[1.0]).cdf_exact(1.0)
