@@ -52,6 +52,7 @@ from .estimators import (
     build_estimator,
     estimate_emp,
     estimate_prod,
+    srm_from_edges,
     srm_from_quantile,
     srm_from_sorted,
 )

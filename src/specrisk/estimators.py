@@ -24,6 +24,7 @@ from .ltrc import LtrcSample, QuantileFunction, SortedSample, StepDistribution, 
 from .severity import ModelFamily, WindowScheme
 
 __all__ = [
+    "srm_from_edges",
     "srm_from_quantile",
     "srm_from_sorted",
     "estimate_prod",
@@ -42,31 +43,35 @@ __all__ = [
 ]
 
 
-def srm_from_quantile(q: QuantileFunction, spectrum) -> float:
-    """Exact spectral integral of a step quantile function.
+def srm_from_edges(values: np.ndarray, edges: np.ndarray, spectrum):
+    """Spectral integral of the step function ``values`` on the segments between ``edges``.
 
-    Each constant segment contributes value times the closed-form spectrum
-    mass of the segment, so the only numerical error is float rounding.
+    ``values[..., j]`` holds on (edges[..., j], edges[..., j+1]], and the sum
+    along the last axis weights it by the closed-form spectrum mass of that
+    segment, so the only numerical error is float rounding.  Pass C-contiguous
+    edges: in Fortran order np.sum along a row does not add pairwise, and its
+    rounding depends on the row count.
     """
-    weights = spectrum.segment_integral(q.segment_lo, q.segment_hi)
-    return float(np.sum(q.values * weights))
+    return np.sum(values * spectrum.segment_masses(edges), axis=-1)
+
+
+def srm_from_quantile(q: QuantileFunction, spectrum) -> float:
+    """Exact spectral integral of a step quantile function."""
+    edges = np.concatenate((q.segment_lo, q.segment_hi[-1:]))
+    return float(srm_from_edges(q.values, edges, spectrum))
 
 
 def srm_from_sorted(values_sorted: np.ndarray, spectrum) -> float:
     """Spectral integral of the empirical quantile function of sorted data."""
     n = values_sorted.size
-    grid = np.arange(n + 1) / n
-    weights = spectrum.segment_integral(grid[:-1], grid[1:])
-    return float(np.sum(values_sorted * weights))
+    return float(srm_from_edges(values_sorted, np.arange(n + 1) / n, spectrum))
 
 
 def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
     """sum_g x_g * segment_integral(F_b,g-1, F_bg) per row b of ``levels``, for each spectrum."""
-    # column gathers can return Fortran order, in which np.sum along a
-    # row does not add pairwise and its rounding depends on the row count
-    levels = np.ascontiguousarray(levels)
-    lower = np.concatenate((np.zeros((levels.shape[0], 1)), levels[:, :-1]), axis=1)
-    return np.array([np.sum(x * spec.segment_integral(lower, levels), axis=1) for spec in spectra])
+    # column gathers can return Fortran order
+    edges = np.ascontiguousarray(np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1))
+    return np.array([srm_from_edges(x, edges, spec) for spec in spectra])
 
 
 def estimate_prod(sample: LtrcSample, spectrum) -> float:
@@ -307,8 +312,9 @@ class KernelEstimator(SrmEstimator):
         return KernelQuantileSmoother(fit_pl(sample).quantile)
 
     def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
+        phi, smooth = spectrum.phi, ctx.__call__
         value, _ = integrate.quad(
-            lambda u: float(spectrum.phi(u)) * ctx(u),
+            lambda u: phi(u) * smooth(u),
             0.0,
             1.0,
             points=[KERNEL_BANDWIDTH, 1.0 - KERNEL_BANDWIDTH],

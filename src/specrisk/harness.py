@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import EstimationError, SpecriskError
-from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_sorted
+from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_edges
 from .inference import MIN_REPLICATES_FOR_CI, BootstrapPlan, bootstrap_ci
 from .ltrc import LtrcSample
 from .rng import derive_seed
@@ -234,7 +234,8 @@ def _theoretical_targets(
             cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
         )
     )
-    return {k: srm_from_sorted(oracle, ExponentialSpectrum(k)) for k in plan.k_grid}
+    grid = np.arange(oracle.size + 1) / oracle.size  # srm_from_sorted's grid, shared by every k
+    return {k: float(srm_from_edges(oracle, grid, ExponentialSpectrum(k))) for k in plan.k_grid}
 
 
 def _run_cells(plan: ExperimentPlan, cfg: DependentModelConfig | None) -> dict[int, np.ndarray]:

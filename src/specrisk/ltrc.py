@@ -162,7 +162,7 @@ class QuantileFunction:
 
     def __call__(self, p):
         p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr <= 0.0) or np.any(p_arr > 1.0):
+        if not np.all((p_arr > 0.0) & (p_arr <= 1.0)):  # written so that NaN fails too
             raise ValueError("quantile levels must lie in (0, 1]")
         idx = np.searchsorted(self.segment_hi, p_arr, side="left")
         out = self.values[idx]

@@ -92,8 +92,18 @@ class SeverityModel:
 
 def ground_up_quantile(model: SeverityModel, p):
     """Quantile of the ground-up law; defined for p in [0, 1)."""
+    if isinstance(p, float):
+        # quad's callback, without the arrays.  It calls the array path's
+        # routines, not math's: np.log1p, and for Pareto the C pow that
+        # np.float64 ** runs, as Python's float ** does (np.power may take
+        # SIMD code that differs in the last bit)
+        if not 0.0 <= p < 1.0:
+            raise ValueError("quantile level must lie in [0, 1)")
+        if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
+            return model.x0 - model.theta * float(np.log1p(-p))
+        return model.x0 * (1.0 - p) ** (-1.0 / model.alpha)
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):  # written so that NaN fails too
         raise ValueError("quantile level must lie in [0, 1)")
     if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
         out = model.x0 - model.theta * np.log1p(-p_arr)
@@ -153,8 +163,18 @@ def window_quantile(model: SeverityModel, scheme: WindowScheme, p):
     d, u = scheme.deductible, scheme.limit
     if not d > model.x0:
         raise ValueError("deductible must exceed the support left endpoint")
+    if isinstance(p, float):
+        # quad's callback, with ground_up_quantile's routines
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("quantile level must lie in [0, 1]")
+        branch = window_branch_point(model, scheme)
+        if not p < branch:
+            return float(u)
+        if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
+            return d - model.theta * float(np.log1p(-p))
+        return d * (1.0 - p) ** (-1.0 / model.alpha)
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # written so that NaN fails too
         raise ValueError("quantile level must lie in [0, 1]")
     branch = window_branch_point(model, scheme)
     if model.family is ModelFamily.SHIFTED_EXPONENTIAL:

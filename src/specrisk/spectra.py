@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -41,13 +42,23 @@ class ExponentialSpectrum:
     def is_uniform_limit(self) -> bool:
         return self.k == 0.0
 
+    @cached_property
+    def _norm(self) -> float:
+        # 1 - e^-k, the mass of k e^(-k(1-u)) on [0, 1]
+        return float(-np.expm1(-self.k))
+
     def phi(self, u):
         """Weight density at level ``u``."""
+        if isinstance(u, float):
+            # quad's callback: the array path's numpy routines, without the arrays
+            if self.is_uniform_limit:
+                return 1.0
+            return self.k * float(np.exp(-self.k * (1.0 - u))) / self._norm
         u = np.asarray(u, dtype=float)
         if self.is_uniform_limit:
             out = np.ones_like(u)
         else:
-            out = self.k * np.exp(-self.k * (1.0 - u)) / -np.expm1(-self.k)
+            out = self.k * np.exp(-self.k * (1.0 - u)) / self._norm
         return float(out) if out.ndim == 0 else out
 
     def segment_integral(self, a, b):
@@ -56,8 +67,21 @@ class ExponentialSpectrum:
         if self.is_uniform_limit:
             out = b - a
         else:
-            out = (np.exp(-self.k * (1.0 - b)) - np.exp(-self.k * (1.0 - a))) / -np.expm1(-self.k)
+            out = (np.exp(-self.k * (1.0 - b)) - np.exp(-self.k * (1.0 - a))) / self._norm
         return float(out) if out.ndim == 0 else out
+
+    def segment_masses(self, edges):
+        """Integral of phi over each segment between consecutive ``edges`` along the last axis.
+
+        Equal bit for bit to ``segment_integral(edges[..., :-1], edges[..., 1:])``,
+        but neighbouring segments share their ends, so each edge costs one exp
+        instead of two.
+        """
+        edges = np.asarray(edges, dtype=float)
+        if self.is_uniform_limit:
+            return self.segment_integral(edges[..., :-1], edges[..., 1:])
+        _check_segment(edges[..., :-1], edges[..., 1:])
+        return np.diff(np.exp(-self.k * (1.0 - edges))) / self._norm
 
     def decay_integral(self, a, b):
         """Integral of (1-u) phi(u) over [a, b]."""
@@ -67,7 +91,7 @@ class ExponentialSpectrum:
         else:
             k = self.k
             anti = lambda s: (s + 1.0 / k) * np.exp(-k * s)
-            out = (anti(1.0 - b) - anti(1.0 - a)) / -np.expm1(-k)
+            out = (anti(1.0 - b) - anti(1.0 - a)) / self._norm
         return float(out) if out.ndim == 0 else out
 
     def log_moment(self) -> float:
@@ -102,6 +126,8 @@ class ExpectedShortfallSpectrum:
             raise ValueError(f"tail level must lie in [0, 1), got {self.p}")
 
     def phi(self, u):
+        if isinstance(u, float):
+            return 1.0 / (1.0 - self.p) if u >= self.p else 0.0
         u = np.asarray(u, dtype=float)
         out = np.where(u >= self.p, 1.0 / (1.0 - self.p), 0.0)
         return float(out) if out.ndim == 0 else out
@@ -111,6 +137,11 @@ class ExpectedShortfallSpectrum:
         lo = np.maximum(a, self.p)
         out = np.maximum(b - lo, 0.0) / (1.0 - self.p)
         return float(out) if out.ndim == 0 else out
+
+    def segment_masses(self, edges):
+        """Integral of phi over each segment between consecutive ``edges`` along the last axis."""
+        edges = np.asarray(edges, dtype=float)
+        return self.segment_integral(edges[..., :-1], edges[..., 1:])
 
     def decay_integral(self, a, b):
         a, b = _check_segment(a, b)

@@ -329,6 +329,12 @@ class TestQuantile:
         with pytest.raises(ValueError, match="quantile levels"):
             q(1.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), np.array([0.5, np.nan])], ids=["float", "array"])
+    def test_nan_level_rejected(self, p):
+        q = pl_quantile(fit_pl(LtrcSample.from_complete_data([3.0, 1.0, 2.0])))
+        with pytest.raises(ValueError, match=r"quantile levels must lie in \(0, 1\]"):
+            q(p)
+
     def test_galois_inequalities(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

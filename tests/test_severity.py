@@ -63,6 +63,12 @@ class TestGroundUpQuantile:
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 ground_up_quantile(EXP, bad)
 
+    @pytest.mark.parametrize("model", [EXP, PARETO], ids=["exp", "pareto"])
+    @pytest.mark.parametrize("p", [math.nan, np.array([0.5, np.nan])], ids=["float", "array"])
+    def test_nan_level_rejected(self, model, p):
+        with pytest.raises(ValueError, match=r"quantile level must lie in \[0, 1\)"):
+            ground_up_quantile(model, p)
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="theta"):
             SeverityModel.shifted_exponential(1000.0, -1.0)
@@ -93,6 +99,13 @@ class TestWindowQuantile:
             assert np.all(np.diff(q) >= 0)
             branch = window_branch_point(model, WINDOW)
             assert np.all(q[p >= branch] == 14000.0)
+
+    @pytest.mark.parametrize("model", [EXP, PARETO], ids=["exp", "pareto"])
+    @pytest.mark.parametrize("p", [math.nan, np.array([0.5, np.nan])], ids=["float", "array"])
+    def test_nan_level_rejected(self, model, p):
+        # a NaN level compared false against the branch point and read the limit
+        with pytest.raises(ValueError, match=r"quantile level must lie in \[0, 1\]"):
+            window_quantile(model, WINDOW, p)
 
     def test_invalid_scheme(self):
         with pytest.raises(ValueError, match="below the policy limit"):
