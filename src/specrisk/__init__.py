@@ -54,7 +54,6 @@ from .estimators import (
     estimate_prod,
     srm_from_edges,
     srm_from_quantile,
-    srm_from_sorted,
 )
 from .inference import (
     BootstrapPlan,

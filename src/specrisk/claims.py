@@ -84,11 +84,14 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
                 if delta not in (0.0, 1.0):
                     rejected.append((line, f"delta {delta:g} not in {{0, 1}}"))
                     continue
-                if not t <= y:
-                    rejected.append((line, f"truncation {t:g} exceeds value {y:g}"))
-                    continue
                 if not math.isfinite(y):
                     rejected.append((line, "non-finite value"))
+                    continue
+                if math.isnan(t):
+                    rejected.append((line, "truncation value is NaN"))
+                    continue
+                if not t <= y:
+                    rejected.append((line, f"truncation {t:g} exceeds value {y:g}"))
                     continue
                 rows.setdefault(group, []).append((y, t, int(delta)))
             else:

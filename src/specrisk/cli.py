@@ -4,9 +4,9 @@ Every output file embeds the fully resolved configuration and master seed in
 a comment header (CSV) or a ``config`` object (JSON), and reruns with the
 same flags produce byte-identical files regardless of worker count.
 
-Each subcommand resolves its flags and ``SPECRISK_*`` defaults into the
-objects it runs on before any work, so a bad value exits 2 (usage error)
-before a claims file is read, a sample drawn or a worker started.
+Each subcommand resolves its flags into the objects it runs on before any
+work, so a bad value exits 2 (usage error) before a claims file is read, a
+sample drawn or a worker started.
 Unreadable files, claims-file errors and computation failures exit 1.
 """
 
@@ -50,17 +50,12 @@ from .severity import (
 )
 from .spectra import ExponentialSpectrum
 
-ENV_PREFIX = "SPECRISK_"
 DEFAULT_K_GRID = "1,5,10,20,100,200"
-
-
-def _env(name: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
 # ---------------------------------------------------------------------------
 # flag converters: argparse names the flag, exits 2, and also converts the
-# string defaults, so every SPECRISK_* value is checked the same way
+# string defaults
 
 
 def _flag(parse, ok, need: str):
@@ -224,8 +219,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
         rows = [
             [group, *dataclasses.astuple(report)]
             for group, sample in claims.groups.items()
-            for estimator in estimators
-            for report in bootstrap_ci_many(sample, estimator, spectra, plan)
+            for report in bootstrap_ci_many(sample, estimators, spectra, plan)
         ]
         out_dir = Path(args.out)
         _write_table(out_dir, "estimates", _jsonable_config(config), _ESTIMATE_COLUMNS, rows)
@@ -365,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         if seeded:
-            p.add_argument("--seed", type=_SEED, default=_env("seed", "20250101"))
-        p.add_argument("--out", default=_env("out", "specrisk-out"))
-        p.add_argument("--workers", type=_at_least(1), default=_env("workers", "1"))
+            p.add_argument("--seed", type=_SEED, default="20250101")
+        p.add_argument("--out", default="specrisk-out")
+        p.add_argument("--workers", type=_at_least(1), default="1")
 
     est = sub.add_parser("estimate", help="estimate SRMs on a claims file")
     est.add_argument("--input", required=True)
@@ -375,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--deductible", type=float, default=None)
     est.add_argument("--limit", type=float, default=None)
     est.add_argument("--estimators", default="prod")
-    est.add_argument("--k", type=_K_GRID, default=_env("k", DEFAULT_K_GRID))
-    est.add_argument("--bootstrap", type=_at_least(1), default=_env("bootstrap", "1000"))
-    est.add_argument("--level", type=_PROBABILITY, default=_env("level", "0.9"))
+    est.add_argument("--k", type=_K_GRID, default=DEFAULT_K_GRID)
+    est.add_argument("--bootstrap", type=_at_least(1), default="1000")
+    est.add_argument("--level", type=_PROBABILITY, default="0.9")
     est.add_argument("--family", choices=("exp", "pareto"), default=None)
     est.add_argument("--x0", type=_X0, default=None)
     est.add_argument("--p1", type=_PROBABILITY, default=None)
@@ -385,9 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo design")
     sim.add_argument("--design", choices=("iid-exp", "iid-pareto", "dependent"), required=True)
-    sim.add_argument("--n", type=_N_GRID, default=_env("n", "30,100,500"))
-    sim.add_argument("--k", type=_K_GRID, default=_env("k", DEFAULT_K_GRID))
-    sim.add_argument("--reps", type=_at_least(2), default=_env("reps", "1000"))
+    sim.add_argument("--n", type=_N_GRID, default="30,100,500")
+    sim.add_argument("--k", type=_K_GRID, default=DEFAULT_K_GRID)
+    sim.add_argument("--reps", type=_at_least(2), default="1000")
     sim.add_argument("--estimators", default=None)
     sim.add_argument(
         "--mode",
@@ -400,11 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="bootstrap interval coverage study")
     cov.add_argument("--design", choices=("iid-exp", "iid-pareto", "dependent"), default="iid-exp")
-    cov.add_argument("--n", type=_N_GRID, default=_env("n", "100"))
-    cov.add_argument("--k", type=_K_GRID, default=_env("k", "1"))
-    cov.add_argument("--reps", type=_at_least(1), default=_env("reps", "500"))
-    cov.add_argument("--bootstrap", type=_at_least(1), default=_env("bootstrap", "200"))
-    cov.add_argument("--level", type=_PROBABILITY, default=_env("level", "0.9"))
+    cov.add_argument("--n", type=_N_GRID, default="100")
+    cov.add_argument("--k", type=_K_GRID, default="1")
+    cov.add_argument("--reps", type=_at_least(1), default="500")
+    cov.add_argument("--bootstrap", type=_at_least(1), default="200")
+    cov.add_argument("--level", type=_PROBABILITY, default="0.9")
     cov.add_argument(
         "--mode",
         choices=("random-truncation", "fixed-thresholds"),

@@ -26,7 +26,6 @@ from .severity import ModelFamily, WindowScheme
 __all__ = [
     "srm_from_edges",
     "srm_from_quantile",
-    "srm_from_sorted",
     "estimate_prod",
     "estimate_emp",
     "fit_ml_parameter",
@@ -57,14 +56,7 @@ def srm_from_edges(values: np.ndarray, edges: np.ndarray, spectrum):
 
 def srm_from_quantile(q: QuantileFunction, spectrum) -> float:
     """Exact spectral integral of a step quantile function."""
-    edges = np.concatenate((q.segment_lo, q.segment_hi[-1:]))
-    return float(srm_from_edges(q.values, edges, spectrum))
-
-
-def srm_from_sorted(values_sorted: np.ndarray, spectrum) -> float:
-    """Spectral integral of the empirical quantile function of sorted data."""
-    n = values_sorted.size
-    return float(srm_from_edges(values_sorted, np.arange(n + 1) / n, spectrum))
+    return float(srm_from_edges(q.values, q.edges, spectrum))
 
 
 def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
@@ -81,7 +73,7 @@ def estimate_prod(sample: LtrcSample, spectrum) -> float:
 
 def estimate_emp(sample: LtrcSample, spectrum) -> float:
     """Empirical (order-statistic) estimate, ignoring truncation/censoring."""
-    return srm_from_sorted(np.sort(sample.y), spectrum)
+    return EmpEstimator()(sample, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +112,7 @@ class KernelQuantileSmoother:
 
     def __post_init__(self) -> None:
         values = self.q.values
-        knots = self.q.segment_lo[1:]
+        knots = self.q.edges[1:-1]
         d = values[:-1] - values[1:]
         u = (knots - 0.5) / KERNEL_BANDWIDTH
         moments = np.zeros((4, knots.size + 1))
@@ -292,11 +284,12 @@ class ProdEstimator(SrmEstimator):
 class EmpEstimator(SrmEstimator):
     name = "emp"
 
-    def prepare(self, sample: LtrcSample):
-        return np.sort(sample.y)
+    def prepare(self, sample: LtrcSample) -> QuantileFunction:
+        n = len(sample)
+        return QuantileFunction(np.arange(n + 1) / n, np.sort(sample.y))
 
-    def evaluate(self, ctx, spectrum) -> float:
-        return srm_from_sorted(ctx, spectrum)
+    def evaluate(self, ctx: QuantileFunction, spectrum) -> float:
+        return srm_from_quantile(ctx, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         levels = np.cumsum(weights[:, sorted_sample.order], axis=1) / sorted_sample.y.size

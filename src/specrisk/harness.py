@@ -234,7 +234,7 @@ def _theoretical_targets(
             cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
         )
     )
-    grid = np.arange(oracle.size + 1) / oracle.size  # srm_from_sorted's grid, shared by every k
+    grid = np.arange(oracle.size + 1) / oracle.size  # emp's grid, shared by every k
     return {k: float(srm_from_edges(oracle, grid, ExponentialSpectrum(k))) for k in plan.k_grid}
 
 

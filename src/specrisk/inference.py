@@ -92,8 +92,8 @@ def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
     h = n ** (-0.2) * iqr / 1.349
     f_hat = _epanechnikov_density(fit, q.values, h)
 
-    lo = np.maximum(q.segment_lo, VARIANCE_CLIP)
-    hi = np.minimum(q.segment_hi, 1.0 - VARIANCE_CLIP)
+    lo = np.maximum(q.edges[:-1], VARIANCE_CLIP)
+    hi = np.minimum(q.edges[1:], 1.0 - VARIANCE_CLIP)
     live = hi > lo
     if not np.any(live):
         return 0.0
@@ -259,62 +259,65 @@ def bootstrap_ci(
     plan: BootstrapPlan,
 ) -> EstimateReport:
     """Percentile bootstrap interval at one spectrum: see :func:`bootstrap_ci_many`."""
-    return bootstrap_ci_many(sample, estimator, (spectrum,), plan)[0]
+    return bootstrap_ci_many(sample, (estimator,), (spectrum,), plan)[0]
 
 
 def bootstrap_ci_many(
     sample: LtrcSample,
-    estimator: SrmEstimator,
+    estimators,
     spectra,
     plan: BootstrapPlan,
 ) -> list[EstimateReport]:
-    """Percentile bootstrap intervals for one estimator at several spectra.
+    """Percentile bootstrap intervals for several estimators at several spectra.
 
     Observations are resampled as whole (y, t, delta) triples, each
     replicate from a stream derived from ``(plan.seed, replicate index)``,
-    and estimated once for every spectrum, see :func:`_weighted_replicates`.
-    Each report equals that of :func:`bootstrap_ci` at its spectrum.
+    and every estimator estimates each replicate once for every spectrum,
+    see :func:`_weighted_replicates`.  All point estimates come first, and
+    reports run estimator by estimator, then spectrum by spectrum; each
+    equals that of :func:`bootstrap_ci` at its estimator and spectrum.
     Replicates that fail are dropped and counted; more than 10% drops
     refuses the interval.  Intervals are order statistics of the replicates.
     """
-    spectra = tuple(spectra)
+    estimators, spectra = tuple(estimators), tuple(spectra)
     n = len(sample)
 
     # point estimates on the original sample: failures propagate
-    ctx0 = estimator.prepare(sample)
-    points = [estimator.evaluate(ctx0, spec) for spec in spectra]
-    estimates = _weighted_replicates(sample, estimator, spectra, plan)
+    contexts = [estimator.prepare(sample) for estimator in estimators]
+    points = [[e.evaluate(ctx, spec) for spec in spectra] for e, ctx in zip(estimators, contexts)]
+    estimates = _weighted_replicates(sample, estimators, spectra, plan)
 
     reports = []
-    for i, spectrum in enumerate(spectra):
-        reps = np.sort(estimates[i][~np.isnan(estimates[i])])
-        used = reps.size
-        failures = plan.replicates - used
-        if failures > MAX_FAILURE_FRACTION * plan.replicates:
-            raise BootstrapError(
-                f"{failures}/{plan.replicates} bootstrap replicates failed "
-                f"for {estimator.name!r}; interval refused"
+    for estimator, est_points, est_reps in zip(estimators, points, estimates):
+        for spectrum, point, row in zip(spectra, est_points, est_reps):
+            reps = np.sort(row[~np.isnan(row)])
+            used = reps.size
+            failures = plan.replicates - used
+            if failures > MAX_FAILURE_FRACTION * plan.replicates:
+                raise BootstrapError(
+                    f"{failures}/{plan.replicates} bootstrap replicates failed "
+                    f"for {estimator.name!r}; interval refused"
+                )
+            std_error = float(np.std(reps, ddof=1)) if used >= 2 else None
+            ci_low = ci_high = None
+            if used >= MIN_REPLICATES_FOR_CI:
+                alpha = 1.0 - plan.ci_level
+                ci_low = _order_statistic(reps, alpha / 2.0)
+                ci_high = _order_statistic(reps, 1.0 - alpha / 2.0)
+            reports.append(
+                EstimateReport(
+                    estimator=estimator.name,
+                    k=getattr(spectrum, "k", None),
+                    point=point,
+                    std_error=std_error,
+                    ci_low=ci_low,
+                    ci_high=ci_high,
+                    ci_level=plan.ci_level if ci_low is not None else None,
+                    n_effective=n,
+                    replicates_used=used,
+                    replicate_failures=failures,
+                )
             )
-        std_error = float(np.std(reps, ddof=1)) if used >= 2 else None
-        ci_low = ci_high = None
-        if used >= MIN_REPLICATES_FOR_CI:
-            alpha = 1.0 - plan.ci_level
-            ci_low = _order_statistic(reps, alpha / 2.0)
-            ci_high = _order_statistic(reps, 1.0 - alpha / 2.0)
-        reports.append(
-            EstimateReport(
-                estimator=estimator.name,
-                k=getattr(spectrum, "k", None),
-                point=points[i],
-                std_error=std_error,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                ci_level=plan.ci_level if ci_low is not None else None,
-                n_effective=n,
-                replicates_used=used,
-                replicate_failures=failures,
-            )
-        )
     return reports
 
 
@@ -322,24 +325,26 @@ def bootstrap_ci_many(
 _REPLICATE_BLOCK_CELLS = 1 << 14
 
 
-def _weighted_replicates(sample: LtrcSample, estimator, spectra, plan: BootstrapPlan) -> np.ndarray:
-    """Replicate estimates, one row per spectrum, without building a resample.
+def _weighted_replicates(sample: LtrcSample, estimators, spectra, plan: BootstrapPlan) -> np.ndarray:
+    """Replicate estimates without building a resample: [estimator, spectrum, replicate].
 
     Replicate b holds observation j ``w_bj`` times, the count of j among its
-    indices.  ``estimator.replicates`` turns each block of weight rows into
-    estimates on the once-sorted sample, NaN where a replicate fails.  A
-    value does not depend on the block it falls in.
+    indices.  Each block of weight rows is drawn once, and every
+    ``estimator.replicates`` turns it into estimates on the once-sorted
+    sample, NaN where a replicate fails.  A value does not depend on the
+    block it falls in.
     """
     n = len(sample)
     sorted_sample = SortedSample.from_sample(sample)
-    out = np.empty((len(spectra), plan.replicates))
+    out = np.empty((len(estimators), len(spectra), plan.replicates))
     rows = max(1, _REPLICATE_BLOCK_CELLS // n)
     for start in range(0, plan.replicates, rows):
         stop = min(start + rows, plan.replicates)
         idx = np.stack([derive_rng(plan.seed, b).integers(0, n, n) for b in range(start, stop)])
         idx += n * np.arange(stop - start)[:, None]
         weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
-        out[:, start:stop] = estimator.replicates(sorted_sample, weights, spectra)
+        for e, estimator in enumerate(estimators):
+            out[e, :, start:stop] = estimator.replicates(sorted_sample, weights, spectra)
     return out
 
 

@@ -45,6 +45,9 @@ class LtrcSample:
             raise ValueError("observed values must be finite")
         if not np.all((d_arr == 0) | (d_arr == 1)):
             raise ValueError("delta entries must be 0 or 1")
+        nan_t = np.isnan(t_arr)
+        if nan_t.any():
+            raise ValueError(f"observation {int(nan_t.argmax())}: truncation value is NaN")
         if not np.all(t_arr <= y_arr):
             bad = int(np.argmax(t_arr > y_arr))
             raise ValueError(f"observation {bad}: truncation value exceeds observed value")
@@ -133,30 +136,27 @@ class StepDistribution:
 
 @dataclass(frozen=True)
 class QuantileFunction:
-    """Generalized inverse of a :class:`StepDistribution`.
+    """A nondecreasing step quantile function on (0, 1].
 
-    The function is constant on each probability segment
-    ``(segment_lo[j], segment_hi[j]]`` with value ``values[j]``; it is defined
-    on (0, 1] and ``segment_hi[-1] == 1``.
+    The function takes the value ``values[j]`` on the probability segment
+    ``(edges[j], edges[j+1]]``; ``edges`` rises strictly from 0 to 1 and is
+    one element longer than ``values``.
     """
 
-    segment_lo: np.ndarray
-    segment_hi: np.ndarray
+    edges: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.segment_lo, dtype=float)
-        hi = np.asarray(self.segment_hi, dtype=float)
+        edges = np.asarray(self.edges, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "segment_lo", lo)
-        object.__setattr__(self, "segment_hi", hi)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", vals)
-        if not (lo.size == hi.size == vals.size > 0):
-            raise ValueError("segment arrays must be nonempty and aligned")
-        if lo[0] != 0.0 or hi[-1] != 1.0:
-            raise ValueError("segments must cover (0, 1]")
-        if np.any(lo >= hi) or np.any(hi[:-1] != lo[1:]):
-            raise ValueError("segments must be increasing and contiguous")
+        if not (vals.ndim == 1 and vals.size > 0 and edges.shape == (vals.size + 1,)):
+            raise ValueError("edges must be one element longer than a nonempty values array")
+        if edges[0] != 0.0 or edges[-1] != 1.0:
+            raise ValueError("edges must run from 0 to 1")
+        if not np.all(np.diff(edges) > 0):  # written so that NaN fails too
+            raise ValueError("edges must be strictly increasing")
         if np.any(np.diff(vals) < 0):
             raise ValueError("quantile values must be nondecreasing")
 
@@ -164,8 +164,7 @@ class QuantileFunction:
         p_arr = np.asarray(p, dtype=float)
         if not np.all((p_arr > 0.0) & (p_arr <= 1.0)):  # written so that NaN fails too
             raise ValueError("quantile levels must lie in (0, 1]")
-        idx = np.searchsorted(self.segment_hi, p_arr, side="left")
-        out = self.values[idx]
+        out = self.values[np.searchsorted(self.edges, p_arr, side="left") - 1]
         return float(out) if out.ndim == 0 else out
 
 
@@ -336,9 +335,5 @@ def _log_space_cdf(
 
 def pl_quantile(dist: StepDistribution) -> QuantileFunction:
     """Generalized inverse q(p) = inf{x : F(x) >= p} of a step CDF."""
-    mass = dist.jumps()
-    keep = mass > 0
-    hi = dist.values[keep]
-    x = dist.knots[keep]
-    lo = np.concatenate(([0.0], hi[:-1]))
-    return QuantileFunction(segment_lo=lo, segment_hi=hi, values=x)
+    keep = dist.jumps() > 0
+    return QuantileFunction(np.concatenate(([0.0], dist.values[keep])), dist.knots[keep])

@@ -101,7 +101,10 @@ def ground_up_quantile(model: SeverityModel, p):
             raise ValueError("quantile level must lie in [0, 1)")
         if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
             return model.x0 - model.theta * float(np.log1p(-p))
-        return model.x0 * (1.0 - p) ** (-1.0 / model.alpha)
+        try:
+            return model.x0 * (1.0 - p) ** (-1.0 / model.alpha)
+        except OverflowError:  # the array path gives inf
+            return math.inf
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):  # written so that NaN fails too
         raise ValueError("quantile level must lie in [0, 1)")
@@ -172,7 +175,10 @@ def window_quantile(model: SeverityModel, scheme: WindowScheme, p):
             return float(u)
         if model.family is ModelFamily.SHIFTED_EXPONENTIAL:
             return d - model.theta * float(np.log1p(-p))
-        return d * (1.0 - p) ** (-1.0 / model.alpha)
+        try:
+            return d * (1.0 - p) ** (-1.0 / model.alpha)
+        except OverflowError:  # the array path gives inf
+            return math.inf
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # written so that NaN fails too
         raise ValueError("quantile level must lie in [0, 1]")

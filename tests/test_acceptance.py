@@ -156,7 +156,7 @@ def test_criterion_05_expected_shortfall_crosscheck():
         spec = ExpectedShortfallSpectrum(p)
         for _ in range(50):
             q = random_step_quantile(rng, n_segments=int(rng.integers(1, 25)))
-            overlap = np.maximum(q.segment_hi - np.maximum(q.segment_lo, p), 0.0) / (1.0 - p)
+            overlap = np.maximum(q.edges[1:] - np.maximum(q.edges[:-1], p), 0.0) / (1.0 - p)
             direct = float(np.sum(q.values * overlap))
             assert srm_from_quantile(q, spec) == direct
     _report(5, True, "expected-shortfall spectrum equals direct tail averaging, exact")

@@ -21,7 +21,6 @@ from specrisk import (
     estimate_emp,
     estimate_prod,
     srm_from_quantile,
-    srm_from_sorted,
 )
 from specrisk.estimators import (
     KERNEL_BANDWIDTH,
@@ -43,26 +42,25 @@ WINDOW = WindowScheme.fixed(4000.0, 14000.0)
 
 def random_step_quantile(rng: np.random.Generator, n_segments: int = 12) -> QuantileFunction:
     hi = np.sort(rng.uniform(0.0, 1.0, size=n_segments - 1))
-    hi = np.concatenate((hi, [1.0]))
-    lo = np.concatenate(([0.0], hi[:-1]))
+    edges = np.concatenate(([0.0], hi, [1.0]))
     values = np.cumsum(rng.exponential(1.0, size=n_segments))
-    return QuantileFunction(segment_lo=lo, segment_hi=hi, values=values)
+    return QuantileFunction(edges=edges, values=values)
 
 
 class TestSrmFromQuantile:
     def test_constant_is_fixed_point(self):
-        q = QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[7.5])
+        q = QuantileFunction(edges=[0.0, 1.0], values=[7.5])
         for k in K_GRID:
             assert srm_from_quantile(q, ExponentialSpectrum(k)) == pytest.approx(7.5, rel=1e-14)
 
     def test_two_segment_example(self):
-        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
+        q = QuantileFunction(edges=[0.0, 0.5, 1.0], values=[1.0, 2.0])
         spec = ExponentialSpectrum(1.0)
         w2 = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
         assert srm_from_quantile(q, spec) == pytest.approx(1.0 * (1 - w2) + 2.0 * w2, rel=1e-14)
 
     def test_uniform_limit_gives_mean(self):
-        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
+        q = QuantileFunction(edges=[0.0, 0.5, 1.0], values=[1.0, 2.0])
         assert srm_from_quantile(q, ExponentialSpectrum(0.0)) == pytest.approx(1.5, abs=1e-15)
 
     def test_monotone_in_k(self):
@@ -79,7 +77,7 @@ class TestSrmFromQuantile:
             for _ in range(25):
                 q = random_step_quantile(rng)
                 # independent tail-averaging oracle over quantile segments
-                overlap = np.maximum(q.segment_hi - np.maximum(q.segment_lo, p), 0.0) / (1.0 - p)
+                overlap = np.maximum(q.edges[1:] - np.maximum(q.edges[:-1], p), 0.0) / (1.0 - p)
                 direct = float(np.sum(q.values * overlap))
                 assert srm_from_quantile(q, spec) == direct
 
@@ -147,7 +145,8 @@ class TestEmpEstimator:
         values = np.array([4.0, 9.0, 6.0])
         s = LtrcSample(values, np.zeros(3), np.ones(3, dtype=int))
         spec = ExpectedShortfallSpectrum(2.0 / 3.0)
-        assert srm_from_sorted(np.sort(values), spec) == pytest.approx(9.0, rel=1e-14)
+        q = QuantileFunction(edges=np.arange(4) / 3, values=np.sort(values))
+        assert srm_from_quantile(q, spec) == pytest.approx(9.0, rel=1e-14)
         assert estimate_emp(s, spec) == pytest.approx(9.0, rel=1e-14)
 
 
@@ -297,7 +296,7 @@ class TestParametricSrm:
 
 class TestKernelEstimator:
     def test_constant_quantile_is_exact_in_the_interior(self):
-        q = QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[6.0])
+        q = QuantileFunction(edges=[0.0, 1.0], values=[6.0])
         smoother = KernelQuantileSmoother(q)
         for t in (0.4, 0.5, 0.6):
             assert smoother(t) == 6.0
@@ -308,13 +307,13 @@ class TestKernelEstimator:
     def test_smoother_is_set_by_its_quantile_function_alone(self):
         # the bandwidth is the module constant, not a field of the smoother
         assert [f.name for f in dataclasses.fields(KernelQuantileSmoother)] == ["q"]
-        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
+        q = QuantileFunction(edges=[0.0, 0.5, 1.0], values=[1.0, 2.0])
         # a full window t +- h about the single knot weighs both values equally
         assert KernelQuantileSmoother(q)(0.5) == pytest.approx(1.5, rel=1e-15)
         assert 0.0 < KERNEL_BANDWIDTH < 0.5
 
     def test_closed_form_matches_adaptive_quadrature(self):
-        q = QuantileFunction(segment_lo=[0.0, 0.5], segment_hi=[0.5, 1.0], values=[1.0, 2.0])
+        q = QuantileFunction(edges=[0.0, 0.5, 1.0], values=[1.0, 2.0])
         smoother = KernelQuantileSmoother(q)
         t = 0.5
 
@@ -337,8 +336,8 @@ H = KERNEL_BANDWIDTH
 
 def _segment_sum_smoother(q: QuantileFunction, t: float) -> float:
     """Reference smoother: the clipped kernel mass of every segment, summed directly."""
-    lo = np.maximum(q.segment_lo, max(t - H, 0.0))
-    hi = np.minimum(q.segment_hi, min(t + H, 1.0))
+    lo = np.maximum(q.edges[:-1], max(t - H, 0.0))
+    hi = np.minimum(q.edges[1:], min(t + H, 1.0))
     a = np.clip((lo - t) / H, -1.0, 1.0)
     b = np.clip((hi - t) / H, -1.0, 1.0)
     contrib = np.where(b > a, (0.75 * b - 0.25 * b**3) - (0.75 * a - 0.25 * a**3), 0.0)
@@ -365,7 +364,7 @@ def _smoother_points(q: QuantileFunction) -> np.ndarray:
     Past 300 knots an evenly spaced subset of about 300 is taken: the
     reference costs O(n) per point.
     """
-    knots = q.segment_lo[1:]
+    knots = q.edges[1:-1]
     knots = knots[:: max(1, knots.size // 300)]
     ends = [0.0, 1.0, H, 1.0 - H]
     pts = np.concatenate((np.linspace(0.0, 1.0, 301), knots - H, knots + H, ends))
@@ -373,7 +372,7 @@ def _smoother_points(q: QuantileFunction) -> np.ndarray:
 
 
 def _window_has_knots(q: QuantileFunction, pts: np.ndarray) -> np.ndarray:
-    knots = q.segment_lo[1:]
+    knots = q.edges[1:-1]
     return np.searchsorted(knots, pts + H, side="left") > np.searchsorted(knots, pts - H, "right")
 
 
@@ -387,10 +386,9 @@ def smoother_cases():
         "dependent-10500": harness._generate_sample("dependent", "random-truncation", cfg, 10_500, 44),
     }
     return {
-        "one-segment": QuantileFunction(segment_lo=[0.0], segment_hi=[1.0], values=[6.0]),
+        "one-segment": QuantileFunction(edges=[0.0, 1.0], values=[6.0]),
         "tied-values": QuantileFunction(
-            segment_lo=np.concatenate(([0.0], tied_hi[:-1])),
-            segment_hi=tied_hi,
+            edges=np.concatenate(([0.0], tied_hi)),
             values=[-2.0, -2.0, 3.0, 3.0, 3.0, 7.5],
         ),
         "n1-sample": pl_quantile(fit_pl(LtrcSample([1500.0], [1000.0], [1]))),
@@ -419,8 +417,7 @@ class TestKernelSmootherOracle:
         # kernel gives S'(t) = -S(1 - t); the moments about 1/2 see mirrored knots
         q = smoother_cases[name]
         mirrored = QuantileFunction(
-            segment_lo=1.0 - q.segment_hi[::-1],
-            segment_hi=1.0 - q.segment_lo[::-1],
+            edges=1.0 - q.edges[::-1],
             values=-q.values[::-1],
         )
         smoother, reflected = KernelQuantileSmoother(q), KernelQuantileSmoother(mirrored)

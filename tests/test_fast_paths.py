@@ -20,13 +20,12 @@ from specrisk import (
     fit_pl,
     ground_up_quantile,
     srm_from_quantile,
-    srm_from_sorted,
     theoretical_srm,
     window_quantile,
 )
 from specrisk import harness
 from specrisk.estimators import KERNEL_BANDWIDTH, _srm_from_levels
-from specrisk.ltrc import SortedSample
+from specrisk.ltrc import QuantileFunction, SortedSample
 from specrisk.severity import window_branch_point
 
 from conftest import random_ltrc_sample
@@ -150,10 +149,9 @@ class TestEdgeMasses:
     def test_srm_from_quantile(self, seed):
         rng = np.random.default_rng(seed)
         q = fit_pl(random_ltrc_sample(rng, int(rng.integers(1, 300)), tie_prob=0.3)).quantile
-        edges = np.concatenate((q.segment_lo, q.segment_hi[-1:]))
         for spec in _spectra():
-            masses = spec.segment_integral(q.segment_lo, q.segment_hi)
-            assert np.array_equal(spec.segment_masses(edges), masses)
+            masses = spec.segment_integral(q.edges[:-1], q.edges[1:])
+            assert np.array_equal(spec.segment_masses(q.edges), masses)
             assert srm_from_quantile(q, spec) == float(np.sum(q.values * masses))
 
     def test_srm_from_sorted_on_the_oracle_grid(self):
@@ -164,7 +162,8 @@ class TestEdgeMasses:
             spec = ExponentialSpectrum(k)
             masses = spec.segment_integral(grid[:-1], grid[1:])
             assert np.array_equal(spec.segment_masses(grid), masses)
-            assert srm_from_sorted(values, spec) == float(np.sum(values * masses))
+            q = QuantileFunction(grid, values)
+            assert srm_from_quantile(q, spec) == float(np.sum(values * masses))
 
     @pytest.mark.parametrize("n", [30, 250, 1000])
     def test_srm_from_levels(self, n):

@@ -367,7 +367,7 @@ class TestBootstrap:
         s = random_ltrc_sample(rng, 45)
         plan = BootstrapPlan(replicates=80, seed=21)
         spectra = [ExponentialSpectrum(k) for k in (1.0, 10.0, 100.0)]
-        shared = bootstrap_ci_many(s, ProdEstimator(), spectra, plan)
+        shared = bootstrap_ci_many(s, [ProdEstimator()], spectra, plan)
         for spec, report in zip(spectra, shared):
             assert report == bootstrap_ci(s, ProdEstimator(), spec, plan)
 
@@ -474,7 +474,7 @@ class TestWeightedReplicates:
     def test_matches_refit_loop(self, name, family, sample_name):
         estimator, s = _case(name, family, sample_name)
         plan = BootstrapPlan(replicates=60, seed=17)
-        fast = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
+        fast = inference._weighted_replicates(s, [estimator], _REPLICATE_SPECTRA, plan)[0]
         slow, _, _ = _refit_loop(s, estimator, _REPLICATE_SPECTRA, plan)
         assert np.array_equal(np.isnan(fast), np.isnan(slow))
         rtol = 1e-8 if name == "kernel" else 1e-12
@@ -483,7 +483,7 @@ class TestWeightedReplicates:
         failures = np.isnan(slow).sum(axis=1)
         over_budget = failures.max() > inference.MAX_FAILURE_FRACTION * plan.replicates
         try:
-            reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
+            reports = bootstrap_ci_many(s, [estimator], _REPLICATE_SPECTRA, plan)
         except BootstrapError:
             assert over_budget
             return
@@ -530,12 +530,40 @@ class TestWeightedReplicates:
         family = ModelFamily.PARETO_I if name in ("ml", "pm") else None
         estimator, s = _case(name, family, "pareto-window" if family else "random-ties")
         plan = BootstrapPlan(replicates=70, seed=5)
-        one_block = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
-        one_block_reports = bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan)
+        one_block = inference._weighted_replicates(s, [estimator], _REPLICATE_SPECTRA, plan)
+        one_block_reports = bootstrap_ci_many(s, [estimator], _REPLICATE_SPECTRA, plan)
         monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", len(s))  # one replicate per block
-        blocked = inference._weighted_replicates(s, estimator, _REPLICATE_SPECTRA, plan)
+        blocked = inference._weighted_replicates(s, [estimator], _REPLICATE_SPECTRA, plan)
         assert np.array_equal(blocked, one_block)
-        assert bootstrap_ci_many(s, estimator, _REPLICATE_SPECTRA, plan) == one_block_reports
+        assert bootstrap_ci_many(s, [estimator], _REPLICATE_SPECTRA, plan) == one_block_reports
+
+    @pytest.mark.parametrize("block_cells", [inference._REPLICATE_BLOCK_CELLS, 3 * 40])
+    def test_one_pass_matches_each_estimator_alone(self, monkeypatch, block_cells):
+        # every estimator reads the shared weight blocks as it would read its own
+        monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", block_cells)
+        s = _WINDOW_SAMPLES["exp-window"]
+        family = ModelFamily.SHIFTED_EXPONENTIAL
+        all_five = [build_estimator(name, WINDOW, family, 1000.0) for name in ESTIMATOR_NAMES]
+        plan = BootstrapPlan(replicates=70, seed=5)
+        shared = inference._weighted_replicates(s, all_five, _REPLICATE_SPECTRA, plan)
+        alone = [inference._weighted_replicates(s, [e], _REPLICATE_SPECTRA, plan)[0] for e in all_five]
+        assert np.array_equal(shared, np.stack(alone))
+        reports = bootstrap_ci_many(s, all_five, _REPLICATE_SPECTRA, plan)
+        assert reports == [
+            r for e in all_five for r in bootstrap_ci_many(s, [e], _REPLICATE_SPECTRA, plan)
+        ]
+        assert [r.estimator for r in reports] == [n for n in ESTIMATOR_NAMES for _ in _REPLICATE_SPECTRA]
+
+    def test_point_estimates_come_before_intervals(self):
+        # the exponential ml interval is refused (see test_failure_budget_enforced),
+        # but the Pareto ml point estimate after it fails first: alpha < 1
+        s = _WINDOW_SAMPLES["no-interior"]
+        ml_exp, ml_pareto = (MlEstimator(WINDOW, family, 1000.0) for family in ModelFamily)
+        plan = BootstrapPlan(replicates=100, seed=2)
+        with pytest.raises(BootstrapError, match="interval refused"):
+            bootstrap_ci_many(s, [ml_exp], [ExponentialSpectrum(1.0)], plan)
+        with pytest.raises(EstimationError, match="the spectral integral diverges"):
+            bootstrap_ci_many(s, [ml_exp, ml_pareto], [ExponentialSpectrum(1.0)], plan)
 
 
 class TestAsymptoticCi:
@@ -640,7 +668,7 @@ class TestSharedFit:
         monkeypatch.setattr(ltrc, "pl_quantile", counting_quantile)
         q = fit.quantile
         assert fit.quantile is q and len(calls) == 1
-        for name in ("segment_lo", "segment_hi", "values"):
+        for name in ("edges", "values"):
             assert np.array_equal(getattr(q, name), getattr(expected, name))
 
     @pytest.mark.parametrize(

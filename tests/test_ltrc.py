@@ -12,7 +12,7 @@ from specrisk import (
     pl_quantile,
 )
 from specrisk import harness
-from specrisk.ltrc import SortedSample
+from specrisk.ltrc import QuantileFunction, SortedSample
 
 from conftest import pl_cdf_bruteforce, random_ltrc_sample
 
@@ -27,6 +27,8 @@ class TestSampleTypes:
             LtrcSample([1.0], [2.0], [1])
         with pytest.raises(ValueError, match="0 or 1"):
             LtrcSample([1.0], [0.0], [3])
+        with pytest.raises(ValueError, match="observation 1: truncation value is NaN"):
+            LtrcSample([1.0, 2.0], [0.0, np.nan], [1, 1])
 
     def test_sample_arrays_are_immutable(self):
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
@@ -334,6 +336,27 @@ class TestQuantile:
         q = pl_quantile(fit_pl(LtrcSample.from_complete_data([3.0, 1.0, 2.0])))
         with pytest.raises(ValueError, match=r"quantile levels must lie in \(0, 1\]"):
             q(p)
+
+    @pytest.mark.parametrize(
+        "edges, values, message",
+        [
+            ([0.0, 1.0], [1.0, 2.0], "one element longer"),
+            ([0.0, 0.5, 0.7, 1.0], [1.0, 2.0], "one element longer"),
+            ([0.0, 1.0], [], "one element longer"),
+            ([0.0, 0.5], [1.0], "from 0 to 1"),
+            ([0.1, 1.0], [1.0], "from 0 to 1"),
+            ([np.nan, 1.0], [1.0], "from 0 to 1"),
+            ([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+            ([0.0, 0.6, 0.4, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+            ([0.0, np.nan, 1.0], [1.0, 2.0], "strictly increasing"),
+            ([0.0, 0.5, 1.0], [2.0, 1.0], "nondecreasing"),
+        ],
+        ids=["short-edges", "long-edges", "no-values", "below-1", "above-0", "nan-end",
+             "tied-edges", "falling-edges", "nan-edge", "falling-values"],
+    )
+    def test_quantile_function_refuses_bad_steps(self, edges, values, message):
+        with pytest.raises(ValueError, match=message):
+            QuantileFunction(edges, values)
 
     def test_galois_inequalities(self):
         rng = np.random.default_rng(21)

@@ -69,6 +69,13 @@ class TestGroundUpQuantile:
         with pytest.raises(ValueError, match=r"quantile level must lie in \[0, 1\)"):
             ground_up_quantile(model, p)
 
+    def test_overflow_gives_inf_as_the_array_path_does(self):
+        model = SeverityModel.pareto_i(1000.0, 0.001)
+        with np.errstate(over="ignore"):
+            array_value = ground_up_quantile(model, np.array([0.9]))
+        assert array_value.tolist() == [math.inf]
+        assert ground_up_quantile(model, 0.9) == math.inf
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="theta"):
             SeverityModel.shifted_exponential(1000.0, -1.0)
@@ -106,6 +113,14 @@ class TestWindowQuantile:
         # a NaN level compared false against the branch point and read the limit
         with pytest.raises(ValueError, match=r"quantile level must lie in \[0, 1\]"):
             window_quantile(model, WINDOW, p)
+
+    def test_overflow_gives_inf_without_a_limit(self):
+        model = SeverityModel.pareto_i(1000.0, 0.001)
+        scheme = WindowScheme.fixed(4000.0, math.inf)
+        with np.errstate(over="ignore"):
+            array_value = window_quantile(model, scheme, np.array([0.9]))
+        assert array_value.tolist() == [math.inf]
+        assert window_quantile(model, scheme, 0.9) == math.inf
 
     def test_invalid_scheme(self):
         with pytest.raises(ValueError, match="below the policy limit"):
@@ -365,6 +380,10 @@ class TestTheoreticalSrm:
     def test_nonfinite_quantile_rejected(self):
         with pytest.raises(NumericalError, match="not finite"):
             theoretical_srm(lambda p: math.inf, ExponentialSpectrum(1.0))
+        # a Pareto quantile that overflows a double at the clipped level
+        model = SeverityModel.pareto_i(1000.0, 0.001)
+        with pytest.raises(NumericalError, match="not finite"):
+            theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(1.0))
 
 
 class TestMarginalOracle:
