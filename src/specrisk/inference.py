@@ -37,8 +37,6 @@ __all__ = [
 
 # a smoothed density below this inside the clipped range is refused
 DENSITY_FLOOR = 1e-12
-# evaluation points per block of the banded density sum
-_DENSITY_BLOCK = 64
 # the probability square of the variance integral is clipped to
 # [VARIANCE_CLIP, 1 - VARIANCE_CLIP]: its 1/density factors blow up at the edges
 VARIANCE_CLIP = 1e-3
@@ -114,40 +112,60 @@ def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
 def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
     """Kernel smoothing of a step distribution's jumps, evaluated at ``at``.
 
-    The kernel vanishes beyond +-h, so a block of evaluation points reaches
-    only the band of knots within h of it (widened by a relative 1e-9, far
-    above rounding).  The kernel is quadratic in the point x, so a block
-    spanning at most h is summed by prefix moments (Fan & Marron 1994): with
-    c its midpoint, z = (x - c)/h and u = (k - c)/h, the kernel sum at x is
-    (1 - z^2) S0 + 2z S1 - S2, where Sp sums w u^p over the knots within h of
-    x, at O(band + block log band).  The span limit keeps |z| <= 1/2 and the
-    cancellation small; a wider block, found where knots are sparse and its
-    band is small, sums the band directly at O(block * band).
+    The kernel vanishes beyond +-h and is quadratic in the point x, so the
+    sum over the knots of the open window (x - h, x + h) comes from prefix
+    sums of moments (Fan & Marron 1994), in one pass over all points.  The
+    knots fall into cells of width 2h, and each knot's moments w, w u and
+    w u^2 take u = (k - c)/h about its cell's centre c, so |u| <= 1.  A
+    window, found by two ``searchsorted`` calls, meets at most two cells (a
+    third only by rounding) and splits into pieces inside one cell each.  A
+    piece sums to (1 - z^2) S0 + 2z S1 - S2 with z = (x - c)/h and |z| <= 2,
+    so the cancellation stays small.  The prefix sums carry their rounding
+    errors (TwoSum), so a piece's sums are accurate to its own mass rather
+    than to the total.  The cost is O(knots + points log knots).
     """
     jumps = dist.jumps()
     knots = dist.knots
-    reach = h + 1e-9 * (h + float(np.max(np.abs(at))))
-    out = np.empty(at.size)
-    for start in range(0, at.size, _DENSITY_BLOCK):
-        block = at[start : start + _DENSITY_BLOCK]
-        first, last = float(block.min()), float(block.max())
-        lo = np.searchsorted(knots, first - reach, side="left")
-        hi = np.searchsorted(knots, last + reach, side="right")
-        k, w = knots[lo:hi], jumps[lo:hi]
-        if last - first <= h:
-            c = 0.5 * (first + last)
-            u = (k - c) / h
-            prefix = np.zeros((3, k.size + 1))
-            np.cumsum([w, w * u, w * u * u], axis=1, out=prefix[:, 1:])
-            # the kernel is zero at |x - k| = h, so each window is open
-            upper = prefix[:, np.searchsorted(k, block + h, side="left")]
-            s0, s1, s2 = upper - prefix[:, np.searchsorted(k, block - h, side="right")]
-            z = (block - c) / h
-            out[start : start + _DENSITY_BLOCK] = 0.75 * ((1.0 - z * z) * s0 + 2.0 * z * s1 - s2) / h
-        else:
-            v = (block[:, None] - k[None, :]) / h
-            kern = np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
-            out[start : start + _DENSITY_BLOCK] = kern @ w / h
+    m = knots.size
+    cell = np.floor((knots - knots[0]) / (2.0 * h))
+    centre = knots[0] + (cell + 0.5) * (2.0 * h)
+    u = (knots - centre) / h
+    sums = _compensated_prefix_sums(np.stack((jumps, jumps * u, jumps * u * u)))
+    # one past the last knot of each knot's cell, and m for the end itself
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
+    stops = np.append(np.flatnonzero(first)[1:], m)
+    cell_end = np.append(stops[np.cumsum(first) - 1], m)
+    centre = np.append(centre, 0.0)  # read only by empty pieces at the end
+
+    # the kernel is zero at |x - k| = h, so each window is open
+    lo = np.searchsorted(knots, at - h, side="right")
+    hi = np.searchsorted(knots, at + h, side="left")
+    cut = np.minimum(cell_end[lo], hi)
+    cut2 = np.minimum(cell_end[cut], hi)
+    # a third piece arises only by rounding; most calls have none to gather
+    bounds = np.stack((lo, cut, cut2, hi) if np.any(cut2 < hi) else (lo, cut, hi))
+    ends = np.take(sums, bounds, axis=1)
+    piece = ends[:, 1:] - ends[:, :-1]
+    s0, s1, s2 = piece[:3] + piece[3:]
+    z = (at - centre[bounds[:-1]]) / h
+    return 0.75 * np.sum((1.0 - z * z) * s0 + 2.0 * z * s1 - s2, axis=0) / h
+
+
+def _compensated_prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """Prefix sums of each row, with a leading zero column, stacked on their rounding errors.
+
+    ``np.cumsum`` adds sequentially, and TwoSum recovers the exact error of
+    each addition; the lower half of the result sums those errors.  A
+    difference of two prefix sums plus the difference of their error sums
+    is then accurate to the terms between them, not to the total.
+    """
+    k, m = rows.shape
+    out = np.zeros((2 * k, m + 1))
+    prefix, carry = out[:k], out[k:]
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    before, after = prefix[:, :-1], prefix[:, 1:]
+    added = after - before
+    np.cumsum((before - (after - added)) + (rows - added), axis=1, out=carry[:, 1:])
     return out
 
 

@@ -67,8 +67,21 @@ class LtrcSample:
         return self.y.size
 
     def sorted_order(self) -> np.ndarray:
-        """Indices sorting by y, uncensored before censored at equal y."""
-        return np.lexsort((-self.delta, self.y))
+        """Indices sorting by y; at equal y, uncensored first, then by original index.
+
+        This is ``np.lexsort((-delta, y))``, with -0.0 and 0.0 equal.  After
+        one float sort, each index gets the integer key
+        (2 * run + 1 - delta) * n + index, with ``run`` counting the distinct
+        y below it.  The keys are distinct, so any sort of them, stable or
+        not, gives this one order, and numpy's unstable sorts of floats and
+        integers are several times faster than ``lexsort``.
+        """
+        n = self.y.size
+        by_y = np.argsort(self.y)
+        ys = self.y[by_y]
+        run = np.cumsum(np.concatenate(([False], ys[1:] != ys[:-1])))
+        key = (2 * run + (1 - self.delta[by_y])) * n + by_y
+        return by_y[np.argsort(key)]
 
 
 @dataclass(frozen=True)
@@ -197,12 +210,14 @@ class SortedSample:
         # tied t need no order: prefix sums are read only past the last of a tie
         t_order = np.argsort(sample.t)
         entered = np.searchsorted(sample.t[t_order], ys, side="right")
-        passed = np.searchsorted(ys, ys, side="left")
+        first = np.concatenate(([True], ys[1:] != ys[:-1]))
+        starts = np.flatnonzero(first)
+        passed = starts[np.cumsum(first) - 1]  # the start of each position's run
         return cls(
             order=order,
             y=ys,
             delta=sample.delta[order],
-            starts=np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))),
+            starts=starts,
             t_order=t_order,
             entered=entered,
             passed=passed,

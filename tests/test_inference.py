@@ -188,13 +188,17 @@ def _dense_epanechnikov_density(dist, at, h, chunk=256):
 @pytest.fixture(scope="module")
 def density_samples():
     cfg = harness.default_dependent_config()
-    return {
+    samples = {
         "iid-exp-2000": harness._generate_sample("iid-exp", "random-truncation", None, 2000, 31),
         "dependent-10500": harness._generate_sample(
             "dependent", "random-truncation", cfg, 10_500, 32
         ),
         "ties": random_ltrc_sample(np.random.default_rng(33), 400, tie_prob=0.8),
     }
+    for shift in (1e6, -1e6):
+        s = samples["dependent-10500"]
+        samples[f"dependent-10500{shift:+g}"] = LtrcSample(s.y + shift, s.t + shift, s.delta)
+    return samples
 
 
 class TestBandedDensity:
@@ -207,6 +211,9 @@ class TestBandedDensity:
             ("iid-exp-2000", "tiny"),
             ("ties", "tiny"),
             ("iid-exp-2000", "wider-than-range"),
+            # far from 0 the moments must be taken about nearby centres
+            ("dependent-10500+1e+06", "default"),
+            ("dependent-10500-1e+06", "default"),
         ],
     )
     def test_matches_dense_kernel_sum(self, density_samples, name, bandwidth):
@@ -234,7 +241,46 @@ class TestBandedDensity:
         assert np.all(banded[oracle == 0.0] == 0.0)
         assert np.all(np.abs(banded - oracle) <= 1e-13 * np.abs(oracle))
 
-    @pytest.mark.parametrize("name", ["iid-exp-2000", "ties"])
+    def test_window_is_open(self):
+        # integer knots, points and h: each x - h and x + h is exact, so the
+        # points at knot +- h must leave that knot out, and no rounding
+        # residue of its moments (z and u are thirds) may stand in for its zero
+        h = 3.0
+        dist = StepDistribution([0.0, 1.0, 2.0, 10.0, 20.0], [0.125, 0.25, 0.5, 0.75, 1.0])
+        at = np.arange(-4.0, 25.0)
+        density = inference._epanechnikov_density(dist, at, h)
+        for x, value in zip(at.tolist(), density.tolist()):
+            exact = _fraction_density(dist, x, h)
+            if exact == 0:
+                assert value == 0.0, x
+            else:
+                assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact, x
+
+    def test_window_meeting_three_cells(self):
+        # a and b lie less than 2h apart, but rounding puts them in cells two
+        # apart, so the window at x meets three cells: the one case that
+        # gathers a third piece
+        k0, h = -1.7707971766946446, 0.3603254483921724
+        a, b, x = 0.3911555136583897, 1.1118064104427343, 0.751480962050562
+        dist = StepDistribution([k0, a, 0.75, b], [0.25, 0.5, 0.75, 1.0])
+        cells = np.floor((dist.knots - k0) / (2.0 * h))
+        assert cells[3] - cells[1] == 2 and Fraction(b) - Fraction(a) < 2 * Fraction(h)
+        assert x - h < a and b < x + h
+        density = inference._epanechnikov_density(dist, np.array([x]), h)
+        exact = _fraction_density(dist, x, h)
+        assert abs(Fraction(float(density[0])) - exact) <= Fraction(1e-13) * exact
+
+    def test_one_knot(self):
+        h = 3.0
+        dist = StepDistribution([2.0], [1.0])
+        at = np.arange(-2.0, 7.0)
+        v = (at - 2.0) / h
+        expected = np.where(np.abs(v) < 1.0, 0.75 * (1.0 - v * v) / h, 0.0)
+        density = inference._epanechnikov_density(dist, at, h)
+        assert np.all(density[expected == 0.0] == 0.0)
+        assert density == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["iid-exp-2000", "dependent-10500", "ties"])
     def test_sigma2_matches_dense_kernel_sum(self, density_samples, monkeypatch, name):
         s = density_samples[name]
         spectra = [ExponentialSpectrum(k) for k in (0.0, 1.0, 200.0)]
@@ -285,8 +331,10 @@ class TestDensityOracle:
         at = np.sort(np.concatenate((q.values, 0.5 * (q.values[1:] + q.values[:-1]), beyond)))
         density = inference._epanechnikov_density(dist, at, h)
 
-        # a block of sorted points spanning at most h is summed by moments
-        block = inference._DENSITY_BLOCK
+        # blocks of 64 sorted points: those spanning at most h lie where the
+        # knots are dense, the others where they are sparse, and points of both
+        # kinds are checked
+        block = 64
         starts = np.arange(0, at.size, block)
         spans = np.maximum.reduceat(at, starts) - np.minimum.reduceat(at, starts)
         by_moments = np.repeat(spans <= h, block)[: at.size]

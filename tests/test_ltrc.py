@@ -1,5 +1,6 @@
 """Tests for the product-limit core: risk sets, fits, quantile inversion."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,88 @@ class TestSampleTypes:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError):
             s.y[0] = 5.0
+
+
+def _lexsort_sorted_sample(sample):
+    """The sorted sample built by ``np.lexsort`` and one binary search per position."""
+    order = np.lexsort((-sample.delta, sample.y))
+    ys = sample.y[order]
+    t_order = np.argsort(sample.t)
+    entered = np.searchsorted(sample.t[t_order], ys, side="right")
+    passed = np.searchsorted(ys, ys, side="left")
+    return SortedSample(
+        order=order,
+        y=ys,
+        delta=sample.delta[order],
+        starts=np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))),
+        t_order=t_order,
+        entered=entered,
+        passed=passed,
+        risk=entered - passed,
+    )
+
+
+_TIE_PROBS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_SORT_ORDER_NAMES = [f"tie-prob-{p}-{i}" for p in _TIE_PROBS for i in range(4)] + [
+    "all-equal", "signed-zeros", "n=1", "n=10500", "dependent-10500",
+]
+
+
+@pytest.fixture(scope="module")
+def sort_order_samples():
+    rng = np.random.default_rng(23)
+    samples = {
+        f"tie-prob-{p}-{i}": random_ltrc_sample(rng, 300, tie_prob=p)
+        for p in _TIE_PROBS
+        for i in range(4)
+    }
+    samples["all-equal"] = LtrcSample([2.0] * 7, [0.0] * 7, [0, 1, 0, 1, 1, 0, 1])
+    samples["signed-zeros"] = LtrcSample(
+        [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0, 0.0], [-2.0] * 8, [0, 1, 1, 0, 1, 1, 1, 0]
+    )
+    samples["n=1"] = LtrcSample([4.0], [1.0], [0])
+    samples["n=10500"] = random_ltrc_sample(rng, 10_500, tie_prob=0.3)
+    cfg = harness.default_dependent_config()
+    samples["dependent-10500"] = harness._generate_sample(
+        "dependent", "random-truncation", cfg, 10_500, 32
+    )
+    return samples
+
+
+@pytest.mark.parametrize("name", _SORT_ORDER_NAMES)
+class TestSortedOrder:
+    """The composite-key sort against ``lexsort``: the same permutation, exactly."""
+
+    def test_matches_lexsort(self, sort_order_samples, name):
+        s = sort_order_samples[name]
+        assert np.array_equal(s.sorted_order(), np.lexsort((-s.delta, s.y)))
+
+    def test_sorted_sample_matches_lexsort_build(self, sort_order_samples, name):
+        sample = sort_order_samples[name]
+        s, ref = SortedSample.from_sample(sample), _lexsort_sorted_sample(sample)
+        assert np.array_equal(s.passed, np.searchsorted(s.y, s.y, side="left"))
+        for f in dataclasses.fields(SortedSample):
+            assert np.array_equal(getattr(s, f.name), getattr(ref, f.name)), f.name
+        # array_equal takes -0.0 == 0.0; the signs of tied zeros follow the order too
+        assert np.array_equal(np.signbit(s.y), np.signbit(ref.y))
+
+    def test_fit_matches_lexsort_build(self, sort_order_samples, name, monkeypatch):
+        sample = sort_order_samples[name]
+        d = fit_pl(sample)
+        monkeypatch.setattr(
+            SortedSample, "from_sample", classmethod(lambda cls, x: _lexsort_sorted_sample(x))
+        )
+        ref = fit_pl(sample)
+        assert np.array_equal(d.knots, ref.knots)
+        assert np.array_equal(d.values, ref.values)
+        assert d.zero_factor_count == ref.zero_factor_count
+
+
+def test_sorted_order_matches_lexsort_on_small_tied_samples():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        s = random_ltrc_sample(rng, int(rng.integers(1, 80)), tie_prob=float(rng.random()))
+        assert np.array_equal(s.sorted_order(), np.lexsort((-s.delta, s.y)))
 
 
 class TestFitPl:
