@@ -187,6 +187,9 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     if args.format == "raw" and scheme is None:
         raise ValueError("raw claims need --deductible/--limit")
     names = tuple(args.estimators.split(","))
+    for label, grid in (("estimators", names), ("risk-aversion coefficients", args.k.values)):
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"{label} must not repeat, got {','.join(map(str, grid))}")
     if args.p1 is not None and "pm" not in names:
         raise ValueError("--p1 applies only to the pm estimator")
     p1 = 0.5 if args.p1 is None else args.p1

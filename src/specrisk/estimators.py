@@ -106,6 +106,11 @@ class KernelQuantileSmoother:
     The constructor does O(n) numpy set-up; a call is two bisections and a
     few float operations.  The tests hold it within 1e-13 max|v| of summing
     every segment directly.
+
+    A call also stores its value by level.  A value depends on the level
+    alone, and ``quad`` bisects the same break points for every spectrum, so
+    the integrals of one sample at several k meet the same levels again and
+    read them from the table.  The table lives as long as the smoother.
     """
 
     q: QuantileFunction
@@ -121,15 +126,26 @@ class KernelQuantileSmoother:
         set_(self, "_knots", knots.tolist())
         set_(self, "_moments", tuple(moments.tolist()))
         set_(self, "_ends", (float(values[0]), float(values[-1])))
+        set_(self, "_table", {})
 
     def __call__(self, t: float) -> float:
+        table = self._table
+        total = table.get(t)
+        if total is not None:
+            return total
         h = KERNEL_BANDWIDTH
         knots = self._knots
         lo = bisect_right(knots, t - h)
         hi = bisect_left(knots, t + h, lo)
         v_first, v_last = self._ends
         p0, p1, p2, p3 = self._moments
-        total = v_last * _clipped_g((1.0 - t) / h) - v_first * _clipped_g(-t / h)
+        # G(v) = 0.75v - 0.25v^3 clipped to |v| <= 1 at both ends of [0, 1]: it hits
+        # exactly +-0.5 at +-1, so a full window has unit mass
+        right = min(1.0, max(-1.0, (1.0 - t) / h))
+        left = min(1.0, max(-1.0, -t / h))
+        total = v_last * (0.75 * right - 0.25 * right * right * right) - v_first * (
+            0.75 * left - 0.25 * left * left * left
+        )
         total += 0.5 * (p0[-1] - p0[hi] - p0[lo])
         if lo < hi:
             z = (t - 0.5) / h
@@ -138,13 +154,8 @@ class KernelQuantileSmoother:
             total += 0.75 * (m1 - z * m0) - 0.25 * (
                 m3 - 3.0 * z * m2 + 3.0 * z * z * m1 - z * z * z * m0
             )
+        table[t] = total
         return total
-
-
-def _clipped_g(v: float) -> float:
-    # 0.75v - 0.25v^3: hits exactly +-0.5 at +-1, so a full window has unit mass
-    v = min(1.0, max(-1.0, v))
-    return 0.75 * v - 0.25 * v * v * v
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +329,13 @@ class KernelEstimator(SrmEstimator):
         return float(value)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
+        # one smoother at a time, so that one table is alive at a time
         x = sorted_sample.y[sorted_sample.starts]
-        dists = [StepDistribution(x, cdf) for cdf in sorted_sample.pl_cdf(weights)]
-        smoothers = [KernelQuantileSmoother(d.quantile) for d in dists]
-        return np.array([[self.evaluate(ctx, spec) for ctx in smoothers] for spec in spectra])
+        out = np.empty((len(spectra), weights.shape[0]))
+        for b, cdf in enumerate(sorted_sample.pl_cdf(weights)):
+            ctx = KernelQuantileSmoother(StepDistribution(x, cdf).quantile)
+            out[:, b] = [self.evaluate(ctx, spec) for spec in spectra]
+        return out
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,13 @@ class ExperimentPlan:
             raise ValueError(f"sample sizes must be at most {MAX_SAMPLE_SIZE}")
         if not all(math.isfinite(k) and k >= 0 for k in self.k_grid):
             raise ValueError("risk-aversion coefficients must be finite and nonnegative")
+        for label, grid in (
+            ("sample sizes", self.n_grid),
+            ("risk-aversion coefficients", self.k_grid),
+            ("estimators", self.estimators or ()),
+        ):
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{label} must not repeat, got {','.join(map(str, grid))}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.mode not in ("random-truncation", "fixed-thresholds"):

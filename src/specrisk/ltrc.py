@@ -11,7 +11,7 @@ one-step survival factors over risk sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -29,7 +29,10 @@ __all__ = [
 
 
 class LtrcSample:
-    """An LTRC sample held as aligned, write-locked numpy arrays."""
+    """An LTRC sample held as aligned, write-locked numpy arrays.
+
+    Its attributes cannot be assigned or deleted, as with a frozen dataclass.
+    """
 
     __slots__ = ("y", "t", "delta")
 
@@ -56,6 +59,16 @@ class LtrcSample:
         object.__setattr__(self, "y", y_arr)
         object.__setattr__(self, "t", t_arr)
         object.__setattr__(self, "delta", d_arr)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which validates and write-locks again
+        return LtrcSample, (self.y, self.t, self.delta)
 
     @classmethod
     def from_complete_data(cls, values: Sequence[float]) -> "LtrcSample":

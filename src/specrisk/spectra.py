@@ -77,11 +77,16 @@ class ExponentialSpectrum:
         but neighbouring segments share their ends, so each edge costs one exp
         instead of two.
         """
-        edges = np.asarray(edges, dtype=float)
-        if self.is_uniform_limit:
-            return self.segment_integral(edges[..., :-1], edges[..., 1:])
-        _check_segment(edges[..., :-1], edges[..., 1:])
-        return np.diff(np.exp(-self.k * (1.0 - edges))) / self._norm
+        edges = _check_edges(edges)
+        if self.is_uniform_limit or edges.shape[-1] < 2:
+            # b - a; with no segment, no exp of an edge that bounds none
+            return np.diff(edges)
+        ends = 1.0 - edges
+        ends *= -self.k
+        np.exp(ends, out=ends)
+        masses = np.diff(ends)
+        masses /= self._norm
+        return masses
 
     def decay_integral(self, a, b):
         """Integral of (1-u) phi(u) over [a, b]."""
@@ -192,9 +197,30 @@ def _pow(base: float, s: np.ndarray) -> np.ndarray:
     return np.array([base**v for v in s.ravel().tolist()]).reshape(s.shape)
 
 
+_SEGMENT_BOUNDS = "segment bounds must satisfy 0 <= a <= b <= 1"
+
+
 def _check_segment(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0.0) or np.any(b > 1.0) or np.any(a > b):
-        raise ValueError("segment bounds must satisfy 0 <= a <= b <= 1")
+    # written so that a NaN bound fails
+    if not (np.all(a >= 0.0) and np.all(b <= 1.0) and np.all(a <= b)):
+        raise ValueError(_SEGMENT_BOUNDS)
     return a, b
+
+
+def _check_edges(edges) -> np.ndarray:
+    """``edges`` as floats, checked as the segments between neighbours along the last axis.
+
+    Rising edges bound every segment by their first and last values, so one
+    comparison of neighbours and two of the ends do the work of
+    ``_check_segment``; with fewer than two edges there is no segment to check.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.shape[-1] > 1 and not (
+        np.all(edges[..., :-1] <= edges[..., 1:])
+        and np.all(edges[..., 0] >= 0.0)
+        and np.all(edges[..., -1] <= 1.0)
+    ):
+        raise ValueError(_SEGMENT_BOUNDS)
+    return edges

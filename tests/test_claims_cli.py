@@ -329,6 +329,36 @@ class TestCli:
         _assert_usage_error(capsys, argv, message, tmp_path / "x")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["estimate", "--k", "1,1"],
+                "risk-aversion coefficients must not repeat, got 1.0,1.0",
+            ),
+            (["estimate", "--estimators", "prod,prod"], "estimators must not repeat, got prod,prod"),
+            (["simulate", "--n", "20,20"], "sample sizes must not repeat, got 20,20"),
+            (
+                ["simulate", "--k", "1,20,1"],
+                "risk-aversion coefficients must not repeat, got 1.0,20.0,1.0",
+            ),
+            (
+                ["simulate", "--estimators", "prod,emp,prod"],
+                "estimators must not repeat, got prod,emp,prod",
+            ),
+            (["coverage", "--n", "50,50"], "sample sizes must not repeat, got 50,50"),
+            (["coverage", "--k", "1,1"], "risk-aversion coefficients must not repeat, got 1.0,1.0"),
+        ],
+    )
+    def test_repeated_grid_entry_is_usage_error(self, tmp_path, capsys, argv, message):
+        # a repeat would write duplicate rows or run a cell twice
+        extra = {
+            "estimate": ["--input", str(tmp_path / "missing.csv")],
+            "simulate": ["--design", "iid-exp"],
+            "coverage": [],
+        }[argv[0]]
+        _assert_usage_error(capsys, [argv[0], *extra, *argv[1:]], message, tmp_path / "x")
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--target-alpha", "1.5"], "target_truncation_rate must lie in (0, 1)"),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from specrisk.estimators import (
     fit_pm_parameter,
     parametric_srm,
 )
-from specrisk import harness
-from specrisk.ltrc import QuantileFunction, fit_pl, pl_quantile
+from specrisk import estimators, harness
+from specrisk.ltrc import QuantileFunction, SortedSample, StepDistribution, fit_pl, pl_quantile
 from specrisk.severity import ground_up_quantile, theoretical_srm
 
 from conftest import random_ltrc_sample
@@ -464,6 +466,94 @@ class TestKernelGoldenPreservation:
         for spectrum in spectra:
             want = _reference_kernel_srm(ctx.q, spectrum)
             assert estimator.evaluate(ctx, spectrum) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def shared_table_samples():
+    cfg = harness.default_dependent_config()
+    cells = {
+        "dependent-100-seed-100002": ("dependent", "random-truncation", cfg, 100, 100002),
+        "iid-exp-30": ("iid-exp", "random-truncation", None, 30, 80),
+        "iid-pareto-100": ("iid-pareto", "fixed-thresholds", None, 100, 150),
+        "dependent-500": ("dependent", "random-truncation", cfg, 500, 550),
+    }
+    return {name: harness._generate_sample(*cell) for name, cell in cells.items()}
+
+
+SHARED_TABLE_SPECTRA = [ExponentialSpectrum(k) for k in K_GRID] + [
+    ExpectedShortfallSpectrum(p) for p in (0.0, 0.9)
+]
+
+
+class TestSharedSmootherTable:
+    """One smoother serves every spectrum of a sample from its table of levels."""
+
+    @pytest.mark.parametrize(
+        "name", ["dependent-100-seed-100002", "iid-exp-30", "iid-pareto-100", "dependent-500"]
+    )
+    def test_shared_context_equals_fresh_smoother_per_spectrum(self, shared_table_samples, name):
+        estimator = KernelEstimator()
+        q = estimator.prepare(shared_table_samples[name]).q
+        fresh = [estimator.evaluate(KernelQuantileSmoother(q), s) for s in SHARED_TABLE_SPECTRA]
+        ctx = KernelQuantileSmoother(q)
+        assert [estimator.evaluate(ctx, s) for s in SHARED_TABLE_SPECTRA] == fresh
+        ctx = KernelQuantileSmoother(q)
+        backward = [estimator.evaluate(ctx, s) for s in reversed(SHARED_TABLE_SPECTRA)]
+        assert backward[::-1] == fresh
+
+    def test_table_holds_each_level_quad_passed_once(self, shared_table_samples, monkeypatch):
+        levels = []
+        call = KernelQuantileSmoother.__call__
+
+        def recording(self, t):
+            levels.append(t)
+            return call(self, t)
+
+        monkeypatch.setattr(KernelQuantileSmoother, "__call__", recording)
+        estimator = KernelEstimator()
+        ctx = estimator.prepare(shared_table_samples["dependent-100-seed-100002"])
+        for spectrum in SHARED_TABLE_SPECTRA:
+            estimator.evaluate(ctx, spectrum)
+        assert len(ctx._table) == len(set(levels)) < len(levels)
+        assert set(ctx._table) == set(levels)
+
+    @pytest.mark.parametrize("name", ["iid-exp-30", "dependent-500"])
+    def test_replicates_build_one_smoother_at_a_time(self, shared_table_samples, monkeypatch, name):
+        sample = shared_table_samples[name]
+        sorted_sample = SortedSample.from_sample(sample)
+        n = len(sample)
+        weights = np.random.default_rng(n).multinomial(n, np.full(n, 1.0 / n), size=5)
+        x = sorted_sample.y[sorted_sample.starts]
+        estimator = KernelEstimator()
+        # quad's roundoff warnings on some resamples (ROADMAP item 1) must repeat
+        # on both paths, since they run the same integrals
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = [
+                [
+                    estimator.evaluate(KernelQuantileSmoother(StepDistribution(x, cdf).quantile), s)
+                    for cdf in sorted_sample.pl_cdf(weights)
+                ]
+                for s in SHARED_TABLE_SPECTRA
+            ]
+        built, most_alive = [], []
+
+        class CountedSmoother(KernelQuantileSmoother):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(weakref.ref(self))
+
+            def __call__(self, t):
+                most_alive.append(sum(ref() is not None for ref in built))
+                return super().__call__(t)
+
+        monkeypatch.setattr(estimators, "KernelQuantileSmoother", CountedSmoother)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = estimator.replicates(sorted_sample, weights, SHARED_TABLE_SPECTRA)
+        assert np.array_equal(got, np.array(want))
+        assert len(got_warnings) == len(want_warnings)
+        assert max(most_alive) == 1
 
 
 class TestBuildEstimator:

@@ -180,6 +180,18 @@ class TestEdgeMasses:
 
     @pytest.mark.parametrize("spec", _spectra(), ids=repr)
     def test_bounds_checked(self, spec):
-        for edges in ([-0.1, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0], [0.0, 0.5, 1.1]):
+        nan = math.nan
+        for edges in (
+            [-0.1, 0.5, 1.0],
+            [0.0, 0.6, 0.5, 1.0],
+            [0.0, 0.5, 1.1],
+            [nan, 0.5, 1.0],
+            [0.0, nan, 1.0],
+            [0.0, 0.5, nan],
+        ):
             with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
                 spec.segment_masses(np.array(edges))
+            # one bad row among good ones
+            good = np.linspace(0.0, 1.0, len(edges))
+            with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
+                spec.segment_masses(np.stack((good, edges, good)))

@@ -50,6 +50,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="nonempty"):
             small_iid_plan(n_grid=())
 
+    @pytest.mark.parametrize(
+        "overrides, label",
+        [
+            ({"n_grid": (20, 30, 20)}, "sample sizes"),
+            ({"k_grid": (1.0, 5.0, 1.0)}, "risk-aversion coefficients"),
+            ({"estimators": ("prod", "prod")}, "estimators"),
+        ],
+    )
+    def test_repeated_grid_entry_rejected(self, overrides, label):
+        with pytest.raises(ValueError, match=f"{label} must not repeat"):
+            small_iid_plan(**overrides)
+
     @pytest.mark.parametrize("k", [math.nan, math.inf])
     def test_nonfinite_k_rejected(self, k):
         # caught at construction, not inside ExponentialSpectrum mid-run

@@ -1,6 +1,7 @@
 """Tests for the product-limit core: risk sets, fits, quantile inversion."""
 
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,24 @@ class TestSampleTypes:
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError):
             s.y[0] = 5.0
+
+    def test_sample_attributes_are_frozen(self):
+        s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
+        with pytest.raises(AttributeError):
+            s.y = [9.0]
+        with pytest.raises(AttributeError):
+            s.weights = [1, 1]
+        with pytest.raises(AttributeError):
+            del s.t
+        assert np.array_equal(s.y, [1.0, 2.0]) and not s.y.flags.writeable
+
+    def test_pickled_sample_is_validated_and_write_locked(self):
+        s = LtrcSample([1.0, 2.0], [0.0, 0.5], [1, 0])
+        copy = pickle.loads(pickle.dumps(s))
+        for name in ("y", "t", "delta"):
+            got, want = getattr(copy, name), getattr(s, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable
 
 
 def _lexsort_sorted_sample(sample):

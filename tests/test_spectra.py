@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from specrisk import ExpectedShortfallSpectrum, ExponentialSpectrum
+from specrisk.spectra import _check_edges, _check_segment
 
 K_GRID = (1.0, 5.0, 10.0, 20.0, 100.0, 200.0)
 SMALL_K = (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0)
@@ -151,3 +152,59 @@ class TestExpectedShortfallSpectrum:
     def test_segment_bounds_checked(self):
         with pytest.raises(ValueError, match="segment bounds"):
             ExpectedShortfallSpectrum(0.5).segment_integral(0.7, 0.2)
+
+
+BOUND_SPECTRA = [ExponentialSpectrum(k) for k in (0.0, 1.0, 200.0)] + [
+    ExpectedShortfallSpectrum(p) for p in (0.0, 0.9)
+]
+BAD_SEGMENTS = {
+    "nan-low": (math.nan, 0.5),
+    "nan-high": (0.2, math.nan),
+    "falling": (0.6, 0.5),
+    "below-0": (-0.1, 0.5),
+    "above-1": (0.5, 1.1),
+}
+
+
+class TestSegmentBounds:
+    @pytest.mark.parametrize("spec", BOUND_SPECTRA, ids=repr)
+    @pytest.mark.parametrize("case", BAD_SEGMENTS)
+    @pytest.mark.parametrize("method", ["segment_integral", "decay_integral"])
+    def test_bad_segment_fails(self, spec, case, method):
+        a, b = BAD_SEGMENTS[case]
+        integral = getattr(spec, method)
+        with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
+            integral(a, b)
+        # one bad segment among good ones
+        with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
+            integral(np.array([0.0, a, 0.5]), np.array([0.1, b, 1.0]))
+
+    @pytest.mark.parametrize("spec", BOUND_SPECTRA, ids=repr)
+    @pytest.mark.parametrize("edges", [[], [5.0], [[-1.0], [2.0]]], ids=str)
+    def test_fewer_than_two_edges_have_no_segment(self, spec, edges):
+        edges = np.array(edges, dtype=float)
+        masses = spec.segment_masses(edges)
+        assert masses.shape == edges.shape[:-1] + (0,)
+
+    def test_edge_check_accepts_what_the_segment_check_accepts(self):
+        # ties, falls and ends past [0, 1] in small random rows, without NaN
+        rng = np.random.default_rng(22)
+        verdicts = set()
+        for _ in range(2000):
+            shape = (int(rng.integers(1, 3)), int(rng.integers(0, 5)))
+            edges = np.round(rng.uniform(-0.1, 1.1, shape), 1)
+            if rng.random() < 0.5:
+                edges.sort(axis=-1)
+            try:
+                _check_segment(edges[..., :-1], edges[..., 1:])
+                want = True
+            except ValueError:
+                want = False
+            try:
+                _check_edges(edges)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, edges
+            verdicts.add(want)
+        assert verdicts == {True, False}
