@@ -14,8 +14,9 @@ claims outside the window) are rejected row-by-row and reported.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ClaimsFormatError
 from .ltrc import LtrcSample
@@ -46,76 +47,104 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
     if fmt == "raw" and scheme is None:
         raise ClaimsFormatError("raw claims need a deductible/limit window scheme")
 
-    rows: dict[str, list[tuple[float, float, int]]] = {}
-    rejected: list[tuple[int, str]] = []
-    n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         # filter comment lines but keep the true file line number of each row
         kept: list[tuple[int, str]] = [
             (no, row) for no, row in enumerate(fh, start=1) if not row.startswith("#")
         ]
-        reader = csv.DictReader(row for _, row in kept)
-        if reader.fieldnames is None:
-            raise ClaimsFormatError(f"{path}: missing header row")
-        # rows are read by the stripped names, so "y, t, delta" is a valid header
-        reader.fieldnames = [name.strip() for name in reader.fieldnames]
-        required = {"y", "t", "delta"} if fmt == "ltrc" else {"claim"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise ClaimsFormatError(
-                f"{path}: missing required column(s) {', '.join(sorted(missing))}"
-            )
+    reader = csv.reader([row for _, row in kept])
+    header = next(reader, None)
+    if header is None:
+        raise ClaimsFormatError(f"{path}: missing header row")
+    # columns by stripped name, so "y, t, delta" is a valid header; a repeated
+    # name reads its last column
+    column = {name.strip(): j for j, name in enumerate(header)}
+    required = ("y", "t", "delta") if fmt == "ltrc" else ("claim",)
+    missing = set(required) - column.keys()
+    if missing:
+        raise ClaimsFormatError(
+            f"{path}: missing required column(s) {', '.join(sorted(missing))}"
+        )
+    wanted = [column[name] for name in required]
+    group_col = column.get("group")
+    width = max(wanted + [-1 if group_col is None else group_col]) + 1
 
-        for record in reader:
-            line = kept[reader.line_num - 1][0]
-            n_rows += 1
-            group = (record.get("group") or "").strip() or _DEFAULT_GROUP
+    records: list[tuple[list, int]] = []  # fields and file line of each record
+    try:
+        for row in reader:
+            if row:  # a blank line is no record
+                if len(row) < width:  # a missing field reads None, which float refuses
+                    row += [None] * (width - len(row))
+                records.append((row, kept[reader.line_num - 1][0]))
+    except csv.Error:
+        _float_columns(path, records, wanted)  # an unparseable row before it comes first
+        raise
+    columns = _float_columns(path, records, wanted)
+    if group_col is None:
+        groups = [_DEFAULT_GROUP] * len(records)
+    else:
+        groups = [(row[group_col] or "").strip() or _DEFAULT_GROUP for row, _ in records]
+
+    if fmt == "ltrc":
+        y, t, delta = columns
+        checks = [
+            (~((delta == 0.0) | (delta == 1.0)), lambda v: f"delta {v[2]:g} not in {{0, 1}}"),
+            (~np.isfinite(y), lambda v: "non-finite value"),
+            (np.isnan(t), lambda v: "truncation value is NaN"),
+            (~(t <= y), lambda v: f"truncation {v[1]:g} exceeds value {v[0]:g}"),
+        ]
+    else:
+        (claim,) = columns
+        d, u = scheme.deductible, scheme.limit
+        positive = np.isfinite(claim) & (claim > 0.0)
+        checks = [
+            (~positive, lambda v: f"claim {v[0]!r} is not a positive amount"),
+            (claim <= d, lambda v: f"claim {v[0]:g} at or below the deductible {d:g}"),
+        ]
+    # a rejected row gives the reason of the first check it fails; messages
+    # format the parsed Python floats
+    reasons: dict[int, str] = {}
+    for failed, reason in checks:
+        for i in np.flatnonzero(failed).tolist():
+            if i not in reasons:
+                reasons[i] = reason(columns[:, i].tolist())
+    keep = np.ones(len(records), dtype=bool)
+    keep[list(reasons)] = False
+    if fmt == "ltrc":
+        y, t, delta = y[keep], t[keep], delta[keep]
+    else:
+        claim = claim[keep]
+        y, t, delta = np.minimum(claim, u), np.full(claim.shape, d), claim < u
+    label = np.array(groups, dtype=object)[keep]
+    names = sorted(set(label.tolist()))
+    if not names:
+        raise ClaimsFormatError(f"{path}: no observations")
+    samples = {}
+    for g in names:
+        rows = label == g
+        samples[g] = LtrcSample(y[rows], t[rows], delta[rows])
+    return ClaimsFile(
+        groups=samples,
+        n_rows=len(records),
+        rejected=tuple((records[i][1], reasons[i]) for i in sorted(reasons)),
+    )
+
+
+def _float_columns(path, records, wanted) -> np.ndarray:
+    """Columns ``wanted`` of ``records`` as floats, one array row per column.
+
+    When a field does not parse, the first record in file order that holds
+    one aborts with the error of its first such field, in ``wanted`` order.
+    """
+    try:
+        return np.array([list(map(float, [row[j] for row, _ in records])) for j in wanted])
+    except (TypeError, ValueError):
+        for row, line in records:
             try:
-                if fmt == "ltrc":
-                    y = float(record["y"])
-                    t = float(record["t"])
-                    delta = float(record["delta"])
-                else:
-                    claim = float(record["claim"])
+                [float(row[j]) for j in wanted]
             except (TypeError, ValueError) as exc:
                 raise ClaimsFormatError(f"{path}:{line}: unparseable row ({exc})") from exc
-
-            if fmt == "ltrc":
-                if delta not in (0.0, 1.0):
-                    rejected.append((line, f"delta {delta:g} not in {{0, 1}}"))
-                    continue
-                if not math.isfinite(y):
-                    rejected.append((line, "non-finite value"))
-                    continue
-                if math.isnan(t):
-                    rejected.append((line, "truncation value is NaN"))
-                    continue
-                if not t <= y:
-                    rejected.append((line, f"truncation {t:g} exceeds value {y:g}"))
-                    continue
-                rows.setdefault(group, []).append((y, t, int(delta)))
-            else:
-                if not math.isfinite(claim) or claim <= 0:
-                    rejected.append((line, f"claim {claim!r} is not a positive amount"))
-                    continue
-                if claim <= scheme.deductible:
-                    rejected.append(
-                        (line, f"claim {claim:g} at or below the deductible {scheme.deductible:g}")
-                    )
-                    continue
-                y = min(claim, scheme.limit)
-                delta = 1 if claim < scheme.limit else 0
-                rows.setdefault(group, []).append((y, scheme.deductible, delta))
-
-    if not rows:
-        raise ClaimsFormatError(f"{path}: no observations")
-    groups = {
-        g: LtrcSample(
-            [r[0] for r in rs], [r[1] for r in rs], [r[2] for r in rs]
-        )
-        for g, rs in sorted(rows.items())
-    }
-    return ClaimsFile(groups=groups, n_rows=n_rows, rejected=tuple(rejected))
+        raise
 
 
 def write_ltrc_csv(path, groups: dict[str, LtrcSample]) -> None:

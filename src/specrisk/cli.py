@@ -429,15 +429,18 @@ _COMMANDS = {
 }
 
 
+# built once per process: parsing leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         try:
             run = _COMMANDS[args.command](args)
         except ValueError as exc:
             # a flag combination the objects refuse: a usage error
-            parser.error(str(exc))
+            _PARSER.error(str(exc))
         return run()
     except (SpecriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

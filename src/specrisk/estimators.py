@@ -17,11 +17,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .errors import EstimationError
 from .ltrc import LtrcSample, QuantileFunction, SortedSample, StepDistribution, fit_pl
 from .severity import ModelFamily, WindowScheme
+from .spectra import _check_edges
 
 __all__ = [
     "srm_from_edges",
@@ -60,10 +61,16 @@ def srm_from_quantile(q: QuantileFunction, spectrum) -> float:
 
 
 def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
-    """sum_g x_g * segment_integral(F_b,g-1, F_bg) per row b of ``levels``, for each spectrum."""
+    """sum_g x_g * segment_integral(F_b,g-1, F_bg) per row b of ``levels``, for each spectrum.
+
+    Each row equals ``srm_from_edges`` on the row's edges; the edges are
+    checked, and 1 - edges formed, once for all spectra.
+    """
     # column gathers can return Fortran order
     edges = np.ascontiguousarray(np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1))
-    return np.array([srm_from_edges(x, edges, spec) for spec in spectra])
+    edges = _check_edges(edges)
+    tails = 1.0 - edges
+    return np.array([np.sum(x * spec._masses(edges, tails), axis=-1) for spec in spectra])
 
 
 def estimate_prod(sample: LtrcSample, spectrum) -> float:
@@ -317,7 +324,7 @@ class KernelEstimator(SrmEstimator):
 
     def evaluate(self, ctx: KernelQuantileSmoother, spectrum) -> float:
         phi, smooth = spectrum.phi, ctx.__call__
-        value, _ = integrate.quad(
+        value, _ = scipy.integrate.quad(
             lambda u: phi(u) * smooth(u),
             0.0,
             1.0,

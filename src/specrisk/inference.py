@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+import scipy
 
 from .errors import BootstrapError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
@@ -238,8 +238,8 @@ def edgeworth_cdf(diag: EdgeworthDiagnostics, y):
     the standard normal CDF at rate n^{-1/2}.
     """
     y_arr = np.asarray(y, dtype=float)
-    base = stats.norm.cdf(y_arr)
-    dens = stats.norm.pdf(y_arr)
+    base = scipy.stats.norm.cdf(y_arr)
+    dens = scipy.stats.norm.pdf(y_arr)
     sigma01 = math.sqrt(diag.sigma01_sq)
     finite = np.isfinite(y_arr)
     bracket = np.zeros_like(y_arr)
@@ -386,7 +386,8 @@ def asymptotic_ci(
     n = fit.n
     point = ProdEstimator().evaluate(fit, spectrum)
     sigma2 = estimate_sigma2(fit, spectrum)
-    half = float(stats.norm.ppf(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)
+    # ndtri is the float that scipy.stats.norm.ppf returns, without loading scipy.stats
+    half = float(scipy.special.ndtri(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)
     return EstimateReport(
         estimator="prod",
         k=getattr(spectrum, "k", None),

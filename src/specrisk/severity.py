@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, signal, stats
+import scipy
 
 from .errors import CalibrationError, GenerationError, NumericalError
 from .ltrc import LtrcSample
@@ -313,16 +313,31 @@ class DependentModelConfig:
 
 def dependent_censoring_fraction(phi1: float, phi2: float, phi3: float) -> float:
     """Unconditional censoring probability P(X > S) of the dependent model."""
-    return float(stats.norm.sf(0.5 * phi2 / math.hypot(phi1, phi3)))
+    # ndtr(-x) is the float that scipy.stats.norm.sf(x) returns, without loading scipy.stats
+    return float(scipy.special.ndtr(-(0.5 * phi2 / math.hypot(phi1, phi3))))
+
+
+def _ar1(e: np.ndarray, rho: float, x1_prev: float | None) -> np.ndarray:
+    """The chain x1_i = rho x1_(i-1) + 0.5 e_i that continues from ``x1_prev`` (from 0 if None).
+
+    These are the operations of scipy's ``lfilter([0.5], [1, -rho], e,
+    zi=[rho * x1_prev])`` in its order, zero tap 0 * e_i included, so every
+    value is lfilter's float, sign of zero included.
+    """
+    a1 = -rho
+    z = 0.0 if x1_prev is None else rho * x1_prev
+    out = e.tolist()
+    for i, x in enumerate(out):
+        y = z + 0.5 * x
+        z = x * 0.0 - y * a1
+        out[i] = y
+    return np.array(out)
 
 
 def _dependent_batch(cfg: DependentModelConfig, rng: np.random.Generator, m: int, x1_prev):
     """One batch of the dependent chain; returns (x1, X, S, last x1 state)."""
     e = rng.standard_normal(m)
-    if x1_prev is None:
-        x1 = signal.lfilter([0.5], [1.0, -cfg.rho], e)
-    else:
-        x1, _ = signal.lfilter([0.5], [1.0, -cfg.rho], e, zi=np.array([cfg.rho * x1_prev]))
+    x1 = _ar1(e, cfg.rho, x1_prev)
     sin_part = np.sin(np.pi * x1)
     cos_part = 1.0 + 0.3 * np.cos(np.pi * x1)
     x = sin_part + cfg.phi1 * cos_part * rng.standard_normal(m)
@@ -449,8 +464,8 @@ def theoretical_srm(quantile_fn, spectrum, breakpoints: tuple[float, ...] = ()) 
     # before the requested tolerance; the reported error bound is checked
     # instead of trusting the warning-free path
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        value, abserr = scipy.integrate.quad(
             integrand,
             0.0,
             hi,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
+import scipy
 
 __all__ = ["ExponentialSpectrum", "ExpectedShortfallSpectrum"]
 
@@ -51,7 +51,8 @@ class ExponentialSpectrum:
         """Weight density at level ``u``."""
         if isinstance(u, float):
             # quad's callback: the array path's numpy routines, without the arrays
-            if self.is_uniform_limit:
+            # (and without the property call of is_uniform_limit)
+            if self.k == 0.0:
                 return 1.0
             return self.k * float(np.exp(-self.k * (1.0 - u))) / self._norm
         u = np.asarray(u, dtype=float)
@@ -78,11 +79,21 @@ class ExponentialSpectrum:
         instead of two.
         """
         edges = _check_edges(edges)
+        tails = 1.0 - edges
+        # in place: one more array of the edges' size would be paged in
+        # afresh whenever it is large
+        return self._masses(edges, tails, out=tails)
+
+    def _masses(self, edges: np.ndarray, tails: np.ndarray, out=None) -> np.ndarray:
+        """``segment_masses`` of checked float ``edges``, given ``tails`` = 1 - edges.
+
+        The exponentials are formed in ``out``, a new array by default, which
+        may be ``tails`` itself.
+        """
         if self.is_uniform_limit or edges.shape[-1] < 2:
             # b - a; with no segment, no exp of an edge that bounds none
             return np.diff(edges)
-        ends = 1.0 - edges
-        ends *= -self.k
+        ends = np.multiply(tails, -self.k, out=out)
         np.exp(ends, out=ends)
         masses = np.diff(ends)
         masses /= self._norm
@@ -116,7 +127,9 @@ class ExponentialSpectrum:
             out = 1.0 / (1.0 - s)
         else:
             k = self.k
-            out = _pow(k, s) * special.gamma(1.0 - s) * special.gammainc(1.0 - s, k) / -math.expm1(-k)
+            out = (
+                _pow(k, s) * scipy.special.gamma(1.0 - s) * scipy.special.gammainc(1.0 - s, k)
+            ) / -math.expm1(-k)
         return float(out) if out.ndim == 0 else out
 
 
@@ -145,8 +158,12 @@ class ExpectedShortfallSpectrum:
 
     def segment_masses(self, edges):
         """Integral of phi over each segment between consecutive ``edges`` along the last axis."""
-        edges = np.asarray(edges, dtype=float)
-        return self.segment_integral(edges[..., :-1], edges[..., 1:])
+        return self._masses(_check_edges(edges), None)
+
+    def _masses(self, edges: np.ndarray, tails, out=None) -> np.ndarray:
+        """``segment_masses`` of checked float ``edges``; ``tails`` and ``out`` are not used."""
+        lo = np.maximum(edges[..., :-1], self.p)
+        return np.maximum(edges[..., 1:] - lo, 0.0) / (1.0 - self.p)
 
     def decay_integral(self, a, b):
         a, b = _check_segment(a, b)
@@ -175,7 +192,7 @@ def _ein(k: float) -> float:
     j = 20.
     """
     if k > 1.0:
-        return float(np.euler_gamma + math.log(k) + special.exp1(k))
+        return float(np.euler_gamma + math.log(k) + scipy.special.exp1(k))
     total, term = 0.0, 1.0
     for j in range(1, 21):
         term *= -k / j  # (-1)^j k^j / j!

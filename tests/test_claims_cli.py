@@ -1,5 +1,6 @@
 """Tests for claims ingestion, serialization and the command-line surface."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from specrisk import (
+    ClaimsFile,
     ClaimsFormatError,
     DependentModelConfig,
     LtrcSample,
@@ -126,6 +128,150 @@ class TestParseClaims:
         path.write_text("claim\n1\n")
         with pytest.raises(ClaimsFormatError, match="window scheme"):
             parse_claims(path, "raw")
+
+
+def _dictreader_parse(path, fmt, scheme=None):
+    """The ``csv.DictReader`` parse that ``parse_claims`` replaced, kept as its reference."""
+    rows, rejected, n_rows = {}, [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        kept = [(no, row) for no, row in enumerate(fh, start=1) if not row.startswith("#")]
+        reader = csv.DictReader(row for _, row in kept)
+        if reader.fieldnames is None:
+            raise ClaimsFormatError(f"{path}: missing header row")
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        required = {"y", "t", "delta"} if fmt == "ltrc" else {"claim"}
+        missing = required - set(reader.fieldnames)
+        if missing:
+            raise ClaimsFormatError(
+                f"{path}: missing required column(s) {', '.join(sorted(missing))}"
+            )
+        for record in reader:
+            line = kept[reader.line_num - 1][0]
+            n_rows += 1
+            group = (record.get("group") or "").strip() or "all"
+            try:
+                if fmt == "ltrc":
+                    y, t, delta = (float(record[c]) for c in ("y", "t", "delta"))
+                else:
+                    claim = float(record["claim"])
+            except (TypeError, ValueError) as exc:
+                raise ClaimsFormatError(f"{path}:{line}: unparseable row ({exc})") from exc
+            if fmt == "ltrc":
+                if delta not in (0.0, 1.0):
+                    rejected.append((line, f"delta {delta:g} not in {{0, 1}}"))
+                elif not math.isfinite(y):
+                    rejected.append((line, "non-finite value"))
+                elif math.isnan(t):
+                    rejected.append((line, "truncation value is NaN"))
+                elif not t <= y:
+                    rejected.append((line, f"truncation {t:g} exceeds value {y:g}"))
+                else:
+                    rows.setdefault(group, []).append((y, t, int(delta)))
+            elif not math.isfinite(claim) or claim <= 0:
+                rejected.append((line, f"claim {claim!r} is not a positive amount"))
+            elif claim <= scheme.deductible:
+                rejected.append(
+                    (line, f"claim {claim:g} at or below the deductible {scheme.deductible:g}")
+                )
+            else:
+                delta = 1 if claim < scheme.limit else 0
+                y = min(claim, scheme.limit)
+                rows.setdefault(group, []).append((y, scheme.deductible, delta))
+    if not rows:
+        raise ClaimsFormatError(f"{path}: no observations")
+    groups = {g: LtrcSample(*zip(*rs)) for g, rs in sorted(rows.items())}
+    return ClaimsFile(groups=groups, n_rows=n_rows, rejected=tuple(rejected))
+
+
+_RAW_SCHEME = WindowScheme.fixed(1500.0, 6000.0)
+
+
+def _parse_outcome(parse, path, fmt):
+    """What a parse gives: its groups, counts and rejections, or its error text."""
+    try:
+        out = parse(path, fmt, _RAW_SCHEME if fmt == "raw" else None)
+    except (ClaimsFormatError, csv.Error) as exc:
+        return (type(exc).__name__, str(exc))
+    groups = {
+        g: [(a.tolist(), a.dtype.str) for a in (s.y, s.t, s.delta)] for g, s in out.groups.items()
+    }
+    return (list(out.groups), groups, out.n_rows, out.rejected)
+
+
+class TestParseClaimsMatchesDictReader:
+    """``parse_claims`` on ``csv.reader`` rows gives what the ``DictReader`` parse gave."""
+
+    CASES = {
+        "blank first line": ("ltrc", "\ny,t,delta\n1,0,1\n"),
+        "empty file": ("ltrc", ""),
+        "only comments": ("raw", "# a\n# b\n"),
+        "blank rows and comments": ("ltrc", "# head\ny,t,delta\n\n1,0,1\n# mid\n\n\n2,1,0\n\n"),
+        "short row": ("ltrc", "y,t,delta,group\n1,0,1,a\n2,1\n"),
+        "short row, group missing": ("ltrc", "y,t,delta,group\n1,0,1\n2,1,0,b\n"),
+        "long rows": ("ltrc", "y,t,delta\n1,0,1,extra,more\n2,1,0,x\n"),
+        "repeated names": ("ltrc", "y,t,delta,y\n1,0,1,3\n2,1,0,5\n"),
+        "repeated name, short row": ("ltrc", "y,t,delta,y\n1,0,1,3\n2,1,0\n"),
+        "stripped names": ("ltrc", " y , t,delta ,group\n1,0,1, g \n"),
+        "quoted field over two lines": ("ltrc", 'y,t,delta,group\n1,0,1,"a\nb"\n2,3,1,a\n'),
+        "quoted number over two lines": ("ltrc", 'y,t,delta\n1,0,1\n"2\n",1,x\n'),
+        "group of spaces": ("raw", "claim,group\n2000,   \n3000,a\n"),
+        "nan, inf and bad delta": (
+            "ltrc",
+            "y,t,delta\nnan,0,1\ninf,0,0\n1,nan,1\n1,2,1\n1,0,2\n1,0,nan\n-inf,0,1\n3,0,-0.0\n",
+        ),
+        "claim nan": ("raw", "claim\nnan\n-inf\n-5\n0\n1500\n2000\n6000\n7000\ninf\n"),
+        "unparseable after rejection": ("raw", "claim\n100\nabc\n"),
+        "no accepted row": ("raw", "claim\n100\n200\n"),
+        "crlf": ("raw", "claim,group\r\n2000,a\r\n\r\n100,b\r\n"),
+        # a field over csv's size limit fails in the reader, after the rows before it
+        "oversized field": ("raw", "claim,group\n2000,a\n2000," + "g" * 200_000 + "\n"),
+        "unparseable, then oversized": ("raw", "claim\nx\n" + "1" * 200_000 + "\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, tmp_path, case):
+        fmt, text = self.CASES[case]
+        path = tmp_path / "claims.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _parse_outcome(_dictreader_parse, path, fmt)
+        assert _parse_outcome(parse_claims, path, fmt) == want
+
+    def test_messages_format_python_floats(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text("claim\nnan\n2000\n")
+        out = parse_claims(path, "raw", _RAW_SCHEME)
+        assert out.rejected == ((2, "claim nan is not a positive amount"),)
+        path.write_text("y,t,delta\n1,2,1\n1,0,1\n")
+        assert parse_claims(path, "ltrc").rejected == ((2, "truncation 2 exceeds value 1"),)
+
+    def test_short_row_gives_the_none_field_error(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text("y,t,delta\n1,0,1\n\n2,1\n")
+        with pytest.raises(ClaimsFormatError, match=r":4: unparseable row \(float\(\) argument"):
+            parse_claims(path, "ltrc")
+
+    def test_random_files(self, tmp_path):
+        rng = np.random.default_rng(23)
+        tokens = ["1", "2", "0", "1.5", "nan", "inf", "-1", "abc", "", " 3 ", "-0.0", "1600",
+                  "7000", '"4"', '"1\n2"', "1e400"]
+        path = tmp_path / "claims.csv"
+        for _ in range(300):
+            fmt = ("ltrc", "raw")[rng.integers(2)]
+            names = ["y", "t", "delta", "group"] if fmt == "ltrc" else ["claim", "group"]
+            header = list(rng.permutation(names))
+            if rng.random() < 0.3:
+                header.append(str(rng.choice(names + [" y", "x"])))
+            lines = [",".join(header)]
+            for _ in range(rng.integers(0, 10)):
+                if rng.random() < 0.15:
+                    lines.append(str(rng.choice(["", "# c"])))
+                    continue
+                width = len(header) + int(rng.choice([0, 0, 0, -1, 1]))
+                lines.append(",".join(str(rng.choice(tokens)) for _ in range(width)))
+            path.write_text("\n".join(lines) + "\n")
+            assert _parse_outcome(parse_claims, path, fmt) == _parse_outcome(
+                _dictreader_parse, path, fmt
+            ), path.read_text()
 
 
 class TestRoundTrip:
@@ -603,6 +749,19 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
         assert 0.3 < payload["results"]["mu"] < 1.0
+
+    def test_calibrate_output_is_pinned(self, tmp_path):
+        # the default calibration's file, byte for byte: its bisection runs on
+        # 200 000 draws of the AR(1) chain, and its censoring fraction is ndtr's
+        assert main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
+        assert (tmp_path / "cal" / "calibration.json").read_text() == (
+            '{\n  "config": {\n    "command": "calibrate"\n  },\n  "results": {\n'
+            '    "analytic_censoring_fraction": 0.10008949481827883,\n'
+            '    "calibration_seed": 727001,\n    "mu": 0.6640625,\n    "phi1": 0.3,\n'
+            '    "phi2": 1.087,\n    "phi3": 0.3,\n    "rho": 0.1,\n'
+            '    "target_censoring_pc": 0.1,\n    "target_truncation_rate": 0.3,\n'
+            '    "tolerance": 0.005\n  },\n  "specrisk_version": "0.1.0"\n}\n'
+        )
 
     def test_calibrate_result_keys(self, tmp_path):
         # every DependentModelConfig field, then the bisection's own values

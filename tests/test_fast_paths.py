@@ -19,6 +19,7 @@ from specrisk import (
     WindowScheme,
     fit_pl,
     ground_up_quantile,
+    srm_from_edges,
     srm_from_quantile,
     theoretical_srm,
     window_quantile,
@@ -53,6 +54,20 @@ class TestFloatPaths:
     def test_phi(self, spec):
         assert all(isinstance(spec.phi(p), float) for p in LEVELS[:10])
         assert _mismatches(spec.phi, spec.phi, LEVELS + [0.0, 0.9, 1.0]) == 0
+
+    @pytest.mark.parametrize("k", PHI_K)
+    def test_phi_float_branch_reads_k(self, k, monkeypatch):
+        # the float branch tests k == 0.0 itself; it must not need the property
+        spec = ExponentialSpectrum(k)
+        levels = LEVELS[:200] + [0.0, 0.5, 1.0]
+        want = [float(spec.phi(np.asarray(p))) for p in levels]
+
+        def refused(self):
+            raise AssertionError("float branch read is_uniform_limit")
+
+        monkeypatch.setattr(ExponentialSpectrum, "is_uniform_limit", property(refused))
+        assert [spec.phi(p) for p in levels] == want
+        assert (k == 0.0) == all(v == 1.0 for v in want)
 
     @pytest.mark.parametrize("name", MODELS)
     def test_ground_up_quantile(self, name):
@@ -165,7 +180,7 @@ class TestEdgeMasses:
             q = QuantileFunction(grid, values)
             assert srm_from_quantile(q, spec) == float(np.sum(values * masses))
 
-    @pytest.mark.parametrize("n", [30, 250, 1000])
+    @pytest.mark.parametrize("n", [1, 30, 250, 1000])
     def test_srm_from_levels(self, n):
         rng = np.random.default_rng(n)
         s = SortedSample.from_sample(random_ltrc_sample(rng, n, tie_prob=0.3))
@@ -177,6 +192,23 @@ class TestEdgeMasses:
             lower = np.concatenate((np.zeros((levels.shape[0], 1)), c_levels[:, :-1]), axis=1)
             want = [np.sum(x * spec.segment_integral(lower, c_levels), axis=1) for spec in spectra]
             assert np.array_equal(_srm_from_levels(x, levels, spectra), np.array(want))
+            # the grid's one check and one 1 - edges give each spectrum's srm_from_edges
+            edges = np.concatenate((lower, c_levels[:, -1:]), axis=1)
+            for spec, row in zip(spectra, want):
+                assert np.array_equal(srm_from_edges(x, edges, spec), row)
+                assert np.array_equal(_srm_from_levels(x, levels, [spec])[0], row)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.1, -0.1, "falling"])
+    def test_srm_from_levels_checks_its_edges(self, bad):
+        x = np.array([1.0, 2.0, 3.0])
+        levels = np.array([[0.2, 0.6, 1.0], [0.3, 0.7, 1.0]])
+        if bad == "falling":
+            levels[1] = [0.5, 0.4, 1.0]
+        else:
+            levels[1, 1] = bad
+        for spec in _spectra():
+            with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
+                _srm_from_levels(x, levels, [spec])
 
     @pytest.mark.parametrize("spec", _spectra(), ids=repr)
     def test_bounds_checked(self, spec):

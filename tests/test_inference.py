@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from specrisk import (
     BootstrapError,
@@ -625,6 +625,27 @@ class TestAsymptoticCi:
         s = LtrcSample([2.0] * 10, [0.0] * 10, [1] * 10)
         rep = asymptotic_ci(s, ExponentialSpectrum(1.0), level=0.9)
         assert rep.ci_low == rep.ci_high == rep.point
+
+    def test_ndtri_is_norm_ppf(self):
+        # ndtri replaced stats.norm.ppf: the same float on a grid with the ends
+        # of the range, its zeros and its infinities
+        q = np.concatenate((
+            np.linspace(0.0, 1.0, 200_001),
+            [-0.0, 5e-324, 1e-300, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)],
+            [1.0, np.inf, -np.inf, 1.5, -0.5, np.nan],
+        ))
+        got, want = special.ndtri(q), stats.norm.ppf(q)
+        assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+    @pytest.mark.parametrize("level", [0.0, 0.5, 0.9, 0.95, 0.999, math.nextafter(1.0, 0.0)])
+    def test_interval_half_width_is_norm_ppf(self, level):
+        rng = np.random.default_rng(12)
+        s = LtrcSample.from_complete_data(1.0 + rng.exponential(1.0, 150))
+        rep = asymptotic_ci(s, ExponentialSpectrum(5.0), level=level)
+        half = float(stats.norm.ppf(0.5 * (1.0 + level))) * rep.std_error
+        assert (rep.ci_low, rep.ci_high) == (float(rep.point - half), float(rep.point + half))
 
     def test_ninety_percent_uses_standard_normal_quantile(self):
         rng = np.random.default_rng(11)

@@ -23,7 +23,7 @@ from specrisk import (
     theoretical_srm,
     window_quantile,
 )
-from specrisk.severity import _dependent_batch, _retained, window_branch_point
+from specrisk.severity import _ar1, _dependent_batch, _retained, window_branch_point
 
 EXP = SeverityModel.shifted_exponential(1000.0, 1000.0)
 PARETO = SeverityModel.pareto_i(1000.0, 2.0)
@@ -185,6 +185,37 @@ class TestIidSampling:
             sample_ltrc_iid(EXP, scheme, 10, seed=0)
 
 
+class TestAr1IsLfilter:
+    """The covariate chain's loop gives scipy.signal.lfilter's floats, sign of zero included."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1, -0.5, 0.9, -0.999])
+    @pytest.mark.parametrize("m", [1, 256, 200_000])
+    def test_equals_lfilter(self, rho, m):
+        from scipy import signal
+
+        e = np.random.default_rng(m).standard_normal(m)
+        e[::97] = 0.0
+        e[1::101] = -0.0
+        for x1_prev in (None, 0.7, -1.3, -0.0):
+            if x1_prev is None:
+                want = signal.lfilter([0.5], [1.0, -rho], e)
+            else:
+                want, _ = signal.lfilter([0.5], [1.0, -rho], e, zi=np.array([rho * x1_prev]))
+            got = _ar1(e, rho, x1_prev)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_batches_continue_the_chain(self):
+        # two batches from the carried state give one batch's chain
+        cfg = DependentModelConfig(rho=0.3, mu=0.0)
+        e = np.random.default_rng(8).standard_normal(700)
+        whole = _ar1(e, cfg.rho, None)
+        first = _ar1(e[:300], cfg.rho, None)
+        second = _ar1(e[300:], cfg.rho, float(first[-1]))
+        assert np.array_equal(np.concatenate((first, second)), whole)
+
+
 class TestDependentModel:
     def test_zero_rho_gives_iid_covariates(self):
         cfg = DependentModelConfig(rho=0.0, mu=0.0)
@@ -218,6 +249,21 @@ class TestDependentModel:
         assert dependent_censoring_fraction(0.3, 0.445, 0.3) == pytest.approx(0.30, abs=1e-3)
         direct = float(stats.norm.sf(5.0 * math.sqrt(2.0) * 1.087 / 6.0))
         assert dependent_censoring_fraction(0.3, 1.087, 0.3) == pytest.approx(direct, rel=1e-12)
+
+    def test_analytic_censoring_fraction_is_norm_sf(self):
+        # ndtr(-x) replaced stats.norm.sf(x): the same float on a grid with its
+        # zeros, infinities and far tails
+        x = np.concatenate((
+            np.linspace(-40.0, 40.0, 200_001),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 38.5, -38.5],
+        ))
+        got, want = special.ndtr(-x), stats.norm.sf(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        phis = ((0.3, 1.087, 0.3), (0.3, 0.445, 0.3), (1e-3, 50.0, 2e-3), (5.0, 1e-9, 1.0))
+        for phi1, phi2, phi3 in phis:
+            want = float(stats.norm.sf(0.5 * phi2 / math.hypot(phi1, phi3)))
+            assert dependent_censoring_fraction(phi1, phi2, phi3) == want
 
     def test_config_validates_pc_target(self):
         with pytest.raises(ValueError, match="censoring fraction"):
