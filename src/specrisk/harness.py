@@ -17,18 +17,19 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import EstimationError, SpecriskError
-from .estimators import ProdEstimator, SrmEstimator, build_estimator, srm_from_edges
+from .estimators import ProdEstimator, SrmEstimator, build_estimator
 from .inference import MIN_REPLICATES_FOR_CI, BootstrapPlan, bootstrap_ci
 from .ltrc import LtrcSample
 from .rng import derive_seed
 from .severity import (
+    ORACLE_CHUNK,
     DependentModelConfig,
     SeverityModel,
     TruncationLaw,
@@ -42,7 +43,7 @@ from .severity import (
     window_branch_point,
     window_quantile,
 )
-from .spectra import ExponentialSpectrum
+from .spectra import ExponentialSpectrum, _check_edges
 
 __all__ = [
     "ExperimentPlan",
@@ -228,7 +229,10 @@ def _theoretical_targets(
     """The design's target per k.
 
     The iid designs target the ground-up SRM; the dependent design, at
-    ``cfg``, targets a large-sample MC oracle of the loss marginal.
+    ``cfg``, targets a large-sample MC oracle of the loss marginal.  Its
+    spectral sums, one whole k at a time, run on this thread and one helper
+    thread and give the floats of one serial ``srm_from_edges`` per k; the
+    helper is joined before the function returns.
     """
     if plan.design in IID_DESIGNS:
         model = IID_DESIGNS[plan.design]
@@ -236,13 +240,51 @@ def _theoretical_targets(
             k: theoretical_srm(lambda p: ground_up_quantile(model, p), ExponentialSpectrum(k))
             for k in plan.k_grid
         }
-    oracle = np.sort(
-        sample_dependent_marginal(
-            cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
-        )
+    oracle = sample_dependent_marginal(
+        cfg, ORACLE_DRAWS, derive_seed(plan.master_seed, "dependent-oracle")
     )
-    grid = np.arange(oracle.size + 1) / oracle.size  # emp's grid, shared by every k
-    return {k: float(srm_from_edges(oracle, grid, ExponentialSpectrum(k))) for k in plan.k_grid}
+    oracle.sort()
+    spectra = [ExponentialSpectrum(k) for k in plan.k_grid]
+    # one products array per thread, both allocated on this one: allocated
+    # on the helper, its array raised the peak RSS
+    ours, theirs = np.empty(oracle.size), np.empty(oracle.size)
+    srms = [0.0] * len(spectra)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # the helper takes the spectra from the front, this thread from the
+        # back, so the faster one does more; one worker runs them in order
+        queued = [helper.submit(_oracle_srm, oracle, spec, theirs) for spec in spectra]
+        for i in reversed(range(len(spectra))):
+            if not queued[i].cancel():
+                break
+            srms[i] = _oracle_srm(oracle, spectra[i], ours)
+        for i, srm in enumerate(queued):
+            if not srm.cancelled():
+                srms[i] = srm.result()
+    return dict(zip(plan.k_grid, srms))
+
+
+def _oracle_srm(values: np.ndarray, spectrum, products: np.ndarray) -> float:
+    """``float(srm_from_edges(values, np.arange(N + 1) / N, spectrum))``, bit for bit.
+
+    ``values`` holds the N sorted oracle draws, emp's step quantile.  The
+    grid j/N, its check and its masses are formed ``ORACLE_CHUNK`` segments
+    at a time, which start at multiples of 64, so every elementwise float
+    is the one a single pass over the whole grid gives.  The products go
+    into ``products``, and one ``np.sum`` over that whole array adds them
+    in srm_from_edges's pairwise order.
+    """
+    n = values.size
+    offsets = np.arange(ORACLE_CHUNK + 1, dtype=float)
+    edges = np.empty(ORACLE_CHUNK + 1)
+    tails = np.empty(ORACLE_CHUNK + 1)
+    for a in range(0, n, ORACLE_CHUNK):
+        m = min(n - a, ORACLE_CHUNK)
+        e = np.add(offsets[: m + 1], a, out=edges[: m + 1])
+        e /= n
+        e = _check_edges(e)
+        t = np.subtract(1.0, e, out=tails[: m + 1])
+        np.multiply(values[a : a + m], spectrum._masses(e, t, out=t), out=products[a : a + m])
+    return float(np.sum(products))
 
 
 def _run_cells(plan: ExperimentPlan, cfg: DependentModelConfig | None) -> dict[int, np.ndarray]:
