@@ -43,7 +43,11 @@ VARIANCE_CLIP = 1e-3
 
 
 def _pl_fit(sample: LtrcSample | StepDistribution) -> StepDistribution:
-    """The product-limit fit of ``sample``, or ``sample`` itself if it is a fit."""
+    """The product-limit fit of ``sample``, or ``sample`` itself if it is a fit.
+
+    A sample's first fit is kept on the sample, so every analysis of one
+    sample reads the same fit.
+    """
     if not isinstance(sample, StepDistribution):
         return fit_pl(sample)
     if sample.sorted_sample is None:
@@ -58,8 +62,9 @@ def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
     is smoothed with bandwidth n^(-1/5) * IQR / 1.349.  Degenerate
     single-atom fits return 0.  Raises
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
-    falls below the floor inside the clipped integration range.  Given a
-    sample's product-limit fit, ``fit_pl(sample)``, it does not fit again.
+    falls below the floor inside the clipped integration range.  It reads
+    the product-limit fit kept on the sample, ``fit_pl(sample)``, so a
+    sample analysed before, or a fit, is not fitted again.
 
     The covariance kernel is evaluated at the lower of the two levels, the
     form that reduces to the classical L-statistic variance without
@@ -378,7 +383,8 @@ def asymptotic_ci(
 ) -> EstimateReport:
     """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n).
 
-    Point and variance share one fit, made here unless ``sample`` is a fit.
+    Point and variance share one fit: the fit kept on ``sample``, made here
+    on its first analysis, or ``sample`` itself if it is a fit.
     """
     if not 0.0 <= level < 1.0:
         raise ValueError("level must lie in [0, 1)")

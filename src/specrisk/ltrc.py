@@ -32,9 +32,13 @@ class LtrcSample:
     """An LTRC sample held as aligned, write-locked numpy arrays.
 
     Its attributes cannot be assigned or deleted, as with a frozen dataclass.
+    The sample's first sort (:meth:`SortedSample.from_sample`) and first
+    product-limit fit (:func:`fit_pl`) are kept on it and returned again.
+    Both derive from ``(y, t, delta)`` alone and are write-locked, and a
+    pickled or copied sample starts without them.
     """
 
-    __slots__ = ("y", "t", "delta")
+    __slots__ = ("y", "t", "delta", "_sorted", "_fit")
 
     def __init__(self, y: Sequence[float], t: Sequence[float], delta: Sequence[int]):
         y_arr = np.array(y, dtype=float)
@@ -59,6 +63,8 @@ class LtrcSample:
         object.__setattr__(self, "y", y_arr)
         object.__setattr__(self, "t", t_arr)
         object.__setattr__(self, "delta", d_arr)
+        object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_fit", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -218,6 +224,9 @@ class SortedSample:
 
     @classmethod
     def from_sample(cls, sample: LtrcSample) -> "SortedSample":
+        """The sample sorted, built on first use and then kept on the sample."""
+        if sample._sorted is not None:
+            return sample._sorted
         order = sample.sorted_order()
         ys = sample.y[order]
         # tied t need no order: prefix sums are read only past the last of a tie
@@ -226,7 +235,7 @@ class SortedSample:
         first = np.concatenate(([True], ys[1:] != ys[:-1]))
         starts = np.flatnonzero(first)
         passed = starts[np.cumsum(first) - 1]  # the start of each position's run
-        return cls(
+        arrays = dict(
             order=order,
             y=ys,
             delta=sample.delta[order],
@@ -236,6 +245,11 @@ class SortedSample:
             passed=passed,
             risk=entered - passed,
         )
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        sorted_sample = cls(**arrays)
+        object.__setattr__(sample, "_sorted", sorted_sample)
+        return sorted_sample
 
     def pl_cdf(self, weights: np.ndarray) -> np.ndarray:
         """Product-limit CDF at each run of equal y, one row per row of ``weights``.
@@ -276,7 +290,12 @@ def fit_pl(sample: LtrcSample) -> StepDistribution:
     the largest y (risk set of size one at an uncensored point); the fit
     then absorbs all remaining mass at that knot and reports the event in
     ``zero_factor_count``.
+
+    A sample's first fit is kept on the sample, with its ``knots`` and
+    ``values`` write-locked, and every later call returns that same fit.
     """
+    if sample._fit is not None:
+        return sample._fit
     s = SortedSample.from_sample(sample)
     n = s.y.size
     ys, ds, starts, risk = s.y, s.delta, s.starts, s.risk
@@ -295,13 +314,17 @@ def fit_pl(sample: LtrcSample) -> StepDistribution:
     # group (y_max) always has value 1
     keep = np.concatenate(([True], vals[1:] > np.maximum.accumulate(vals)[:-1]))
 
-    return StepDistribution(
+    fit = StepDistribution(
         knots=ys[starts][keep],
         values=vals[keep],
         zero_factor_count=zero_factors,
         n=n,
         sorted_sample=s,
     )
+    fit.knots.flags.writeable = False
+    fit.values.flags.writeable = False
+    object.__setattr__(sample, "_fit", fit)
+    return fit
 
 
 def _exact_cdf(s: SortedSample) -> list[tuple[int, int]]:

@@ -726,7 +726,9 @@ class TestSharedFit:
         assert fits(lambda: edgeworth_diagnostics(fit, 0.9)) == 0
 
     def test_quantile_is_computed_once(self, context_samples, monkeypatch):
-        fit = fit_pl(context_samples["tied-mixed-delta"])
+        s = context_samples["tied-mixed-delta"]
+        # a sample keeps its fit, so rebuild it for a fit whose quantile nobody has read
+        fit = fit_pl(LtrcSample(s.y, s.t, s.delta))
         expected = pl_quantile(fit)
         calls = []
 
@@ -739,6 +741,65 @@ class TestSharedFit:
         assert fit.quantile is q and len(calls) == 1
         for name in ("edges", "values"):
             assert np.array_equal(getattr(q, name), getattr(expected, name))
+
+    @pytest.fixture
+    def sorts_and_fits(self, monkeypatch):
+        """Counts (sorts, fits) since the last read: ``sorted_order`` calls, and
+        distinct fits that ``fit_pl`` returned, one per run of its body."""
+        sorts, fits = [], []
+        sorted_order, original = LtrcSample.sorted_order, ltrc.fit_pl
+
+        def counting_order(sample):
+            sorts.append(1)
+            return sorted_order(sample)
+
+        def counting_fit(sample):
+            fit = original(sample)
+            if not any(f is fit for f in fits):
+                fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(LtrcSample, "sorted_order", counting_order)
+        for module in (ltrc, estimators, inference):
+            monkeypatch.setattr(module, "fit_pl", counting_fit)
+
+        def read():
+            counts = (len(sorts), len(fits))
+            sorts.clear()
+            fits.clear()
+            return counts
+
+        return read
+
+    def test_analyses_of_a_sample_sort_and_fit_it_once(self, sorts_and_fits):
+        s = _tied_mixed_delta_sample()
+        spec = ExponentialSpectrum(1.0)
+        asymptotic_ci(s, spec)
+        estimate_sigma2(s, spec)
+        edgeworth_diagnostics(s, 0.5)
+        edgeworth_diagnostics(s, 0.9)
+        assert sorts_and_fits() == (1, 1)
+
+    @pytest.mark.parametrize(
+        "names", [("prod", "emp", "kernel"), ESTIMATOR_NAMES, ("emp",), ("ml", "pm")]
+    )
+    def test_bootstrap_sorts_and_fits_a_sample_once(self, sorts_and_fits, names):
+        s = sample_ltrc_iid(harness.EXP_MODEL, WINDOW, 40, seed=3)
+        family = ModelFamily.SHIFTED_EXPONENTIAL
+        group = [build_estimator(name, WINDOW, family, 1000.0) for name in names]
+        bootstrap_ci_many(s, group, _REPLICATE_SPECTRA, BootstrapPlan(replicates=60, seed=5))
+        fits = int("prod" in names or "kernel" in names)
+        assert sorts_and_fits() == (1, fits)
+
+    @pytest.mark.parametrize("names", [("prod", "kernel"), ESTIMATOR_NAMES])
+    def test_mc_worker_fits_each_replicate_once(self, sorts_and_fits, names):
+        plan = harness.ExperimentPlan(
+            design="iid-exp", n_grid=(30,), k_grid=(1.0, 20.0), replicates=4,
+            estimators=names, master_seed=7, mode="fixed-thresholds",
+        )
+        out = harness._replicate_range((plan, None, 30, 0, plan.replicates))
+        assert np.isfinite(out[:, 0]).all()  # prod
+        assert sorts_and_fits() == (plan.replicates, plan.replicates)
 
     @pytest.mark.parametrize(
         "analysis",

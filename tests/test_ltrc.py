@@ -1,7 +1,10 @@
 """Tests for the product-limit core: risk sets, fits, quantile inversion."""
 
+import copy
 import dataclasses
 import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,7 @@ from specrisk import (
     fit_pl,
     pl_quantile,
 )
-from specrisk import harness
+from specrisk import harness, ltrc
 from specrisk.ltrc import QuantileFunction, SortedSample
 
 from conftest import pl_cdf_bruteforce, random_ltrc_sample
@@ -224,6 +227,104 @@ class TestFitPl:
         # censored maximum contributes no factor, yet F is 1 from there on
         assert d.cdf(1.5) == 0.5
         assert d.cdf(2.0) == 1.0
+
+
+def _cache_sample():
+    return random_ltrc_sample(np.random.default_rng(23), 80, tie_prob=0.4)
+
+
+def _sorted_arrays(sorted_sample):
+    return [getattr(sorted_sample, f.name) for f in dataclasses.fields(SortedSample)]
+
+
+class TestFitCache:
+    def test_sample_keeps_its_fit_and_sort(self):
+        s = _cache_sample()
+        fit = fit_pl(s)
+        assert fit_pl(s) is fit
+        assert SortedSample.from_sample(s) is fit.sorted_sample
+        assert fit_pl(s).quantile is fit.quantile
+        for name in ("_fit", "_sorted"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+
+    def test_fit_reuses_an_earlier_sort(self):
+        s = _cache_sample()
+        sorted_sample = SortedSample.from_sample(s)
+        assert SortedSample.from_sample(s) is sorted_sample
+        assert fit_pl(s).sorted_sample is sorted_sample
+
+    def test_cached_arrays_are_read_only(self):
+        fit = fit_pl(_cache_sample())
+        arrays = [fit.knots, fit.values, *_sorted_arrays(fit.sorted_sample)]
+        assert len(arrays) == 10
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_carry_no_cache(self, duplicate):
+        s = _cache_sample()
+        unfitted = pickle.dumps(LtrcSample(s.y, s.t, s.delta))
+        fit = fit_pl(s)
+        fit.quantile  # fills the fit's own cache too
+        assert pickle.dumps(s) == unfitted
+        twin = duplicate(s)
+        refit = fit_pl(twin)
+        assert refit is not fit and refit.sorted_sample is not fit.sorted_sample
+        for got, want in [
+            (refit.knots, fit.knots),
+            (refit.values, fit.values),
+            *zip(_sorted_arrays(refit.sorted_sample), _sorted_arrays(fit.sorted_sample)),
+        ]:
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert refit.zero_factor_count == fit.zero_factor_count and refit.n == fit.n
+
+    def test_threads_fitting_one_sample_only_repeat_work(self):
+        want = fit_pl(_cache_sample())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                s = _cache_sample()
+                fits = []
+                threads = [
+                    threading.Thread(target=lambda: fits.append(fit_pl(s))) for _ in range(4)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=10)
+                assert not any(th.is_alive() for th in threads) and len(fits) == 4
+                assert any(fit is fit_pl(s) for fit in fits)
+                for fit in fits:
+                    assert np.array_equal(fit.knots, want.knots)
+                    assert np.array_equal(fit.values, want.values)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("step", ["sort", "fit"])
+    def test_failed_fit_caches_nothing(self, monkeypatch, step):
+        s = _cache_sample()
+        want = fit_pl(LtrcSample(s.y, s.t, s.delta))
+
+        def fail(*args):
+            raise FloatingPointError("injected")
+
+        if step == "sort":
+            monkeypatch.setattr(LtrcSample, "sorted_order", fail)
+        else:
+            monkeypatch.setattr(ltrc, "_log_space_cdf", fail)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="injected"):
+                fit_pl(s)
+        monkeypatch.undo()
+        fit = fit_pl(s)
+        assert np.array_equal(fit.knots, want.knots) and np.array_equal(fit.values, want.values)
 
 
 def _log_space_fit(sample):
