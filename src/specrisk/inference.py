@@ -21,7 +21,7 @@ import scipy
 from .errors import BootstrapError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
 from .ltrc import LtrcSample, SortedSample, StepDistribution, fit_pl
-from .rng import derive_rng
+from .rng import replicate_indices
 
 __all__ = [
     "estimate_sigma2",
@@ -243,8 +243,9 @@ def edgeworth_cdf(diag: EdgeworthDiagnostics, y):
     the standard normal CDF at rate n^{-1/2}.
     """
     y_arr = np.asarray(y, dtype=float)
-    base = scipy.stats.norm.cdf(y_arr)
-    dens = scipy.stats.norm.pdf(y_arr)
+    # the floats of scipy.stats.norm.cdf and .pdf, without loading scipy.stats
+    base = scipy.special.ndtr(y_arr)
+    dens = np.exp(-(y_arr**2) / 2.0) / np.sqrt(2 * np.pi)
     sigma01 = math.sqrt(diag.sigma01_sq)
     finite = np.isfinite(y_arr)
     bracket = np.zeros_like(y_arr)
@@ -265,6 +266,8 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.replicates > 1 << 32:
+            raise ValueError("replicates must be at most 2**32, one 32-bit stream key each")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.ci_level < 1.0:
@@ -363,7 +366,7 @@ def _weighted_replicates(sample: LtrcSample, estimators, spectra, plan: Bootstra
     rows = max(1, _REPLICATE_BLOCK_CELLS // n)
     for start in range(0, plan.replicates, rows):
         stop = min(start + rows, plan.replicates)
-        idx = np.stack([derive_rng(plan.seed, b).integers(0, n, n) for b in range(start, stop)])
+        idx = replicate_indices(plan.seed, start, stop, n)
         idx += n * np.arange(stop - start)[:, None]
         weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
         for e, estimator in enumerate(estimators):

@@ -372,6 +372,7 @@ class TestCli:
             (["--k", "nan"], "argument --k: must be a list of finite nonnegative numbers"),
             (["--k", "1,inf"], "argument --k: must be a list of finite nonnegative numbers"),
             (["--bootstrap", "0"], "argument --bootstrap: must be an integer of at least 1"),
+            (["--bootstrap", "4294967297"], "replicates must be at most 2**32"),
             (["--level", "1.5"], "argument --level: must be a number in (0, 1)"),
             (["--p1", "2"], "argument --p1: must be a number in (0, 1)"),
             (["--workers", "0"], "argument --workers: must be an integer of at least 1"),

@@ -59,6 +59,16 @@ def test_product_limit_estimate_loads_no_subpackage(claims_file, tmp_path):
     assert _loaded_after(_estimate(claims_file, tmp_path / "out", "prod,emp")) == []
 
 
+def test_edgeworth_cdf_loads_no_stats():
+    code = (
+        "from specrisk import EdgeworthDiagnostics, edgeworth_cdf\n"
+        "diag = EdgeworthDiagnostics(sigma01_sq=1.0, kappa3=0.5, sigma0_sq=1.0, "
+        "sigma1_sq=0.25, n=50, level=0.5)\n"
+        "assert 0.0 < edgeworth_cdf(diag, 0.3) < 1.0"
+    )
+    assert "scipy.stats" not in _loaded_after(code)
+
+
 def test_kernel_estimate_loads_integrate_only_as_needed(claims_file, tmp_path):
     loaded = _loaded_after(_estimate(claims_file, tmp_path / "out", "kernel"))
     assert "scipy.integrate" in loaded

@@ -83,6 +83,22 @@ class TestEdgeworthCdf:
         dev_quad = np.max(np.abs(edgeworth_cdf(quad, y) - stats.norm.cdf(y)))
         assert dev_base / dev_quad == pytest.approx(2.0, abs=1e-9)
 
+    def test_ndtr_and_exp_are_the_norm_floats(self):
+        # edgeworth_cdf's normal CDF and density, without loading scipy.stats
+        y = np.concatenate((np.linspace(-40.0, 40.0, 200_001), [np.inf, -np.inf, np.nan, 0.0, -0.0]))
+        assert np.array_equal(special.ndtr(y), stats.norm.cdf(y), equal_nan=True)
+        dens = np.exp(-(y**2) / 2.0) / np.sqrt(2 * np.pi)
+        assert np.array_equal(dens, stats.norm.pdf(y), equal_nan=True)
+
+    def test_matches_the_scipy_stats_formula(self):
+        diag = EdgeworthDiagnostics(
+            sigma01_sq=1.2, kappa3=0.8, sigma0_sq=2.0, sigma1_sq=0.3, n=100, level=0.5
+        )
+        y = np.concatenate((np.linspace(-9.0, 9.0, 2001), [np.inf, -np.inf]))
+        bracket = np.where(np.isfinite(y), diag.kappa3 / 6.0 * (y * y - 1.0) + math.sqrt(1.2) / 2.0, 0.0)
+        want = stats.norm.cdf(y) - diag.n ** (-0.5) * stats.norm.pdf(y) * bracket
+        assert np.array_equal(edgeworth_cdf(diag, y), want)
+
 
 class TestEdgeworthDiagnostics:
     def test_complete_data_matches_literal_sum(self):
@@ -368,6 +384,31 @@ class TestBootstrap:
         # the replicate streams take nonnegative keys only
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             BootstrapPlan(replicates=10, seed=-1)
+
+    def test_replicates_beyond_one_stream_word_rejected(self):
+        # replicate b's stream key must be one 32-bit entropy word
+        assert BootstrapPlan(replicates=2**32).replicates == 2**32
+        with pytest.raises(ValueError, match="replicates must be at most 2\\*\\*32"):
+            BootstrapPlan(replicates=2**32 + 1)
+
+    def test_a_call_builds_one_generator_not_one_per_replicate(self, monkeypatch):
+        s = random_ltrc_sample(np.random.default_rng(8), 50)  # 200 replicates fill one block
+        built = []
+
+        def counting(name, make):
+            def build(*args, **kwargs):
+                built.append(name)
+                return make(*args, **kwargs)
+
+            return build
+
+        # each of these builds one SeedSequence, and PCG64 builds one from an int seed
+        for name in ("SeedSequence", "default_rng", "PCG64"):
+            monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+        spectra = [ExponentialSpectrum(k) for k in (1.0, 20.0)]
+        reports = bootstrap_ci_many(s, [ProdEstimator()], spectra, BootstrapPlan(replicates=200, seed=3))
+        assert [r.replicates_used + r.replicate_failures for r in reports] == [200, 200]
+        assert len(built) <= 1
 
     def test_degenerate_sample_gives_zero_width(self):
         s = LtrcSample([4.0] * 20, [0.0] * 20, [1] * 20)
