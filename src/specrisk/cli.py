@@ -296,6 +296,7 @@ def _cmd_coverage(args: argparse.Namespace) -> Callable[[], int]:
             f"--bootstrap must be at least {MIN_REPLICATES_FOR_CI} to build an interval, "
             f"got {args.bootstrap}"
         )
+    BootstrapPlan(replicates=args.bootstrap, ci_level=args.level)  # built to check both
     plan = ExperimentPlan(
         design=args.design,
         n_grid=args.n,

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -210,17 +213,56 @@ def _replicate_range(args) -> np.ndarray:
 def _map_chunks(worker, head: tuple, total: int, workers: int) -> list:
     """``worker((*head, start, stop))`` over chunks of range(total), in order.
 
-    With more than one worker the chunks run in a process pool.  Each
-    replicate derives its own random streams, so the results depend on
-    neither the chunking nor the worker count.
+    With more than one worker the chunks run in the kept process pool
+    (``_worker_pool``).  Each replicate derives its own random streams, so
+    the results depend on neither the chunking nor the worker count.
     """
     n_chunks = max(1, min(total, workers * 4))
     step = math.ceil(total / n_chunks)
     payloads = [(*head, a, min(total, a + step)) for a in range(0, total, step)]
     if workers == 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+    # map submits every payload before it returns, so a pool replaced by
+    # another thread's call is shut down only after these have run
+    with _pool_lock:
+        try:
+            results = _worker_pool(workers).map(worker, payloads)
+        except BrokenProcessPool:
+            # a worker died since the last call: rebuild once; a break
+            # while this call's chunks run is raised, not retried
+            _drop_pool()
+            results = _worker_pool(workers).map(worker, payloads)
+    return list(results)
+
+
+# The process pool kept for every pooled call of this process, as (size,
+# executor), and the lock its callers hold; the first call with more than
+# one worker creates it.  concurrent.futures' exit hook joins its workers.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool for ``workers``, with at most one process per CPU.
+
+    A kept pool of another size is shut down, its workers joined, before
+    the new one forks.  Call it holding ``_pool_lock``.
+    """
+    global _pool
+    size = min(workers, os.cpu_count() or 1)
+    if _pool is not None and _pool[0] != size:
+        _drop_pool()
+    if _pool is None:
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and join its workers; call it holding ``_pool_lock``."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
 
 
 def _theoretical_targets(

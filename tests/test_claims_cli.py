@@ -468,6 +468,7 @@ class TestCli:
                 "sample sizes must be at most 10000000",
             ),
             (["coverage", "--n", "10000001"], "sample sizes must be at most 10000000"),
+            (["coverage", "--bootstrap", "4294967297"], "replicates must be at most 2**32"),
         ],
     )
     def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):

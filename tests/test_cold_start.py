@@ -1,8 +1,9 @@
-"""Cold start: which scipy subpackages each entry point loads.
+"""Cold start: which scipy subpackages each entry point loads, and when the pool starts.
 
 The package imports scipy's top-level package, which loads a subpackage on
 first use, and each call site names its subpackage, so a command loads only
-what it runs.  Each check runs in a fresh interpreter.
+what it runs.  The harness's worker pool starts at the first call with more
+than one worker.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -19,12 +20,8 @@ PACKAGE = Path(specrisk.__file__).resolve().parent
 GUARDED = ("scipy.integrate", "scipy.signal", "scipy.special", "scipy.stats")
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The guarded subpackages loaded after ``code`` runs in a fresh interpreter."""
-    script = (
-        f"{code}\nimport json, sys\n"
-        f"print(json.dumps([m for m in {GUARDED!r} if m in sys.modules]))"
-    )
+def _fresh(script: str):
+    """The JSON that ``script`` prints last, run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -35,6 +32,14 @@ def _loaded_after(code: str) -> list[str]:
         check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The guarded subpackages loaded after ``code`` runs in a fresh interpreter."""
+    return _fresh(
+        f"{code}\nimport json, sys\n"
+        f"print(json.dumps([m for m in {GUARDED!r} if m in sys.modules]))"
+    )
 
 
 @pytest.fixture
@@ -82,3 +87,27 @@ def test_sources_name_subpackages_at_the_call_site():
         text = path.read_text(encoding="utf-8")
         assert "from scipy import" not in text, path.name
         assert "scipy.signal" not in text, path.name
+
+
+def test_only_a_pooled_call_starts_the_pool():
+    # [pool kept, Python threads, child processes] after import, after an
+    # in-process run and after a run at two workers
+    script = (
+        "import dataclasses, json, multiprocessing, threading\n"
+        "import specrisk\n"
+        "from specrisk import harness\n"
+        "def state():\n"
+        "    return [harness._pool is not None, threading.active_count(),"
+        " len(multiprocessing.active_children())]\n"
+        "states = [state()]\n"
+        "plan = harness.ExperimentPlan(design='iid-exp', n_grid=(20,), k_grid=(1.0,),"
+        " replicates=4)\n"
+        "harness.run_iid_experiment(plan)\n"
+        "states.append(state())\n"
+        "harness.run_iid_experiment(dataclasses.replace(plan, workers=2))\n"
+        "states.append(state())\n"
+        "print(json.dumps(states))"
+    )
+    imported, in_process, pooled = _fresh(script)
+    assert imported == in_process == [False, 1, 0]
+    assert pooled[0] and pooled[1] > 1 and pooled[2] == min(2, os.cpu_count() or 1)

@@ -1,6 +1,15 @@
 """Tests for the Monte Carlo harness: determinism, identities, figure data."""
 
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +319,125 @@ class TestCoverage:
         res1 = run_coverage_experiment(plan1, bootstrap_replicates=55, intervals=8)
         res2 = run_coverage_experiment(plan2, bootstrap_replicates=55, intervals=8)
         assert res1.cells == res2.cells
+
+
+def _die(args):
+    """Pool worker that kills its own process."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept pool before or after the test, so every pool it sees is its own."""
+    with harness._pool_lock:
+        harness._drop_pool()
+    yield
+    with harness._pool_lock:
+        harness._drop_pool()
+
+
+COVERAGE_PLAN = dict(design="iid-exp", n_grid=(20, 30), k_grid=(1.0, 5.0), replicates=2, master_seed=3)
+
+
+def _coverage_cells(workers: int):
+    plan = ExperimentPlan(**COVERAGE_PLAN, workers=workers)
+    return run_coverage_experiment(plan, bootstrap_replicates=55, intervals=6).cells
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestKeptPool:
+    def test_one_pool_across_calls_cells_and_sample_sizes(self, monkeypatch):
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        want = _coverage_cells(1)
+        assert starts == []
+        # two calls of four (n, k) cells each
+        assert _coverage_cells(2) == want
+        assert _coverage_cells(2) == want
+        assert len(starts) == 1
+        iid = small_iid_plan(n_grid=(15, 20, 25), replicates=8)
+        assert run_iid_experiment(replace(iid, workers=2)).cells == run_iid_experiment(iid).cells
+        assert len(starts) == 1
+
+    def test_pool_size_is_bounded_by_the_cpu_count(self):
+        with harness._pool_lock:
+            pool = harness._worker_pool(10**6)
+            assert harness._pool == (min(10**6, os.cpu_count() or 1), pool)
+            # no process starts before the first submit
+            assert multiprocessing.active_children() == []
+            harness._drop_pool()
+        assert harness._pool is None
+
+    def test_another_worker_count_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        want = _coverage_cells(1)
+        assert _coverage_cells(2) == want
+        first = _worker_pids()
+        assert len(first) == 2
+        assert _coverage_cells(1) == want  # in process: the pool is kept
+        assert _worker_pids() == first
+        assert _coverage_cells(3) == want
+        second = _worker_pids()
+        assert len(second) == 3 and not second & first
+        assert not any(_alive(pid) for pid in first)
+        assert _coverage_cells(2) == want
+        assert len(_worker_pids()) == 2
+        assert not any(_alive(pid) for pid in second)
+
+    def test_worker_killed_between_calls(self):
+        want = _coverage_cells(1)
+        assert _coverage_cells(2) == want
+        pool = harness._pool[1]
+        os.kill(min(_worker_pids()), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken:
+            assert time.monotonic() < deadline, "the pool never noticed the killed worker"
+            time.sleep(0.01)
+        assert _coverage_cells(2) == want
+        assert harness._pool[1] is not pool
+
+    def test_break_during_a_call_is_raised_then_rebuilt(self):
+        with pytest.raises(BrokenProcessPool):
+            harness._map_chunks(_die, (), 4, 2)
+        assert _coverage_cells(2) == _coverage_cells(1)
+
+    def test_exit_joins_the_workers(self):
+        code = (
+            "import multiprocessing\n"
+            "from specrisk.harness import ExperimentPlan, run_coverage_experiment\n"
+            "plan = ExperimentPlan(design='iid-exp', n_grid=(20,), k_grid=(1.0,), replicates=2,"
+            " workers=2)\n"
+            "run_coverage_experiment(plan, bootstrap_replicates=55, intervals=4)\n"
+            "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n"
+        )
+        package = Path(harness.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, (str(package), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == min(2, os.cpu_count() or 1)
+        assert not any(_alive(pid) for pid in pids)
