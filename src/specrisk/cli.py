@@ -258,7 +258,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Callable[[], int]:
         n_grid=args.n,
         k_grid=args.k.values,
         replicates=args.reps,
-        estimators=tuple(args.estimators.split(",")) if args.estimators else None,
+        estimators=tuple(args.estimators.split(",")) if args.estimators is not None else None,
         master_seed=args.seed,
         mode=args.mode,
         workers=args.workers,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .errors import EstimationError
-from .ltrc import LtrcSample, QuantileFunction, SortedSample, StepDistribution, fit_pl
+from .ltrc import LtrcSample, QuantileFunction, SortedSample, StepDistribution, _prefix_sums, fit_pl
 from .severity import ModelFamily, WindowScheme
 from .spectra import _check_edges
 
@@ -43,34 +43,25 @@ __all__ = [
 ]
 
 
-def srm_from_edges(values: np.ndarray, edges: np.ndarray, spectrum):
-    """Spectral integral of the step function ``values`` on the segments between ``edges``.
+def srm_from_edges(values: np.ndarray, edges: np.ndarray, spectra) -> np.ndarray:
+    """Spectral integrals of the step function ``values`` on the segments between ``edges``.
 
     ``values[..., j]`` holds on (edges[..., j], edges[..., j+1]], and the sum
     along the last axis weights it by the closed-form spectrum mass of that
-    segment, so the only numerical error is float rounding.  Pass C-contiguous
-    edges: in Fortran order np.sum along a row does not add pairwise, and its
-    rounding depends on the row count.
+    segment, so the only numerical error is float rounding.  The result has
+    one leading row per spectrum.  The edges are checked, and 1 - edges
+    formed, once for all spectra.  They are summed in C order, where np.sum
+    along a row adds pairwise; in Fortran order its rounding would depend on
+    the row count.
     """
-    return np.sum(values * spectrum.segment_masses(edges), axis=-1)
+    edges = np.ascontiguousarray(_check_edges(edges))
+    tails = 1.0 - edges
+    return np.array([np.sum(values * spec._masses(edges, tails), axis=-1) for spec in spectra])
 
 
 def srm_from_quantile(q: QuantileFunction, spectrum) -> float:
     """Exact spectral integral of a step quantile function."""
-    return float(srm_from_edges(q.values, q.edges, spectrum))
-
-
-def _srm_from_levels(x: np.ndarray, levels: np.ndarray, spectra) -> np.ndarray:
-    """sum_g x_g * segment_integral(F_b,g-1, F_bg) per row b of ``levels``, for each spectrum.
-
-    Each row equals ``srm_from_edges`` on the row's edges; the edges are
-    checked, and 1 - edges formed, once for all spectra.
-    """
-    # column gathers can return Fortran order
-    edges = np.ascontiguousarray(np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1))
-    edges = _check_edges(edges)
-    tails = 1.0 - edges
-    return np.array([np.sum(x * spec._masses(edges, tails), axis=-1) for spec in spectra])
+    return float(srm_from_edges(q.values, q.edges, (spectrum,))[0])
 
 
 def estimate_prod(sample: LtrcSample, spectrum) -> float:
@@ -227,7 +218,8 @@ def fit_pm_parameter(
         raise ValueError("p1 must lie in (0, 1)")
     d = scheme.deductible
     ones = np.ones((1, len(sample)), dtype=np.int64)
-    x_p1, param = (float(v[0]) for v in _pm_fit(np.sort(sample.y), ones, d, family, p1))
+    y_sorted = SortedSample.from_sample(sample).y
+    x_p1, param = (float(v[0]) for v in _pm_fit(y_sorted, ones, d, family, p1))
     if x_p1 == d:
         raise EstimationError("matched percentile equals the deductible")
     if not param > 0:
@@ -275,9 +267,11 @@ class SrmEstimator:
         raise NotImplementedError
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
-        """Estimates of the resamples holding original observation j ``weights[b, j]`` times.
+        """Estimates of the resamples that hold sorted observation i ``weights[b, i]`` times.
 
-        One row per spectrum, one column per resample b; NaN where one fails.
+        ``weights`` is a C-ordered integer array in the order of
+        ``sorted_sample``.  One row per spectrum, one column per resample b;
+        NaN where one fails.
         """
         raise NotImplementedError
 
@@ -296,7 +290,8 @@ class ProdEstimator(SrmEstimator):
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         levels = sorted_sample.pl_cdf(weights)
-        return _srm_from_levels(sorted_sample.y[sorted_sample.starts], levels, spectra)
+        edges = np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1)
+        return srm_from_edges(sorted_sample.y[sorted_sample.starts], edges, spectra)
 
 
 class EmpEstimator(SrmEstimator):
@@ -304,14 +299,14 @@ class EmpEstimator(SrmEstimator):
 
     def prepare(self, sample: LtrcSample) -> QuantileFunction:
         n = len(sample)
-        return QuantileFunction(np.arange(n + 1) / n, np.sort(sample.y))
+        return QuantileFunction(np.arange(n + 1) / n, SortedSample.from_sample(sample).y)
 
     def evaluate(self, ctx: QuantileFunction, spectrum) -> float:
         return srm_from_quantile(ctx, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
-        levels = np.cumsum(weights[:, sorted_sample.order], axis=1) / sorted_sample.y.size
-        return _srm_from_levels(sorted_sample.y, levels, spectra)
+        edges = _prefix_sums(weights) / sorted_sample.y.size
+        return srm_from_edges(sorted_sample.y, edges, spectra)
 
 
 class KernelEstimator(SrmEstimator):
@@ -361,8 +356,7 @@ class MlEstimator(SrmEstimator):
         return _finite_srm(self.family, self.x0, ctx, spectrum)
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
-        w = np.take(weights, sorted_sample.order, axis=1)  # C order: row sums add pairwise
-        params = _ml_fit(sorted_sample.y, sorted_sample.delta, w, self.scheme, self.family)
+        params = _ml_fit(sorted_sample.y, sorted_sample.delta, weights, self.scheme, self.family)
         return np.array([parametric_srm(self.family, self.x0, params, spec) for spec in spectra])
 
 
@@ -384,7 +378,7 @@ class PmEstimator(SrmEstimator):
 
     def replicates(self, sorted_sample: SortedSample, weights: np.ndarray, spectra) -> np.ndarray:
         s, d = sorted_sample, self.scheme.deductible
-        _, params = _pm_fit(s.y, weights[:, s.order], d, self.family, self.p1)
+        _, params = _pm_fit(s.y, weights, d, self.family, self.p1)
         # a percentile at the deductible gives theta = -0 or alpha = -inf, refused here too
         params = np.where(params > 0, params, np.nan)
         return np.array([parametric_srm(self.family, self.x0, params, spec) for spec in spectra])

@@ -20,7 +20,7 @@ import scipy
 
 from .errors import BootstrapError, SingularDensityError
 from .estimators import EstimateReport, ProdEstimator, SrmEstimator
-from .ltrc import LtrcSample, SortedSample, StepDistribution, fit_pl
+from .ltrc import LtrcSample, SortedSample, fit_pl
 from .rng import replicate_indices
 
 __all__ = [
@@ -42,20 +42,7 @@ DENSITY_FLOOR = 1e-12
 VARIANCE_CLIP = 1e-3
 
 
-def _pl_fit(sample: LtrcSample | StepDistribution) -> StepDistribution:
-    """The product-limit fit of ``sample``, or ``sample`` itself if it is a fit.
-
-    A sample's first fit is kept on the sample, so every analysis of one
-    sample reads the same fit.
-    """
-    if not isinstance(sample, StepDistribution):
-        return fit_pl(sample)
-    if sample.sorted_sample is None:
-        raise ValueError("distribution was not fitted on a sample")
-    return sample
-
-
-def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
+def estimate_sigma2(sample: LtrcSample, spectrum) -> float:
     """Plug-in estimate of the asymptotic variance of the PL-based SRM estimate.
 
     Returns the variance of the sqrt(n)-normalized estimator.  The density
@@ -63,19 +50,19 @@ def estimate_sigma2(sample: LtrcSample | StepDistribution, spectrum) -> float:
     single-atom fits return 0.  Raises
     :class:`~specrisk.errors.SingularDensityError` when the smoothed density
     falls below the floor inside the clipped integration range.  It reads
-    the product-limit fit kept on the sample, ``fit_pl(sample)``, so a
-    sample analysed before, or a fit, is not fitted again.
+    the sort and the product-limit fit kept on the sample, so a sample
+    analysed before is not sorted or fitted again.
 
     The covariance kernel is evaluated at the lower of the two levels, the
     form that reduces to the classical L-statistic variance without
     truncation or censoring.
     """
-    fit = _pl_fit(sample)
-    n = fit.n
+    fit = fit_pl(sample)
+    n = len(sample)
     q = fit.quantile
     if q.values.size < 2:
         return 0.0
-    s = fit.sorted_sample
+    s = SortedSample.from_sample(sample)
     unc = s.delta == 1
     y_unc, risk_unc = s.y[unc], s.risk[unc]
 
@@ -199,16 +186,13 @@ class EdgeworthDiagnostics:
             raise ValueError("sigma01_sq must be nonnegative")
 
 
-def edgeworth_diagnostics(
-    sample: LtrcSample | StepDistribution, level: float
-) -> EdgeworthDiagnostics:
-    """Evaluate the expansion ingredients on a sample, or its fit, at one level."""
+def edgeworth_diagnostics(sample: LtrcSample, level: float) -> EdgeworthDiagnostics:
+    """Evaluate the expansion ingredients on a sample at one level."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    fit = _pl_fit(sample)
-    n = fit.n
-    s = fit.sorted_sample
-    bound = fit.quantile(level)
+    n = len(sample)
+    s = SortedSample.from_sample(sample)
+    bound = fit_pl(sample).quantile(level)
     if bound >= s.y[-1]:
         raise ValueError(
             f"fitted quantile at level {level} reaches the largest observation; "
@@ -354,11 +338,11 @@ _REPLICATE_BLOCK_CELLS = 1 << 14
 def _weighted_replicates(sample: LtrcSample, estimators, spectra, plan: BootstrapPlan) -> np.ndarray:
     """Replicate estimates without building a resample: [estimator, spectrum, replicate].
 
-    Replicate b holds observation j ``w_bj`` times, the count of j among its
-    indices.  Each block of weight rows is drawn once, and every
-    ``estimator.replicates`` turns it into estimates on the once-sorted
-    sample, NaN where a replicate fails.  A value does not depend on the
-    block it falls in.
+    Replicate b holds the observation at sorted position i ``w_bi`` times,
+    the count of i among the sorted positions (ranks) of its indices.  Each
+    block of weight rows is drawn once, and every ``estimator.replicates``
+    turns it into estimates on the once-sorted sample, NaN where a
+    replicate fails.  A value does not depend on the block it falls in.
     """
     n = len(sample)
     sorted_sample = SortedSample.from_sample(sample)
@@ -366,9 +350,9 @@ def _weighted_replicates(sample: LtrcSample, estimators, spectra, plan: Bootstra
     rows = max(1, _REPLICATE_BLOCK_CELLS // n)
     for start in range(0, plan.replicates, rows):
         stop = min(start + rows, plan.replicates)
-        idx = replicate_indices(plan.seed, start, stop, n)
-        idx += n * np.arange(stop - start)[:, None]
-        weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
+        pos = sorted_sample.rank[replicate_indices(plan.seed, start, stop, n)]
+        pos += n * np.arange(stop - start)[:, None]
+        weights = np.bincount(pos.ravel(), minlength=pos.size).reshape(pos.shape)
         for e, estimator in enumerate(estimators):
             out[e, :, start:stop] = estimator.replicates(sorted_sample, weights, spectra)
     return out
@@ -381,20 +365,18 @@ def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def asymptotic_ci(
-    sample: LtrcSample | StepDistribution, spectrum, level: float = 0.90
-) -> EstimateReport:
+def asymptotic_ci(sample: LtrcSample, spectrum, level: float = 0.90) -> EstimateReport:
     """Normal-limit interval: point +- z_{(1+level)/2} * sigma_hat / sqrt(n).
 
-    Point and variance share one fit: the fit kept on ``sample``, made here
-    on its first analysis, or ``sample`` itself if it is a fit.
+    Point and variance share the fit kept on ``sample``, which
+    ``estimate_sigma2`` makes on the sample's first analysis.
     """
     if not 0.0 <= level < 1.0:
         raise ValueError("level must lie in [0, 1)")
-    fit = _pl_fit(sample)
-    n = fit.n
-    point = ProdEstimator().evaluate(fit, spectrum)
-    sigma2 = estimate_sigma2(fit, spectrum)
+    n = len(sample)
+    sigma2 = estimate_sigma2(sample, spectrum)
+    # estimate_sigma2 has fitted the sample: read the kept fit, not fit_pl again
+    point = ProdEstimator().evaluate(sample._fit, spectrum)
     # ndtri is the float that scipy.stats.norm.ppf returns, without loading scipy.stats
     half = float(scipy.special.ndtri(0.5 * (1.0 + level))) * math.sqrt(sigma2 / n)
     return EstimateReport(

@@ -109,8 +109,8 @@ class StepDistribution:
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
     before the first knot the CDF is 0.  A fit keeps the :class:`SortedSample`
-    it was fitted on, from which ``cdf_exact`` computes exact values and the
-    asymptotic inference reads risk sets, so an analysis fits once.
+    it was fitted on, from which ``cdf_exact`` computes exact values; a
+    distribution built by hand has none.
     """
 
     knots: np.ndarray
@@ -205,7 +205,8 @@ class SortedSample:
     """An LTRC sample sorted once, for product-limit fits under integer weights.
 
     A bootstrap resample is the original sample with integer weights: the
-    number of times each observation was drawn.  The risk set of a weighted
+    number of times each observation was drawn, held at its sorted position
+    (``rank`` maps an original index to it).  The risk set of a weighted
     sample at a sorted y_i is a weighted count,
     R(i) = sum_j w_j 1{t_j <= y_i} - sum_j w_j 1{y_j < y_i}, so it comes from
     cumulative weight sums at positions that depend on the sample alone and
@@ -213,11 +214,11 @@ class SortedSample:
     held as ``risk``.
     """
 
-    order: np.ndarray  # original index at each sorted position
+    rank: np.ndarray  # sorted position of each original index
     y: np.ndarray  # y in sorted order: by y, uncensored first on ties
     delta: np.ndarray
     starts: np.ndarray  # first sorted position of each run of equal y
-    t_order: np.ndarray  # original indices by increasing t
+    t_order: np.ndarray  # sorted positions by increasing t
     entered: np.ndarray  # #{t_j <= y_i} at each sorted position
     passed: np.ndarray  # #{y_j < y_i} at each sorted position
     risk: np.ndarray  # entered - passed: risk-set size at each sorted position, >= 1
@@ -228,19 +229,21 @@ class SortedSample:
         if sample._sorted is not None:
             return sample._sorted
         order = sample.sorted_order()
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
         ys = sample.y[order]
         # tied t need no order: prefix sums are read only past the last of a tie
-        t_order = np.argsort(sample.t)
-        entered = np.searchsorted(sample.t[t_order], ys, side="right")
+        by_t = np.argsort(sample.t)
+        entered = np.searchsorted(sample.t[by_t], ys, side="right")
         first = np.concatenate(([True], ys[1:] != ys[:-1]))
         starts = np.flatnonzero(first)
         passed = starts[np.cumsum(first) - 1]  # the start of each position's run
         arrays = dict(
-            order=order,
+            rank=rank,
             y=ys,
             delta=sample.delta[order],
             starts=starts,
-            t_order=t_order,
+            t_order=rank[by_t],
             entered=entered,
             passed=passed,
             risk=entered - passed,
@@ -254,16 +257,16 @@ class SortedSample:
     def pl_cdf(self, weights: np.ndarray) -> np.ndarray:
         """Product-limit CDF at each run of equal y, one row per row of ``weights``.
 
-        ``weights`` is a (rows, n) integer array indexed like the original
-        sample.  Each row is fitted as the sample that holds observation j
-        ``weights[row, j]`` times, in the log-space convention of ``fit_pl``.
+        ``weights`` is a (rows, n) integer array in sorted order:
+        ``weights[row, i]`` is how many times the row's sample holds the
+        observation at sorted position i.  Each row is fitted as that sample,
+        in the log-space convention of ``fit_pl``.
         """
-        w_sorted = weights[:, self.order]
         risk = (
             _prefix_sums(weights[:, self.t_order])[:, self.entered]
-            - _prefix_sums(w_sorted)[:, self.passed]
+            - _prefix_sums(weights)[:, self.passed]
         )
-        return _log_space_cdf(self.delta, risk, self.starts, w_sorted)
+        return _log_space_cdf(self.delta, risk, self.starts, weights)
 
 
 def _prefix_sums(w: np.ndarray) -> np.ndarray:

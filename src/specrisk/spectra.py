@@ -71,22 +71,12 @@ class ExponentialSpectrum:
             out = (np.exp(-self.k * (1.0 - b)) - np.exp(-self.k * (1.0 - a))) / self._norm
         return float(out) if out.ndim == 0 else out
 
-    def segment_masses(self, edges):
-        """Integral of phi over each segment between consecutive ``edges`` along the last axis.
-
-        Equal bit for bit to ``segment_integral(edges[..., :-1], edges[..., 1:])``,
-        but neighbouring segments share their ends, so each edge costs one exp
-        instead of two.
-        """
-        edges = _check_edges(edges)
-        tails = 1.0 - edges
-        # in place: one more array of the edges' size would be paged in
-        # afresh whenever it is large
-        return self._masses(edges, tails, out=tails)
-
     def _masses(self, edges: np.ndarray, tails: np.ndarray, out=None) -> np.ndarray:
-        """``segment_masses`` of checked float ``edges``, given ``tails`` = 1 - edges.
+        """Integral of phi over each segment between checked float ``edges`` along the last axis.
 
+        ``tails`` is 1 - edges.  Equal bit for bit to
+        ``segment_integral(edges[..., :-1], edges[..., 1:])``, but neighbouring
+        segments share their ends, so each edge costs one exp instead of two.
         The exponentials are formed in ``out``, a new array by default, which
         may be ``tails`` itself.
         """
@@ -156,12 +146,12 @@ class ExpectedShortfallSpectrum:
         out = np.maximum(b - lo, 0.0) / (1.0 - self.p)
         return float(out) if out.ndim == 0 else out
 
-    def segment_masses(self, edges):
-        """Integral of phi over each segment between consecutive ``edges`` along the last axis."""
-        return self._masses(_check_edges(edges), None)
-
     def _masses(self, edges: np.ndarray, tails, out=None) -> np.ndarray:
-        """``segment_masses`` of checked float ``edges``; ``tails`` and ``out`` are not used."""
+        """Integral of phi over each segment between checked float ``edges``.
+
+        ``segment_integral``'s operations on neighbouring edges; ``tails`` and
+        ``out`` are not used.
+        """
         lo = np.maximum(edges[..., :-1], self.p)
         return np.maximum(edges[..., 1:] - lo, 0.0) / (1.0 - self.p)
 

@@ -469,6 +469,12 @@ class TestCli:
             ),
             (["coverage", "--n", "10000001"], "sample sizes must be at most 10000000"),
             (["coverage", "--bootstrap", "4294967297"], "replicates must be at most 2**32"),
+            # an empty list names no default: it is refused as estimate refuses it
+            (
+                ["simulate", "--design", "iid-exp", "--n", "10", "--k", "1", "--reps", "2",
+                 "--estimators", ""],
+                "unknown estimator ''; valid names: prod, emp, kernel, ml, pm",
+            ),
         ],
     )
     def test_invalid_run_flag_is_usage_error(self, tmp_path, capsys, argv, message):

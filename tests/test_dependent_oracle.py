@@ -41,7 +41,7 @@ def serial_targets(plan, cfg):
     seed = derive_seed(plan.master_seed, "dependent-oracle")
     oracle = np.sort(serial_marginal(cfg, n, seed))
     grid = np.arange(n + 1) / n
-    return {k: float(srm_from_edges(oracle, grid, ExponentialSpectrum(k))) for k in plan.k_grid}
+    return {k: float(srm_from_edges(oracle, grid, [ExponentialSpectrum(k)])[0]) for k in plan.k_grid}
 
 
 def test_chunk_is_a_multiple_of_64():

@@ -556,6 +556,89 @@ class TestSharedSmootherTable:
         assert max(most_alive) == 1
 
 
+def _signed_zero_samples():
+    """Samples whose y hold tied -0.0 and 0.0, with mixed censoring, and all-zero samples."""
+    rng = np.random.default_rng(61)
+    samples = {}
+    for i in range(6):
+        n = int(rng.integers(8, 60))
+        y = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        positive = rng.random(n) < 0.4
+        y[positive] = np.round(0.1 + rng.exponential(1.0, int(positive.sum())), 1)
+        delta = (rng.random(n) < 0.6).astype(int)
+        samples[f"signed-zeros-{i}"] = LtrcSample(y, np.full(n, -np.inf), delta)
+    for i, n in enumerate((1, 7, 30)):
+        y = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        samples[f"all-zero-{i}"] = LtrcSample(y, np.full(n, -np.inf), rng.random(n) < 0.5)
+    samples["all-negative-zero"] = LtrcSample(np.full(5, -0.0), np.full(5, -np.inf), [1] * 5)
+    return samples
+
+
+SIGNED_ZERO_SAMPLES = _signed_zero_samples()
+SIGNED_ZERO_SPECTRA = [ExponentialSpectrum(k) for k in (0.0, 1.0, 20.0)] + [
+    ExpectedShortfallSpectrum(0.5)
+]
+
+
+def _bits(f):
+    """The float's bytes, so that -0.0 and 0.0 differ, or "refused" if ``f`` raises."""
+    try:
+        return np.float64(f()).tobytes()
+    except EstimationError:
+        return "refused"
+
+
+def _pm_point_from_np_sort(estimator, sample, spectrum):
+    """``pm``'s point by its formula on ``np.sort(sample.y)``."""
+    ones = np.ones((1, len(sample)), dtype=np.int64)
+    d = estimator.scheme.deductible
+    x_p1, param = (
+        float(v[0])
+        for v in estimators._pm_fit(np.sort(sample.y), ones, d, estimator.family, estimator.p1)
+    )
+    if x_p1 == d or not param > 0:
+        raise EstimationError("refused")
+    return estimators._finite_srm(estimator.family, estimator.x0, param, spectrum)
+
+
+class TestSignedZeros:
+    """The kept sort orders tied zeros by censoring, ``np.sort`` by neither; points agree."""
+
+    def test_cases_reach_their_edge(self):
+        # some kept sort differs from np.sort in the sign bits of its zeros
+        differs = [
+            not np.array_equal(
+                np.signbit(SortedSample.from_sample(s).y), np.signbit(np.sort(s.y))
+            )
+            for s in SIGNED_ZERO_SAMPLES.values()
+        ]
+        assert any(differs)
+
+    @pytest.mark.parametrize("name", SIGNED_ZERO_SAMPLES)
+    def test_emp_points_equal_the_np_sort_formula(self, name):
+        s = SIGNED_ZERO_SAMPLES[name]
+        n = len(s)
+        q = QuantileFunction(np.arange(n + 1) / n, np.sort(s.y))
+        for spec in SIGNED_ZERO_SPECTRA:
+            assert _bits(lambda: estimate_emp(s, spec)) == _bits(lambda: srm_from_quantile(q, spec))
+
+    @pytest.mark.parametrize("name", SIGNED_ZERO_SAMPLES)
+    @pytest.mark.parametrize("family", list(ModelFamily), ids=lambda f: f.value)
+    def test_pm_points_equal_the_np_sort_formula(self, name, family):
+        s = SIGNED_ZERO_SAMPLES[name]
+        # below every y, so a matched zero gives a positive theta; Pareto needs d > 0
+        d = -1.0 if family is ModelFamily.SHIFTED_EXPONENTIAL else 0.05
+        outcomes = set()
+        for p1 in (0.1, 0.5, 0.9):
+            est = PmEstimator(WindowScheme.fixed(d, math.inf), family, x0=1.0, p1=p1)
+            for spec in SIGNED_ZERO_SPECTRA:
+                got = _bits(lambda: est(s, spec))
+                assert got == _bits(lambda: _pm_point_from_np_sort(est, s, spec))
+                outcomes.add(got == "refused")
+        if name.startswith("all-zero") and family is ModelFamily.SHIFTED_EXPONENTIAL:
+            assert outcomes == {False}  # theta = d / log(1 - p1) at a matched zero
+
+
 class TestBuildEstimator:
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="prod, emp, kernel, ml, pm"):

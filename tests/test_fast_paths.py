@@ -2,8 +2,9 @@
 
 Each fast path is held bit for bit to the path it replaced: a float level
 against the same call on a 0-d array, a quad over the fast integrand against
-the same quad over one that calls the array paths, and segment masses from
-shared edges against ``segment_integral`` on each segment's two ends.
+the same quad over one that calls the array paths, and the segment masses
+that ``srm_from_edges`` weights by, from shared edges, against
+``segment_integral`` on each segment's two ends.
 """
 
 import math
@@ -25,7 +26,7 @@ from specrisk import (
     window_quantile,
 )
 from specrisk import harness
-from specrisk.estimators import KERNEL_BANDWIDTH, _srm_from_levels
+from specrisk.estimators import KERNEL_BANDWIDTH
 from specrisk.ltrc import QuantileFunction, SortedSample
 from specrisk.severity import window_branch_point
 
@@ -42,6 +43,11 @@ def _spectra():
     return [ExponentialSpectrum(k) for k in PHI_K] + [
         ExpectedShortfallSpectrum(p) for p in (0.0, 0.9)
     ]
+
+
+def _masses(spec, edges):
+    """One spectrum's masses on checked ``edges``, as ``srm_from_edges`` forms them."""
+    return spec._masses(edges, 1.0 - edges)
 
 
 def _mismatches(fast, slow, levels) -> int:
@@ -166,7 +172,10 @@ class TestEdgeMasses:
         q = fit_pl(random_ltrc_sample(rng, int(rng.integers(1, 300)), tie_prob=0.3)).quantile
         for spec in _spectra():
             masses = spec.segment_integral(q.edges[:-1], q.edges[1:])
-            assert np.array_equal(spec.segment_masses(q.edges), masses)
+            assert np.array_equal(_masses(spec, q.edges), masses)
+            # unit rows read each mass back through srm_from_edges
+            unit_rows = srm_from_edges(np.eye(q.values.size), q.edges, [spec])[0]
+            assert np.array_equal(unit_rows, masses)
             assert srm_from_quantile(q, spec) == float(np.sum(q.values * masses))
 
     def test_srm_from_sorted_on_the_oracle_grid(self):
@@ -176,12 +185,12 @@ class TestEdgeMasses:
         for k in (0.0, *BENCH_K):
             spec = ExponentialSpectrum(k)
             masses = spec.segment_integral(grid[:-1], grid[1:])
-            assert np.array_equal(spec.segment_masses(grid), masses)
+            assert np.array_equal(_masses(spec, grid), masses)
             q = QuantileFunction(grid, values)
             assert srm_from_quantile(q, spec) == float(np.sum(values * masses))
 
     @pytest.mark.parametrize("n", [1, 30, 250, 1000])
-    def test_srm_from_levels(self, n):
+    def test_level_sums(self, n):
         rng = np.random.default_rng(n)
         s = SortedSample.from_sample(random_ltrc_sample(rng, n, tie_prob=0.3))
         weights = rng.multinomial(n, np.full(n, 1.0 / n), size=64)
@@ -191,24 +200,24 @@ class TestEdgeMasses:
             c_levels = np.ascontiguousarray(levels)
             lower = np.concatenate((np.zeros((levels.shape[0], 1)), c_levels[:, :-1]), axis=1)
             want = [np.sum(x * spec.segment_integral(lower, c_levels), axis=1) for spec in spectra]
-            assert np.array_equal(_srm_from_levels(x, levels, spectra), np.array(want))
-            # the grid's one check and one 1 - edges give each spectrum's srm_from_edges
-            edges = np.concatenate((lower, c_levels[:, -1:]), axis=1)
+            # Fortran-ordered levels give Fortran-ordered edges, summed as C-ordered ones
+            edges = np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1)
+            assert np.array_equal(srm_from_edges(x, edges, spectra), np.array(want))
+            # the grid's one check and one 1 - edges give each spectrum's own sum
             for spec, row in zip(spectra, want):
-                assert np.array_equal(srm_from_edges(x, edges, spec), row)
-                assert np.array_equal(_srm_from_levels(x, levels, [spec])[0], row)
+                assert np.array_equal(srm_from_edges(x, edges, [spec])[0], row)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.1, -0.1, "falling"])
-    def test_srm_from_levels_checks_its_edges(self, bad):
+    def test_level_sums_check_their_edges(self, bad):
         x = np.array([1.0, 2.0, 3.0])
-        levels = np.array([[0.2, 0.6, 1.0], [0.3, 0.7, 1.0]])
+        edges = np.array([[0.0, 0.2, 0.6, 1.0], [0.0, 0.3, 0.7, 1.0]])
         if bad == "falling":
-            levels[1] = [0.5, 0.4, 1.0]
+            edges[1] = [0.0, 0.5, 0.4, 1.0]
         else:
-            levels[1, 1] = bad
+            edges[1, 2] = bad
         for spec in _spectra():
             with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
-                _srm_from_levels(x, levels, [spec])
+                srm_from_edges(x, edges, [spec])
 
     @pytest.mark.parametrize("spec", _spectra(), ids=repr)
     def test_bounds_checked(self, spec):
@@ -221,9 +230,10 @@ class TestEdgeMasses:
             [0.0, nan, 1.0],
             [0.0, 0.5, nan],
         ):
+            values = np.ones(len(edges) - 1)
             with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
-                spec.segment_masses(np.array(edges))
+                srm_from_edges(values, np.array(edges), [spec])
             # one bad row among good ones
             good = np.linspace(0.0, 1.0, len(edges))
             with pytest.raises(ValueError, match="0 <= a <= b <= 1"):
-                spec.segment_masses(np.stack((good, edges, good)))
+                srm_from_edges(values, np.stack((good, edges, good)), [spec])

@@ -27,14 +27,17 @@ from specrisk import (
     build_estimator,
     edgeworth_cdf,
     edgeworth_diagnostics,
+    estimate_emp,
     estimate_sigma2,
     fit_pl,
     pl_quantile,
     sample_ltrc_iid,
 )
 from specrisk import estimators, harness, inference, ltrc
-from specrisk.estimators import ESTIMATOR_NAMES
-from specrisk.rng import derive_rng
+from specrisk.estimators import ESTIMATOR_NAMES, KernelQuantileSmoother, parametric_srm
+from specrisk.ltrc import SortedSample
+from specrisk.rng import derive_rng, replicate_indices
+from specrisk.spectra import _check_edges
 
 from conftest import random_ltrc_sample
 
@@ -655,6 +658,108 @@ class TestWeightedReplicates:
             bootstrap_ci_many(s, [ml_exp, ml_pareto], [ExponentialSpectrum(1.0)], plan)
 
 
+def _gathered_replicates(estimator, sample, weights, spectra):
+    """Replicate estimates from ``weights`` in original order, gathered by the sort order.
+
+    A copy of the estimators' path before weights arrived in sorted order:
+    each ``replicates`` gathered the weights by the sort order itself, and
+    the level sums prepended the zero level.  The reference for
+    ``replicates`` on the same draws.
+    """
+    s = SortedSample.from_sample(sample)
+    order = np.argsort(s.rank)
+    w_sorted = weights[:, order]
+
+    def pl_cdf():
+        by_t = np.argsort(sample.t)
+        risk = (
+            ltrc._prefix_sums(weights[:, by_t])[:, s.entered]
+            - ltrc._prefix_sums(w_sorted)[:, s.passed]
+        )
+        return ltrc._log_space_cdf(s.delta, risk, s.starts, w_sorted)
+
+    def level_sums(x, levels):
+        edges = np.concatenate((np.zeros((levels.shape[0], 1)), levels), axis=1)
+        edges = _check_edges(np.ascontiguousarray(edges))
+        tails = 1.0 - edges
+        return np.array([np.sum(x * spec._masses(edges, tails), axis=-1) for spec in spectra])
+
+    if estimator.name == "prod":
+        return level_sums(s.y[s.starts], pl_cdf())
+    if estimator.name == "emp":
+        return level_sums(s.y, np.cumsum(w_sorted, axis=1) / s.y.size)
+    if estimator.name == "kernel":
+        x, cdfs = s.y[s.starts], pl_cdf()
+        smoothers = [KernelQuantileSmoother(StepDistribution(x, cdf).quantile) for cdf in cdfs]
+        return np.array([[estimator.evaluate(q, spec) for q in smoothers] for spec in spectra])
+    family, scheme = estimator.family, estimator.scheme
+    if estimator.name == "ml":
+        params = estimators._ml_fit(s.y, s.delta, np.take(weights, order, axis=1), scheme, family)
+    else:
+        _, params = estimators._pm_fit(s.y, w_sorted, scheme.deductible, family, estimator.p1)
+        params = np.where(params > 0, params, np.nan)
+    return np.array([parametric_srm(family, estimator.x0, params, spec) for spec in spectra])
+
+
+def _row_counts(idx: np.ndarray) -> np.ndarray:
+    """Per row of ``idx``, the count of each value in range(n)."""
+    rows, n = idx.shape
+    flat = (idx + n * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=idx.size).reshape(idx.shape)
+
+
+_SORTED_WEIGHT_SPECTRA = tuple(ExponentialSpectrum(k) for k in (0.0, 1.0, 5.0, 20.0, 200.0)) + (
+    ExpectedShortfallSpectrum(0.9),
+)
+
+
+class TestSortedWeights:
+    """Weights in sorted order give every ``replicates`` the floats of the gather path."""
+
+    @staticmethod
+    def _check(estimator, sample, idx, spectra):
+        s = SortedSample.from_sample(sample)
+        weights, sorted_weights = _row_counts(idx), _row_counts(s.rank[idx])
+        assert np.array_equal(sorted_weights, weights[:, np.argsort(s.rank)])
+        got = estimator.replicates(s, sorted_weights, spectra)
+        want = _gathered_replicates(estimator, sample, weights, spectra)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, family, sample_name", list(_replicate_cases()))
+    def test_each_case_matches_the_gather_path(self, name, family, sample_name):
+        estimator, s = _case(name, family, sample_name)
+        rows = 4 if name == "kernel" else 200
+        idx = np.random.default_rng(len(s)).integers(0, len(s), (rows, len(s)))
+        self._check(estimator, s, idx, _SORTED_WEIGHT_SPECTRA)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_samples_match_the_gather_path(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_ltrc_sample(rng, int(rng.integers(1, 150)), tie_prob=0.3)
+        scheme = WindowScheme.fixed(0.05, 2.0)
+        for name in ESTIMATOR_NAMES:
+            for family in ModelFamily if name in ("ml", "pm") else (None,):
+                estimator = build_estimator(name, scheme, family, 1.0)
+                rows, spectra = (2, _SORTED_WEIGHT_SPECTRA[1::2]) if name == "kernel" else (
+                    64, _SORTED_WEIGHT_SPECTRA
+                )
+                idx = rng.integers(0, len(s), (rows, len(s)))
+                self._check(estimator, s, idx, spectra)
+
+    @pytest.mark.parametrize("block_cells", [inference._REPLICATE_BLOCK_CELLS, 3 * 40])
+    def test_engine_matches_the_gather_path(self, monkeypatch, block_cells):
+        # the engine's blocks of ranks count the same draws as blocks of indices
+        monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", block_cells)
+        s = _WINDOW_SAMPLES["exp-window"]
+        family = ModelFamily.SHIFTED_EXPONENTIAL
+        group = [build_estimator(name, WINDOW, family, 1000.0) for name in ("prod", "emp", "ml", "pm")]
+        plan = BootstrapPlan(replicates=70, seed=5)
+        got = inference._weighted_replicates(s, group, _SORTED_WEIGHT_SPECTRA, plan)
+        weights = _row_counts(replicate_indices(plan.seed, 0, plan.replicates, len(s)))
+        want = np.stack([_gathered_replicates(e, s, weights, _SORTED_WEIGHT_SPECTRA) for e in group])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestAsymptoticCi:
     def test_zero_level_gives_zero_width(self):
         rng = np.random.default_rng(10)
@@ -729,17 +834,6 @@ class TestSharedFit:
         assert fit_pl(context_samples["zero-factor"]).zero_factor_count > 0
         assert len(context_samples["above-exact-limit"]) > 10_000
 
-    @pytest.mark.parametrize("name", ["tied-mixed-delta", "zero-factor", "above-exact-limit"])
-    def test_fit_gives_the_sample_results(self, context_samples, name):
-        s = context_samples[name]
-        fit = ProdEstimator().prepare(s)
-        assert isinstance(fit, StepDistribution)
-        for spec in _REPLICATE_SPECTRA:
-            assert asymptotic_ci(s, spec) == asymptotic_ci(fit, spec)
-            assert estimate_sigma2(s, spec) == estimate_sigma2(fit, spec)
-        for level in (0.5, 0.9):
-            assert edgeworth_diagnostics(s, level) == edgeworth_diagnostics(fit, level)
-
     def test_each_analysis_fits_once(self, context_samples, monkeypatch):
         s = context_samples["tied-mixed-delta"]
         calls = []
@@ -761,10 +855,6 @@ class TestSharedFit:
         assert fits(lambda: asymptotic_ci(s, spec)) == 1
         assert fits(lambda: estimate_sigma2(s, spec)) == 1
         assert fits(lambda: edgeworth_diagnostics(s, 0.5)) == 1
-        fit = ProdEstimator().prepare(s)
-        assert fits(lambda: asymptotic_ci(fit, spec)) == 0
-        assert fits(lambda: estimate_sigma2(fit, spec)) == 0
-        assert fits(lambda: edgeworth_diagnostics(fit, 0.9)) == 0
 
     def test_quantile_is_computed_once(self, context_samples, monkeypatch):
         s = context_samples["tied-mixed-delta"]
@@ -842,16 +932,49 @@ class TestSharedFit:
         assert np.isfinite(out[:, 0]).all()  # prod
         assert sorts_and_fits() == (plan.replicates, plan.replicates)
 
-    @pytest.mark.parametrize(
-        "analysis",
-        [
-            lambda d: asymptotic_ci(d, ExponentialSpectrum(1.0)),
-            lambda d: estimate_sigma2(d, ExponentialSpectrum(1.0)),
-            lambda d: edgeworth_diagnostics(d, 0.5),
-        ],
-        ids=["asymptotic_ci", "estimate_sigma2", "edgeworth_diagnostics"],
-    )
-    def test_distribution_without_sample_is_refused(self, analysis):
-        dist = StepDistribution(knots=[1.0, 2.0, 3.0], values=[0.25, 0.5, 1.0])
-        with pytest.raises(ValueError, match="distribution was not fitted on a sample"):
-            analysis(dist)
+    @pytest.mark.parametrize("names", [("emp",), ("pm",)])
+    def test_mc_worker_sorts_each_replicate_once_without_a_fit(self, sorts_and_fits, names):
+        plan = harness.ExperimentPlan(
+            design="iid-exp", n_grid=(30,), k_grid=(1.0, 20.0), replicates=4,
+            estimators=names, master_seed=7, mode="fixed-thresholds",
+        )
+        out = harness._replicate_range((plan, None, 30, 0, plan.replicates))
+        assert np.isfinite(out).any()
+        assert sorts_and_fits() == (plan.replicates, 0)
+
+    def test_emp_points_sort_a_sample_once(self, sorts_and_fits):
+        s = _tied_mixed_delta_sample()
+        for spec in _REPLICATE_SPECTRA:
+            estimate_emp(s, spec)
+        assert sorts_and_fits() == (1, 0)
+
+    def test_estimators_call_no_np_sort(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(estimators, "np", counting)
+        family = ModelFamily.SHIFTED_EXPONENTIAL
+        group = [build_estimator(name, WINDOW, family, 1000.0) for name in ESTIMATOR_NAMES]
+        s = sample_ltrc_iid(harness.EXP_MODEL, WINDOW, 40, seed=3)
+        bootstrap_ci_many(s, group, _REPLICATE_SPECTRA, BootstrapPlan(replicates=60, seed=5))
+        plan = harness.ExperimentPlan(
+            design="iid-exp", n_grid=(30,), k_grid=(1.0, 20.0), replicates=4,
+            estimators=ESTIMATOR_NAMES, master_seed=7, mode="fixed-thresholds",
+        )
+        harness._replicate_range((plan, None, 30, 0, plan.replicates))
+        estimate_emp(_tied_mixed_delta_sample(), ExponentialSpectrum(1.0))
+        assert counting.sorts == 0
+        counting.sort(np.ones(2))  # the count does see a call
+        assert counting.sorts == 1
+
+
+class _CountingNumpy:
+    """numpy, with a count of its ``sort`` calls."""
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, *args, **kwargs):
+        self.sorts += 1
+        return np.sort(*args, **kwargs)

@@ -62,16 +62,17 @@ class TestSampleTypes:
 def _lexsort_sorted_sample(sample):
     """The sorted sample built by ``np.lexsort`` and one binary search per position."""
     order = np.lexsort((-sample.delta, sample.y))
+    rank = np.argsort(order)
     ys = sample.y[order]
-    t_order = np.argsort(sample.t)
-    entered = np.searchsorted(sample.t[t_order], ys, side="right")
+    by_t = np.argsort(sample.t)
+    entered = np.searchsorted(sample.t[by_t], ys, side="right")
     passed = np.searchsorted(ys, ys, side="left")
     return SortedSample(
-        order=order,
+        rank=rank,
         y=ys,
         delta=sample.delta[order],
         starts=np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))),
-        t_order=t_order,
+        t_order=rank[by_t],
         entered=entered,
         passed=passed,
         risk=entered - passed,

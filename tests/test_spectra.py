@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from specrisk import ExpectedShortfallSpectrum, ExponentialSpectrum
+from specrisk import ExpectedShortfallSpectrum, ExponentialSpectrum, srm_from_edges
 from specrisk.spectra import _check_edges, _check_segment
 
 K_GRID = (1.0, 5.0, 10.0, 20.0, 100.0, 200.0)
@@ -183,8 +183,10 @@ class TestSegmentBounds:
     @pytest.mark.parametrize("edges", [[], [5.0], [[-1.0], [2.0]]], ids=str)
     def test_fewer_than_two_edges_have_no_segment(self, spec, edges):
         edges = np.array(edges, dtype=float)
-        masses = spec.segment_masses(edges)
-        assert masses.shape == edges.shape[:-1] + (0,)
+        assert spec._masses(edges, 1.0 - edges).shape == edges.shape[:-1] + (0,)
+        # so a spectral sum over no segment is 0, and its edges are not checked
+        sums = srm_from_edges(np.zeros(edges.shape[:-1] + (0,)), edges, [spec])
+        assert sums.shape == (1,) + edges.shape[:-1] and not sums.any()
 
     def test_edge_check_accepts_what_the_segment_check_accepts(self):
         # ties, falls and ends past [0, 1] in small random rows, without NaN
