@@ -107,6 +107,8 @@ class ExperimentPlan:
             raise ValueError("replicates must be at least 2")
         if not self.n_grid or not self.k_grid:
             raise ValueError("n and k grids must be nonempty")
+        if self.estimators is not None and not self.estimators:
+            raise ValueError("estimators must be nonempty; None runs the default set")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("sample sizes must be positive")
         if any(n > MAX_SAMPLE_SIZE for n in self.n_grid):

@@ -72,26 +72,53 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return words[0::2] | words[1::2] << 32
 
 
+def _pcg64_state(s0: int, s1: int, q0: int, q1: int) -> dict:
+    """PCG64's state after seeding from the four words ``SeedSequence.generate_state`` gives."""
+    # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps with initstate added between
+    inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+    pcg = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {"state": pcg, "inc": inc}}
+
+
 def replicate_indices(master_seed: int | str, start: int, stop: int, n: int) -> np.ndarray:
     """Rows ``derive_rng(master_seed, b).integers(0, n, n)`` for b in [start, stop), bit for bit.
 
     The streams are seeded in one vectorised pass over b, and each row sets
-    the state of one reused generator and draws with numpy's own sampler.
+    the state of one reused PCG64 and takes its first ``ceil(n/2)`` raw
+    words.  numpy draws an index below ``n <= 2**32`` by Lemire's
+    multiply-shift on 32-bit halves, the low half of each word first: the
+    index is ``u32 * n >> 32``, unless the low 32 bits of that product fall
+    below ``(2**32 - n) % n``.  The block takes that step at once, and a
+    row where some draw falls below is drawn again with numpy's own
+    ``integers`` from its seeded state: about one row in 15 000 at n = 1000,
+    one in two million at n = 50.
     """
     if not 0 <= start <= stop <= 1 << 32:
         raise ValueError("replicate indices must lie in [0, 2**32): one entropy word each")
+    if not 1 <= n <= 1 << 32:
+        raise ValueError("replicate indices need n in [1, 2**32]: one 32-bit draw each")
     seed = _key_to_int(master_seed)
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.array([*words, 0], dtype=np.uint32)[:, None].repeat(stop - start, axis=1)
     entropy[-1] = np.arange(start, stop, dtype=np.uint32)
+    seeds = _seed_states(entropy).T.tolist()
     generator = np.random.Generator(np.random.PCG64(0))
-    out = np.empty((stop - start, n), dtype=np.int64)
-    for r, (s0, s1, q0, q1) in enumerate(_seed_states(entropy).T.tolist()):
-        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps with initstate added between
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        pcg = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                         "state": {"state": pcg, "inc": inc}}
+    draws = np.empty((stop - start, (n + 1) // 2, 2), dtype=np.uint64)
+    for r, row in enumerate(seeds):
+        generator.bit_generator.state = _pcg64_state(*row)
+        draws[r, :, 0] = generator.bit_generator.random_raw(draws.shape[1])
+    # each word's low half is drawn first; shifts, not a uint32 view, keep that order on any byte order
+    np.right_shift(draws[..., 0], 32, out=draws[..., 1])
+    draws[..., 0] &= _MASK32
+    draws = draws.reshape(len(draws), 2 * draws.shape[1])[:, :n]
+    draws *= np.uint64(n)
+    # each product's low 32 bits, read in place: the first half of a little-endian word, the second of a big-endian one
+    low = draws.view(np.uint32)[:, 1 - np.little_endian :: 2]
+    redraw = np.flatnonzero(low.min(axis=1) < (2**32 - n) % n)
+    draws >>= 32
+    out = draws.view(np.int64)  # every index is below 2**32, so its bits read the same as int64
+    for r in redraw:
+        generator.bit_generator.state = _pcg64_state(*seeds[r])
         out[r] = generator.integers(0, n, n)
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from specrisk import LtrcSample
 
@@ -41,3 +42,17 @@ def random_ltrc_sample(rng: np.random.Generator, n: int, tie_prob: float = 0.0) 
     if y.size < n:  # pragma: no cover - acceptance region is wide
         return random_ltrc_sample(rng, n, tie_prob)
     return LtrcSample(y[:n], t[:n], d[:n])
+
+
+@pytest.fixture
+def integers_calls(monkeypatch):
+    """The ``Generator.integers`` calls of code that builds its generator by name, ``np.random.Generator``."""
+    calls = []
+
+    class Counting(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return calls

@@ -59,6 +59,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="nonempty"):
             small_iid_plan(n_grid=())
 
+    def test_empty_estimator_set_rejected(self):
+        # an empty set would draw every sample and evaluate nothing on it
+        with pytest.raises(ValueError, match="estimators must be nonempty"):
+            small_iid_plan(estimators=())
+        assert small_iid_plan(estimators=None).resolved_estimators() == ("prod", "emp", "kernel")
+
     @pytest.mark.parametrize(
         "overrides, label",
         [

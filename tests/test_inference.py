@@ -413,6 +413,14 @@ class TestBootstrap:
         assert [r.replicates_used + r.replicate_failures for r in reports] == [200, 200]
         assert len(built) <= 1
 
+    def test_a_call_draws_no_index_with_numpy_integers(self, integers_calls):
+        # the indices come from raw words; integers is left for rows numpy would draw again
+        s = random_ltrc_sample(np.random.default_rng(8), 50)  # no row of these 200 does
+        plan = BootstrapPlan(replicates=200, seed=3)
+        reports = bootstrap_ci_many(s, [ProdEstimator()], [ExponentialSpectrum(1.0)], plan)
+        assert reports[0].replicates_used + reports[0].replicate_failures == 200
+        assert integers_calls == []
+
     def test_degenerate_sample_gives_zero_width(self):
         s = LtrcSample([4.0] * 20, [0.0] * 20, [1] * 20)
         rep = bootstrap_ci(s, ProdEstimator(), ExponentialSpectrum(5.0), BootstrapPlan(replicates=60, seed=1))
