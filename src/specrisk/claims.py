@@ -150,7 +150,8 @@ def _float_columns(path, records, wanted) -> np.ndarray:
 def write_ltrc_csv(path, groups: dict[str, LtrcSample]) -> None:
     """Serialize grouped LTRC samples; numeric fields round-trip exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("y,t,delta,group\n")
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a label only if it needs it
+        writer.writerow(["y", "t", "delta", "group"])
         for group, sample in sorted(groups.items()):
             for yi, ti, di in zip(sample.y, sample.t, sample.delta):
-                fh.write(f"{yi:.17g},{ti:.17g},{int(di)},{group}\n")
+                writer.writerow([f"{yi:.17g}", f"{ti:.17g}", int(di), group])

@@ -190,6 +190,8 @@ def _cmd_estimate(args: argparse.Namespace) -> Callable[[], int]:
     for label, grid in (("estimators", names), ("risk-aversion coefficients", args.k.values)):
         if len(set(grid)) < len(grid):
             raise ValueError(f"{label} must not repeat, got {','.join(map(str, grid))}")
+    if family is not None and not {"ml", "pm"} & set(names):
+        raise ValueError("--family and --x0 apply only to the ml and pm estimators")
     if args.p1 is not None and "pm" not in names:
         raise ValueError("--p1 applies only to the pm estimator")
     p1 = 0.5 if args.p1 is None else args.p1

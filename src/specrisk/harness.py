@@ -126,6 +126,8 @@ class ExperimentPlan:
             raise ValueError("master_seed must be nonnegative")
         if self.mode not in ("random-truncation", "fixed-thresholds"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.design == "dependent" and self.mode == "fixed-thresholds":
+            raise ValueError("fixed-thresholds mode is undefined for the dependent design")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for name in self.estimators or ():
@@ -538,7 +540,7 @@ def run_coverage_experiment(
     intervals: int = 500,
     level: float = 0.90,
 ) -> CoverageResult:
-    """Fraction of percentile bootstrap intervals covering the theoretical SRM.
+    """Share of percentile bootstrap intervals covering the theoretical SRM.
 
     Every (n, k) cell builds ``intervals`` independent samples, a percentile
     interval from ``bootstrap_replicates`` resamples for each, and counts

@@ -10,9 +10,7 @@ one-step survival factors over risk sets.
 
 from __future__ import annotations
 
-import math
-from dataclasses import FrozenInstanceError, dataclass, field
-from fractions import Fraction
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -108,19 +106,18 @@ class StepDistribution:
     """A right-continuous nondecreasing step CDF.
 
     ``values[j]`` is the CDF value at and immediately after ``knots[j]``;
-    before the first knot the CDF is 0.  A fit keeps the :class:`SortedSample`
-    it was fitted on, from which ``cdf_exact`` computes exact values; a
-    distribution built by hand has none.
+    before the first knot the CDF is 0.  A fit records its sample size ``n``
+    and its count of zero factors; a distribution built by hand has 0 for both.
     """
 
     knots: np.ndarray
     values: np.ndarray
     zero_factor_count: int = 0
     n: int = 0
-    sorted_sample: SortedSample | None = field(default=None, compare=False, repr=False)
 
-    # Not a field and always None: perfbench/tracing.py counts exact fits by
-    # it until the benchmark drops that counter (ROADMAP item 7).
+    # Not a field and always None: no fit holds exact values.  The benchmark's
+    # tracer reads it to count exact fits until that counter is dropped
+    # (ROADMAP item 7).
     exact_values = None
 
     def __post_init__(self) -> None:
@@ -145,21 +142,10 @@ class StepDistribution:
         out = padded[idx]
         return float(out) if out.ndim == 0 else out
 
-    def cdf_exact(self, x: float) -> Fraction:
-        """Exact CDF value at ``x``; the first call computes every run's value."""
-        s = self.sorted_sample
-        if s is None:
-            raise ValueError("distribution was not fitted on a sample")
-        return Fraction(*self._exact_pairs[np.searchsorted(s.y[s.starts], x, side="right")])
-
     @cached_property
     def quantile(self) -> QuantileFunction:
         """The generalized inverse :func:`pl_quantile`, computed on first use."""
         return pl_quantile(self)
-
-    @cached_property
-    def _exact_pairs(self) -> list[tuple[int, int]]:
-        return [(0, 1), *_exact_cdf(self.sorted_sample)]
 
     def jumps(self) -> np.ndarray:
         """Probability mass at each knot."""
@@ -322,36 +308,11 @@ def fit_pl(sample: LtrcSample) -> StepDistribution:
         values=vals[keep],
         zero_factor_count=zero_factors,
         n=n,
-        sorted_sample=s,
     )
     fit.knots.flags.writeable = False
     fit.values.flags.writeable = False
     object.__setattr__(sample, "_fit", fit)
     return fit
-
-
-def _exact_cdf(s: SortedSample) -> list[tuple[int, int]]:
-    """CDF value at each run of equal sorted y, as a coprime pair (num, den).
-
-    The survival product num/den is kept in lowest terms: each factor
-    (R-1)/R is cross-reduced against it by two gcds, as ``Fraction``
-    multiplication does, so the CDF value (den - num)/den has coprime terms.
-    A run reads the product after its last uncensored point (a run without
-    one carries the previous value); the run of the largest y has value 1.
-    """
-    ds, risk, starts = s.delta, s.risk, s.starts
-    unc = ds == 1
-    # number of uncensored points up to the end of each run but the last
-    reads = np.cumsum(unc)[starts[1:] - 1]
-    surv = [(1, 1)]
-    num = den = 1
-    for r in risk[unc].tolist():
-        g1 = math.gcd(num, r)
-        g2 = math.gcd(r - 1, den)
-        num = (num // g1) * ((r - 1) // g2)
-        den = (den // g2) * (r // g1)
-        surv.append((num, den))
-    return [(den - num, den) for num, den in map(surv.__getitem__, reads.tolist())] + [(1, 1)]
 
 
 def _log_space_cdf(

@@ -291,6 +291,25 @@ class TestRoundTrip:
             assert np.array_equal(got.t, sample.t)
             assert np.array_equal(got.delta, sample.delta)
 
+    def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        groups = {
+            "a,b": LtrcSample([1.5, 2.0], [0.0, 0.5], [1, 0]),
+            'say "hi"': LtrcSample([3.0], [1.0], [1]),
+            "plain": LtrcSample([4.0], [-np.inf], [1]),
+        }
+        path = tmp_path / "out.csv"
+        write_ltrc_csv(path, groups)
+        lines = path.read_text().splitlines()
+        # a label that needs no quoting is written bare, as before
+        assert lines[0] == "y,t,delta,group" and "4,-inf,1,plain" in lines
+        parsed = parse_claims(path, "ltrc")
+        assert sorted(parsed.groups) == sorted(groups) and parsed.rejected == ()
+        for name, sample in groups.items():
+            got = parsed.groups[name]
+            assert np.array_equal(got.y, sample.y)
+            assert np.array_equal(got.t, sample.t)
+            assert np.array_equal(got.delta, sample.delta)
+
 
 def _assert_usage_error(capsys, argv, message, out):
     """``argv`` exits 2 with ``message`` on the last stderr line, no traceback and no output."""
@@ -384,6 +403,14 @@ class TestCli:
             (["--family", "exp"], "--family requires --x0"),
             (["--x0", "1000"], "--x0 requires --family"),
             (["--p1", "0.3", "--estimators", "prod"], "--p1 applies only to the pm estimator"),
+            (
+                ["--family", "exp", "--x0", "1000"],
+                "--family and --x0 apply only to the ml and pm estimators",
+            ),
+            (
+                ["--family", "pareto", "--x0", "1000", "--estimators", "prod,emp,kernel"],
+                "--family and --x0 apply only to the ml and pm estimators",
+            ),
             (["--format", "raw"], "raw claims need --deductible/--limit"),
             (["--config", "model.cfg"], "unrecognized arguments: --config model.cfg"),
         ],
@@ -426,6 +453,14 @@ class TestCli:
             (
                 ["simulate", "--design", "iid-exp", "--estimators", "pm"],
                 "estimator 'pm' requires fixed-thresholds mode",
+            ),
+            (
+                ["simulate", "--design", "dependent", "--mode", "fixed-thresholds"],
+                "fixed-thresholds mode is undefined for the dependent design",
+            ),
+            (
+                ["coverage", "--design", "dependent", "--mode", "fixed-thresholds"],
+                "fixed-thresholds mode is undefined for the dependent design",
             ),
             (
                 ["simulate", "--design", "iid-exp", "--estimators", "prod,bogus"],

@@ -2,7 +2,8 @@
 
 The package imports scipy's top-level package, which loads a subpackage on
 first use, and each call site names its subpackage, so a command loads only
-what it runs.  The harness's worker pool starts at the first call with more
+what it runs.  Importing the package loads neither ``fractions`` nor
+``decimal``.  The harness's worker pool starts at the first call with more
 than one worker.  Each check runs in a fresh interpreter.
 """
 
@@ -58,6 +59,15 @@ def _estimate(path: Path, out: Path, estimators: str) -> str:
 
 def test_import_loads_no_subpackage():
     assert _loaded_after("import specrisk, specrisk.cli") == []
+
+
+def test_import_loads_no_rational_arithmetic():
+    # the product-limit fit is float arithmetic; exact rationals are test oracles
+    loaded = _fresh(
+        "import json, sys\nimport specrisk, specrisk.cli\n"
+        "print(json.dumps([m for m in ('fractions', 'decimal') if m in sys.modules]))"
+    )
+    assert loaded == []
 
 
 def test_product_limit_estimate_loads_no_subpackage(claims_file, tmp_path):

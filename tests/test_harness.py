@@ -92,6 +92,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="fixed-thresholds"):
             small_iid_plan(estimators=("ml",), mode="random-truncation")
 
+    def test_dependent_design_refuses_fixed_thresholds(self):
+        # the dependent design draws its own truncation; the mode would be ignored
+        with pytest.raises(ValueError, match="fixed-thresholds mode is undefined for the dependent"):
+            small_iid_plan(design="dependent", mode="fixed-thresholds")
+
     def test_default_estimator_sets(self):
         assert small_iid_plan().resolved_estimators() == ("prod", "emp", "kernel")
         assert small_iid_plan(mode="fixed-thresholds").resolved_estimators() == (

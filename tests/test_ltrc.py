@@ -142,13 +142,18 @@ def test_sorted_order_matches_lexsort_on_small_tied_samples():
         assert np.array_equal(s.sorted_order(), np.lexsort((-s.delta, s.y)))
 
 
+def _assert_matches_bruteforce(dist, sample):
+    """The fit's floats within 1e-14 relative of the literal rational product, at every y."""
+    xs = np.unique(sample.y)
+    oracle = [float(pl_cdf_bruteforce(sample, x)) for x in xs]
+    np.testing.assert_allclose(dist.cdf(xs), oracle, rtol=1e-14, atol=0)
+
+
 class TestFitPl:
     def test_two_point_example(self):
         s = LtrcSample([1.0, 2.0], [0.0, 0.0], [1, 1])
         d = fit_pl(s)
         assert d.knots.tolist() == [1.0, 2.0]
-        assert [d.cdf_exact(x) for x in d.knots] == [Fraction(1, 2), Fraction(1)]
-        assert d.cdf_exact(1.0) == Fraction(1, 2)
         assert d.cdf(0.5) == 0.0
         assert d.cdf(1.0) == 0.5
         assert d.cdf(1.9) == 0.5
@@ -163,7 +168,6 @@ class TestFitPl:
             d = fit_pl(s)
             ordered = np.sort(values)
             for i in range(n):
-                assert d.cdf_exact(ordered[i]) == Fraction(i + 1, n)
                 assert d.cdf(ordered[i]) == (i + 1) / n
 
     def test_zero_factor_absorbs_later_mass(self):
@@ -179,9 +183,7 @@ class TestFitPl:
         rng = np.random.default_rng(77)
         for _ in range(20):
             s = random_ltrc_sample(rng, int(rng.integers(2, 40)), tie_prob=0.3)
-            d = fit_pl(s)
-            for x in np.unique(s.y):
-                assert d.cdf_exact(x) == pl_cdf_bruteforce(s, x)
+            _assert_matches_bruteforce(fit_pl(s), s)
 
     def test_censoring_free_truncation_matches_bruteforce(self):
         # random truncation, no censoring: the fit is the pure risk-set product
@@ -192,9 +194,7 @@ class TestFitPl:
             t = rng.uniform(0.0, 1.5, size=3 * n)
             keep = t <= x
             s = LtrcSample(x[keep][:n], t[keep][:n], np.ones(n, dtype=int))
-            d = fit_pl(s)
-            for v in np.unique(s.y):
-                assert d.cdf_exact(v) == pl_cdf_bruteforce(s, v)
+            _assert_matches_bruteforce(fit_pl(s), s)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -202,8 +202,8 @@ class TestFitPl:
         perm = rng.permutation(30)
         d1 = fit_pl(s)
         d2 = fit_pl(LtrcSample(s.y[perm], s.t[perm], s.delta[perm]))
-        assert d1.knots.tolist() == d2.knots.tolist()
-        assert [d1.cdf_exact(x) for x in d1.knots] == [d2.cdf_exact(x) for x in d1.knots]
+        assert np.array_equal(d1.knots, d2.knots)
+        assert np.array_equal(d1.values, d2.values)
 
     def test_log_space_path_agrees_with_exact(self):
         rng = np.random.default_rng(9)
@@ -243,21 +243,34 @@ class TestFitCache:
         s = _cache_sample()
         fit = fit_pl(s)
         assert fit_pl(s) is fit
-        assert SortedSample.from_sample(s) is fit.sorted_sample
+        assert s._sorted is not None and SortedSample.from_sample(s) is s._sorted
         assert fit_pl(s).quantile is fit.quantile
         for name in ("_fit", "_sorted"):
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
 
-    def test_fit_reuses_an_earlier_sort(self):
-        s = _cache_sample()
-        sorted_sample = SortedSample.from_sample(s)
-        assert SortedSample.from_sample(s) is sorted_sample
-        assert fit_pl(s).sorted_sample is sorted_sample
+    def test_fit_reuses_an_earlier_sort(self, monkeypatch):
+        # one sort per sample, whether the sort or the fit comes first
+        calls = []
+        sorted_order = LtrcSample.sorted_order
+
+        def counting(sample):
+            calls.append(sample)
+            return sorted_order(sample)
+
+        monkeypatch.setattr(LtrcSample, "sorted_order", counting)
+        sort_first, fit_first = _cache_sample(), _cache_sample()
+        sorted_sample = SortedSample.from_sample(sort_first)
+        fit_pl(sort_first)
+        fit_pl(fit_first)
+        assert SortedSample.from_sample(sort_first) is sorted_sample
+        assert SortedSample.from_sample(fit_first) is fit_first._sorted
+        assert calls == [sort_first, fit_first]
 
     def test_cached_arrays_are_read_only(self):
-        fit = fit_pl(_cache_sample())
-        arrays = [fit.knots, fit.values, *_sorted_arrays(fit.sorted_sample)]
+        s = _cache_sample()
+        fit = fit_pl(s)
+        arrays = [fit.knots, fit.values, *_sorted_arrays(SortedSample.from_sample(s))]
         assert len(arrays) == 10
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -276,11 +289,11 @@ class TestFitCache:
         assert pickle.dumps(s) == unfitted
         twin = duplicate(s)
         refit = fit_pl(twin)
-        assert refit is not fit and refit.sorted_sample is not fit.sorted_sample
+        assert refit is not fit and twin._sorted is not s._sorted
         for got, want in [
             (refit.knots, fit.knots),
             (refit.values, fit.values),
-            *zip(_sorted_arrays(refit.sorted_sample), _sorted_arrays(fit.sorted_sample)),
+            *zip(_sorted_arrays(twin._sorted), _sorted_arrays(s._sorted)),
         ]:
             assert np.array_equal(got, want) and got.dtype == want.dtype
         assert refit.zero_factor_count == fit.zero_factor_count and refit.n == fit.n
@@ -481,8 +494,6 @@ class TestExactFit:
         knots, fractions = _fraction_fit_loop(sample)
         assert np.array_equal(d.knots, knots)
         np.testing.assert_allclose(d.values, [float(f) for f in fractions], rtol=1e-14, atol=0)
-        for x, f in zip(knots, fractions):
-            assert d.cdf_exact(x) == f
         return d, fractions
 
     @_EDGE_CASES
@@ -584,5 +595,3 @@ class TestStepDistribution:
             StepDistribution(knots=[1.0, 2.0], values=[0.7, 0.5])
         with pytest.raises(ValueError, match="reach 1"):
             StepDistribution(knots=[1.0], values=[0.9])
-        with pytest.raises(ValueError, match="not fitted on a sample"):
-            StepDistribution(knots=[1.0], values=[1.0]).cdf_exact(1.0)
