@@ -148,7 +148,19 @@ def _float_columns(path, records, wanted) -> np.ndarray:
 
 
 def write_ltrc_csv(path, groups: dict[str, LtrcSample]) -> None:
-    """Serialize grouped LTRC samples; numeric fields round-trip exactly."""
+    """Serialize grouped LTRC samples; numeric fields round-trip exactly.
+
+    Raises ``ValueError``, before the file is opened, for a group label that
+    ``parse_claims`` would read back as another: an empty one, or one with
+    leading or trailing whitespace.
+    """
+    # the parser strips a label and reads an empty one as the default group
+    altered = sorted(g for g in groups if (g.strip() or _DEFAULT_GROUP) != g)
+    if altered:
+        raise ValueError(
+            f"group labels {', '.join(map(repr, altered))} would not read back as "
+            "themselves: a label must be nonempty, without leading or trailing whitespace"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a label only if it needs it
         writer.writerow(["y", "t", "delta", "group"])

@@ -363,11 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specrisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, seeded: bool = True, pooled: bool = True) -> None:
         if seeded:
             p.add_argument("--seed", type=_SEED, default="20250101")
         p.add_argument("--out", default="specrisk-out")
-        p.add_argument("--workers", type=_at_least(1), default="1")
+        p.add_argument(
+            "--workers",
+            type=_at_least(1),
+            default="1",
+            help=None if pooled else (
+                "ignored: this command runs in one process and accepts the flag "
+                "only for compatibility"
+            ),
+        )
 
     est = sub.add_parser("estimate", help="estimate SRMs on a claims file")
     est.add_argument("--input", required=True)
@@ -381,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--family", choices=("exp", "pareto"), default=None)
     est.add_argument("--x0", type=_X0, default=None)
     est.add_argument("--p1", type=_PROBABILITY, default=None)
-    add_common(est)
+    add_common(est, pooled=False)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo design")
     sim.add_argument("--design", choices=("iid-exp", "iid-pareto", "dependent"), required=True)
@@ -419,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--rho", type=float, default=DependentModelConfig.rho)
     cal.add_argument("--tolerance", type=_TOLERANCE, default=CALIBRATION_TOLERANCE)
     cal.add_argument("--calibration-seed", type=_SEED, default=CALIBRATION_SEED)
-    add_common(cal, seeded=False)
+    add_common(cal, seeded=False, pooled=False)
 
     return parser
 

@@ -40,6 +40,9 @@ DENSITY_FLOOR = 1e-12
 # the probability square of the variance integral is clipped to
 # [VARIANCE_CLIP, 1 - VARIANCE_CLIP]: its 1/density factors blow up at the edges
 VARIANCE_CLIP = 1e-3
+# floats in the largest temporary of one block (of bootstrap replicates, or of
+# density points); larger blocks page-fault their temporaries in afresh
+_REPLICATE_BLOCK_CELLS = 1 << 14
 
 
 def estimate_sigma2(sample: LtrcSample, spectrum) -> float:
@@ -106,7 +109,7 @@ def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
 
     The kernel vanishes beyond +-h and is quadratic in the point x, so the
     sum over the knots of the open window (x - h, x + h) comes from prefix
-    sums of moments (Fan & Marron 1994), in one pass over all points.  The
+    sums of moments (Fan & Marron 1994), taken once over the knots.  The
     knots fall into cells of width 2h, and each knot's moments w, w u and
     w u^2 take u = (k - c)/h about its cell's centre c, so |u| <= 1.  A
     window, found by two ``searchsorted`` calls, meets at most two cells (a
@@ -114,7 +117,9 @@ def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
     piece sums to (1 - z^2) S0 + 2z S1 - S2 with z = (x - c)/h and |z| <= 2,
     so the cancellation stays small.  The prefix sums carry their rounding
     errors (TwoSum), so a piece's sums are accurate to its own mass rather
-    than to the total.  The cost is O(knots + points log knots).
+    than to the total.  The points go through in blocks, and a value does
+    not depend on the block it falls in.  The cost is O(knots + points log
+    knots) in time and O(knots + one block) in memory.
     """
     jumps = dist.jumps()
     knots = dist.knots
@@ -122,43 +127,52 @@ def _epanechnikov_density(dist, at: np.ndarray, h: float) -> np.ndarray:
     cell = np.floor((knots - knots[0]) / (2.0 * h))
     centre = knots[0] + (cell + 0.5) * (2.0 * h)
     u = (knots - centre) / h
-    sums = _compensated_prefix_sums(np.stack((jumps, jumps * u, jumps * u * u)))
+    prefix, carry = _compensated_prefix_sums(np.stack((jumps, jumps * u, jumps * u * u)))
     # one past the last knot of each knot's cell, and m for the end itself
     first = np.concatenate(([True], cell[1:] != cell[:-1]))
     stops = np.append(np.flatnonzero(first)[1:], m)
     cell_end = np.append(stops[np.cumsum(first) - 1], m)
     centre = np.append(centre, 0.0)  # read only by empty pieces at the end
 
-    # the kernel is zero at |x - k| = h, so each window is open
-    lo = np.searchsorted(knots, at - h, side="right")
-    hi = np.searchsorted(knots, at + h, side="left")
-    cut = np.minimum(cell_end[lo], hi)
-    cut2 = np.minimum(cell_end[cut], hi)
-    # a third piece arises only by rounding; most calls have none to gather
-    bounds = np.stack((lo, cut, cut2, hi) if np.any(cut2 < hi) else (lo, cut, hi))
-    ends = np.take(sums, bounds, axis=1)
-    piece = ends[:, 1:] - ends[:, :-1]
-    s0, s1, s2 = piece[:3] + piece[3:]
-    z = (at - centre[bounds[:-1]]) / h
-    return 0.75 * np.sum((1.0 - z * z) * s0 + 2.0 * z * s1 - s2, axis=0) / h
+    out = np.empty(at.size)
+    # the largest temporaries of a block are the gathers of the three prefix
+    # sums, and of their error sums, at the piece bounds: 9 floats a point
+    # each, 12 in a rare block that has a third piece
+    points = max(1, _REPLICATE_BLOCK_CELLS // 9)
+    for start in range(0, at.size, points):
+        x = at[start : start + points]
+        # the kernel is zero at |x - k| = h, so each window is open
+        lo = np.searchsorted(knots, x - h, side="right")
+        hi = np.searchsorted(knots, x + h, side="left")
+        cut = np.minimum(cell_end[lo], hi)
+        cut2 = np.minimum(cell_end[cut], hi)
+        # a third piece arises only by rounding, and an empty one adds exact zeros
+        bounds = np.stack((lo, cut, cut2, hi) if np.any(cut2 < hi) else (lo, cut, hi))
+        ends = np.take(prefix, bounds, axis=1)
+        errs = np.take(carry, bounds, axis=1)
+        s0, s1, s2 = (ends[:, 1:] - ends[:, :-1]) + (errs[:, 1:] - errs[:, :-1])
+        z = (x - centre[bounds[:-1]]) / h
+        out[start : start + points] = (
+            0.75 * np.sum((1.0 - z * z) * s0 + 2.0 * z * s1 - s2, axis=0) / h
+        )
+    return out
 
 
-def _compensated_prefix_sums(rows: np.ndarray) -> np.ndarray:
-    """Prefix sums of each row, with a leading zero column, stacked on their rounding errors.
+def _compensated_prefix_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of each row, with a leading zero column, and sums of their rounding errors.
 
     ``np.cumsum`` adds sequentially, and TwoSum recovers the exact error of
-    each addition; the lower half of the result sums those errors.  A
-    difference of two prefix sums plus the difference of their error sums
-    is then accurate to the terms between them, not to the total.
+    each addition; the second array sums those errors.  A difference of two
+    prefix sums plus the difference of their error sums is then accurate to
+    the terms between them, not to the total.
     """
     k, m = rows.shape
-    out = np.zeros((2 * k, m + 1))
-    prefix, carry = out[:k], out[k:]
+    prefix, carry = np.zeros((k, m + 1)), np.zeros((k, m + 1))
     np.cumsum(rows, axis=1, out=prefix[:, 1:])
     before, after = prefix[:, :-1], prefix[:, 1:]
     added = after - before
     np.cumsum((before - (after - added)) + (rows - added), axis=1, out=carry[:, 1:])
-    return out
+    return prefix, carry
 
 
 @dataclass(frozen=True)
@@ -329,10 +343,6 @@ def bootstrap_ci_many(
                 )
             )
     return reports
-
-
-# replicates x observations per block; larger blocks page-fault their temporaries in afresh
-_REPLICATE_BLOCK_CELLS = 1 << 14
 
 
 def _weighted_replicates(sample: LtrcSample, estimators, spectra, plan: BootstrapPlan) -> np.ndarray:

@@ -310,6 +310,25 @@ class TestRoundTrip:
             assert np.array_equal(got.t, sample.t)
             assert np.array_equal(got.delta, sample.delta)
 
+    @pytest.mark.parametrize(
+        "labels, refused",
+        [
+            ([" a ", "", "a", "all"], "'', ' a '"),
+            (["a", " a"], "' a'"),
+            (["b", "b\t"], "'b\\t'"),
+            (["\n"], "'\\n'"),
+        ],
+    )
+    def test_labels_that_would_not_read_back_are_refused(self, tmp_path, labels, refused):
+        # the parser strips a label and reads an empty one as "all", so these
+        # would merge with another group or be renamed without a report
+        groups = {label: LtrcSample([1.0], [0.0], [1]) for label in labels}
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="would not read back") as err:
+            write_ltrc_csv(path, groups)
+        assert f"group labels {refused} would not" in str(err.value)
+        assert not path.exists()
+
 
 def _assert_usage_error(capsys, argv, message, out):
     """``argv`` exits 2 with ``message`` on the last stderr line, no traceback and no output."""
@@ -700,6 +719,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sim" / "results.csv").exists()
         assert not (tmp_path / "sim" / "rmse_log_ratios.csv").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    def test_workers_help_says_the_flag_is_ignored(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--workers WORKERS ignored: this command runs in one process" in text
 
     def test_simulate_worker_invariance(self, tmp_path):
         base = [

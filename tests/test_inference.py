@@ -1,7 +1,11 @@
 """Tests for the variance plug-in, the normal refinement and the bootstrap."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +375,110 @@ class TestDensityOracle:
                 assert density[i] == 0.0
             else:
                 assert abs(Fraction(float(density[i])) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+def _set_density_block(monkeypatch, points):
+    """Make ``_epanechnikov_density`` take its points in blocks of ``points``."""
+    # a block holds _REPLICATE_BLOCK_CELLS floats of its largest temporary, 9 a point
+    monkeypatch.setattr(inference, "_REPLICATE_BLOCK_CELLS", 9 * points)
+
+
+def _knot_cells_in_windows(dist, at, h):
+    """How many cells of width 2h the knots inside each open window (x - h, x + h) fall in."""
+    knots = dist.knots
+    cell = np.floor((knots - knots[0]) / (2.0 * h))
+    return [np.unique(cell[(knots > x - h) & (knots < x + h)]).size for x in at.tolist()]
+
+
+class TestDensityBlocks:
+    @pytest.mark.parametrize(
+        "name, bandwidth",
+        [
+            ("iid-exp-2000", "default"),
+            ("dependent-10500", "default"),
+            ("ties", "default"),
+            ("iid-exp-2000", "tiny"),
+            ("ties", "tiny"),
+            ("iid-exp-2000", "wider-than-range"),
+            ("ties", "wider-than-range"),
+            ("dependent-10500+1e+06", "default"),
+            ("dependent-10500-1e+06", "default"),
+        ],
+    )
+    def test_values_do_not_depend_on_block_size(self, density_samples, monkeypatch, name, bandwidth):
+        s = density_samples[name]
+        dist = fit_pl(s)
+        q = pl_quantile(dist)
+        span = float(q.values[-1] - q.values[0])
+        h = {
+            "default": len(s) ** -0.2 * float(q(0.75) - q(0.25)) / 1.349,
+            "tiny": 1e-6 * span,
+            "wider-than-range": 2.0 * span,
+        }[bandwidth]
+        mid = 0.5 * (q.values[1:] + q.values[:-1])
+        at = np.sort(np.concatenate((q.values, mid, [q.values[0] - 3.0 * h, q.values[-1] + 3.0 * h])))
+        default = inference._epanechnikov_density(dist, at, h)
+        for points in (1, 7, at.size + 1):
+            _set_density_block(monkeypatch, points)
+            assert np.array_equal(inference._epanechnikov_density(dist, at, h), default), points
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 4, 5])
+    def test_block_boundary_next_to_a_window_meeting_three_cells(self, monkeypatch, points):
+        # the geometry of TestBandedDensity.test_window_meeting_three_cells:
+        # only the window at x meets three cells, so only the block holding x
+        # gathers a third piece, and a boundary at 3 or 4 points falls on one
+        # side of x or the other
+        k0, h = -1.7707971766946446, 0.3603254483921724
+        a, b, x = 0.3911555136583897, 1.1118064104427343, 0.751480962050562
+        dist = StepDistribution([k0, a, 0.75, b], [0.25, 0.5, 0.75, 1.0])
+        at = np.array([k0, a, 0.75, x, b, b + 0.5 * h])
+        assert _knot_cells_in_windows(dist, at, h) == [1, 2, 2, 3, 1, 1]
+        whole = inference._epanechnikov_density(dist, at, h)
+        _set_density_block(monkeypatch, points)
+        density = inference._epanechnikov_density(dist, at, h)
+        assert np.array_equal(density, whole)
+        for value, xi in zip(density.tolist(), at.tolist()):
+            exact = _fraction_density(dist, xi, h)
+            assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact, xi
+
+    def test_sigma2_does_not_depend_on_block_size(self, density_samples, monkeypatch):
+        s = density_samples["dependent-10500"]
+        spectra = [ExponentialSpectrum(k) for k in (0.0, 1.0, 20.0, 200.0)]
+        spectra.append(ExpectedShortfallSpectrum(0.9))
+        default = [estimate_sigma2(s, spec) for spec in spectra]
+        _set_density_block(monkeypatch, 7)
+        assert [estimate_sigma2(s, spec) for spec in spectra] == default
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults are counted on Linux")
+    def test_sigma2_maps_no_fresh_pages(self):
+        # whole-sample temporaries of several MB took about 1,000 minor faults
+        # a call at n = 10 500, mapped afresh by the allocator each time.  The
+        # count is taken in a fresh interpreter: the allocator raises its
+        # thresholds once it has freed large blocks, so after the other tests
+        # in this process those faults no longer show.
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from specrisk import ExponentialSpectrum, estimate_sigma2, harness\n"
+            "cfg = harness.default_dependent_config()\n"
+            "s = harness._generate_sample('dependent', 'random-truncation', cfg, 10_500, 32)\n"
+            "estimate_sigma2(s, ExponentialSpectrum(20.0))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(5):\n"
+            "    estimate_sigma2(s, ExponentialSpectrum(20.0))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(inference.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        assert int(proc.stdout.split()[-1]) < 100
 
 
 class TestBootstrap:
