@@ -47,7 +47,8 @@ def parse_claims(path, fmt: str, scheme: WindowScheme | None = None) -> ClaimsFi
     if fmt == "raw" and scheme is None:
         raise ClaimsFormatError("raw claims need a deductible/limit window scheme")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig reads past the byte-order mark that spreadsheet "CSV UTF-8" exports write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         # filter comment lines but keep the true file line number of each row
         kept: list[tuple[int, str]] = [
             (no, row) for no, row in enumerate(fh, start=1) if not row.startswith("#")
@@ -151,15 +152,17 @@ def write_ltrc_csv(path, groups: dict[str, LtrcSample]) -> None:
     """Serialize grouped LTRC samples; numeric fields round-trip exactly.
 
     Raises ``ValueError``, before the file is opened, for a group label that
-    ``parse_claims`` would read back as another: an empty one, or one with
-    leading or trailing whitespace.
+    ``parse_claims`` would read back as another: an empty one, one with
+    leading or trailing whitespace, or one holding a carriage return.
     """
-    # the parser strips a label and reads an empty one as the default group
-    altered = sorted(g for g in groups if (g.strip() or _DEFAULT_GROUP) != g)
+    # the parser strips a label and reads an empty one as the default group;
+    # the writer leaves a lone "\r" unquoted, and the parser ends a line there
+    altered = sorted(g for g in groups if (g.strip() or _DEFAULT_GROUP) != g or "\r" in g)
     if altered:
         raise ValueError(
             f"group labels {', '.join(map(repr, altered))} would not read back as "
-            "themselves: a label must be nonempty, without leading or trailing whitespace"
+            "themselves: a label must be nonempty, without leading or trailing whitespace, "
+            "and hold no carriage return"
         )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a label only if it needs it

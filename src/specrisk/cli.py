@@ -29,7 +29,6 @@ from .estimators import EstimateReport, build_estimator
 from .harness import (
     CALIBRATION_SEED,
     CALIBRATION_TOLERANCE,
-    TARGET_CENSORING_PC,
     TARGET_TRUNCATION_RATE,
     CoverageCell,
     ExperimentPlan,
@@ -244,7 +243,6 @@ _DEPENDENT_FLAGS = {
     "--phi2": "phi2",
     "--phi3": "phi3",
     "--mu": "mu",
-    "--pc": "target_censoring_pc",
 }
 
 
@@ -324,12 +322,7 @@ def _cmd_coverage(args: argparse.Namespace) -> Callable[[], int]:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> Callable[[], int]:
-    cfg = DependentModelConfig(
-        rho=args.rho,
-        phi2=args.phi2,
-        target_truncation_rate=args.target_alpha,
-        target_censoring_pc=args.pc,
-    )
+    cfg = DependentModelConfig(rho=args.rho, phi2=args.phi2)
 
     def run() -> int:
         mu = calibrate_truncation_location(
@@ -337,6 +330,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Callable[[], int]:
         )
         payload = {
             **dataclasses.asdict(cfg.with_mu(mu)),
+            "target_truncation_rate": args.target_alpha,
             "analytic_censoring_fraction": dependent_censoring_fraction(
                 cfg.phi1, cfg.phi2, cfg.phi3
             ),
@@ -421,8 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(cov)
 
     cal = sub.add_parser("calibrate", help="solve the dependent-model truncation location")
-    cal.add_argument("--target-alpha", type=float, default=TARGET_TRUNCATION_RATE)
-    cal.add_argument("--pc", type=float, default=TARGET_CENSORING_PC)
+    cal.add_argument("--target-alpha", type=_PROBABILITY, default=TARGET_TRUNCATION_RATE)
     cal.add_argument("--phi2", type=float, default=DependentModelConfig.phi2)
     cal.add_argument("--rho", type=float, default=DependentModelConfig.rho)
     cal.add_argument("--tolerance", type=_TOLERANCE, default=CALIBRATION_TOLERANCE)

@@ -441,21 +441,18 @@ def run_iid_experiment(plan: ExperimentPlan) -> MCResult:
     return MCResult(cells=cells, metadata=meta)
 
 
-# The dependent design's standard calibration: the retention and censoring
-# targets, and the bisection's tolerance and seed.  The seed is fixed, so mu
-# does not drift with the experiment seed.  rho and the phi amplitudes are
-# the defaults of DependentModelConfig.
+# The dependent design's standard calibration: the retention target, and
+# the bisection's tolerance and seed.  The seed is fixed, so mu does not
+# drift with the experiment seed.  rho and the phi amplitudes, which set
+# the censoring fraction, are the defaults of DependentModelConfig.
 TARGET_TRUNCATION_RATE = 0.30
-TARGET_CENSORING_PC = 0.10
 CALIBRATION_TOLERANCE = 0.005
 CALIBRATION_SEED = 727_001
 
 
 def default_dependent_config() -> DependentModelConfig:
     """The dependent design at its standard calibration, with mu solved for."""
-    cfg = DependentModelConfig(
-        target_truncation_rate=TARGET_TRUNCATION_RATE, target_censoring_pc=TARGET_CENSORING_PC
-    )
+    cfg = DependentModelConfig()
     mu = calibrate_truncation_location(
         cfg, TARGET_TRUNCATION_RATE, CALIBRATION_TOLERANCE, CALIBRATION_SEED
     )

@@ -265,10 +265,6 @@ def sample_ltrc_iid(model: SeverityModel, scheme: WindowScheme, n: int, seed: in
     return LtrcSample(y, t, (y < u_cap).astype(np.int8))
 
 
-# how far the phi parameters' censoring fraction may sit from target_censoring_pc
-PC_TOLERANCE = 0.005
-
-
 @dataclass(frozen=True)
 class DependentModelConfig:
     """Configuration of the dependent (serially correlated) generator.
@@ -285,28 +281,15 @@ class DependentModelConfig:
     phi2: float = 1.087
     phi3: float = 0.3
     mu: float = 0.0
-    target_truncation_rate: float | None = None
-    target_censoring_pc: float | None = None
 
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1:
             raise ValueError("|rho| must be below 1")
         # written so that NaN fails too
-        if not all(phi > 0 for phi in (self.phi1, self.phi2, self.phi3)):
-            raise ValueError("phi1, phi2, phi3 must be strictly positive")
+        if not all(0 < phi < math.inf for phi in (self.phi1, self.phi2, self.phi3)):
+            raise ValueError("phi1, phi2, phi3 must be strictly positive and finite")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
-        for name in ("target_truncation_rate", "target_censoring_pc"):
-            rate = getattr(self, name)
-            if rate is not None and not 0.0 < rate < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.target_censoring_pc is not None:
-            pc = dependent_censoring_fraction(self.phi1, self.phi2, self.phi3)
-            if abs(pc - self.target_censoring_pc) > PC_TOLERANCE:
-                raise ValueError(
-                    f"phi parameters give censoring fraction {pc:.4f}, not the target "
-                    f"{self.target_censoring_pc:.4f} (tolerance {PC_TOLERANCE})"
-                )
 
     def with_mu(self, mu: float) -> "DependentModelConfig":
         return replace(self, mu=mu)

@@ -129,6 +129,22 @@ class TestParseClaims:
         with pytest.raises(ClaimsFormatError, match="window scheme"):
             parse_claims(path, "raw")
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("ltrc", "# seed=1\ny,t,delta,group\n1,0,1,a\n2,3,1,a\n4,1,0,b\n"),
+            ("raw", "claim,group\n2000,x\n500,x\n3000,\n"),
+        ],
+    )
+    def test_byte_order_mark_is_read_past(self, tmp_path, fmt, text):
+        # spreadsheet "CSV UTF-8" exports begin with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        want = _parse_outcome(parse_claims, plain, fmt)
+        assert len(want) == 4 and want[3]  # parsed, with a rejection
+        assert _parse_outcome(parse_claims, marked, fmt) == want
+
 
 def _dictreader_parse(path, fmt, scheme=None):
     """The ``csv.DictReader`` parse that ``parse_claims`` replaced, kept as its reference."""
@@ -296,6 +312,7 @@ class TestRoundTrip:
             "a,b": LtrcSample([1.5, 2.0], [0.0, 0.5], [1, 0]),
             'say "hi"': LtrcSample([3.0], [1.0], [1]),
             "plain": LtrcSample([4.0], [-np.inf], [1]),
+            "c\nd": LtrcSample([5.0], [2.0], [0]),
         }
         path = tmp_path / "out.csv"
         write_ltrc_csv(path, groups)
@@ -317,6 +334,8 @@ class TestRoundTrip:
             (["a", " a"], "' a'"),
             (["b", "b\t"], "'b\\t'"),
             (["\n"], "'\\n'"),
+            # written unquoted, and the parser ends a line at "\r"
+            (["a", "c\rd", "e\r\nf"], "'c\\rd', 'e\\r\\nf'"),
         ],
     )
     def test_labels_that_would_not_read_back_are_refused(self, tmp_path, labels, refused):
@@ -495,13 +514,18 @@ class TestCli:
                 "phi1, phi2, phi3 must be strictly positive",
             ),
             (["simulate", "--design", "dependent", "--mu", "inf"], "mu must be finite"),
-            (
-                ["simulate", "--design", "dependent", "--pc", "0.4"],
-                "phi parameters give censoring fraction 0.1001, not the target 0.4000",
+            # an infinite amplitude leaves no finite target to estimate
+            *(
+                (
+                    ["simulate", "--design", "dependent", "--k", "1", "--reps", "2",
+                     f"--{phi}", "inf"],
+                    "phi1, phi2, phi3 must be strictly positive and finite",
+                )
+                for phi in ("phi1", "phi2", "phi3")
             ),
             (
                 ["simulate", "--design", "iid-exp", "--rho", "0.2"],
-                "--rho, --phi1, --phi2, --phi3, --mu, --pc apply only to --design dependent, "
+                "--rho, --phi1, --phi2, --phi3, --mu apply only to --design dependent, "
                 "got --design iid-exp",
             ),
             (
@@ -569,10 +593,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--target-alpha", "1.5"], "target_truncation_rate must lie in (0, 1)"),
-            (["--pc", "1.5"], "target_censoring_pc must lie in (0, 1)"),
+            (["--target-alpha", "1.5"], "argument --target-alpha: must be a number in (0, 1)"),
             (["--rho", "2"], "|rho| must be below 1"),
             (["--phi2", "-1"], "phi1, phi2, phi3 must be strictly positive"),
+            (["--phi2", "inf"], "phi1, phi2, phi3 must be strictly positive and finite"),
             (["--tolerance", "-1"], "argument --tolerance: must be a nonnegative number"),
             (["--calibration-seed", "-1"], "argument --calibration-seed: must be a nonnegative integer"),
             # the bisection's seed is --calibration-seed; calibrate has no master seed
@@ -582,6 +606,14 @@ class TestCli:
     def test_invalid_calibrate_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         # refused before the bisection draws its evaluation set
         _assert_usage_error(capsys, ["calibrate", *flags], message, tmp_path / "x")
+
+    def test_calibrate_takes_any_phi2(self, tmp_path):
+        # the censoring fraction is the phis', not a target that phi2 must meet
+        argv = ["calibrate", "--phi2", "0.5", "--out", str(tmp_path / "cal")]
+        assert main(argv) == 0
+        results = json.loads((tmp_path / "cal" / "calibration.json").read_text())["results"]
+        assert round(results["analytic_censoring_fraction"], 4) == 0.2778
+        assert results["phi2"] == 0.5
 
     @pytest.mark.parametrize(
         "argv, stem",
@@ -762,8 +794,7 @@ class TestCli:
         assert keys == [
             "command", "design", "estimators", "k_grid", "master_seed", "mode", "mu",
             "n_grid", "oracle_draws", "package_version", "phi1", "phi2", "phi3",
-            "replicates", "rho", "rmse_target", "target_censoring_pc",
-            "target_truncation_rate",
+            "replicates", "rho", "rmse_target",
         ]
         config = json.loads((tmp_path / "dep" / "results.json").read_text())["config"]
         assert sorted(config) == keys
@@ -773,15 +804,13 @@ class TestCli:
         [
             (
                 ["--rho", "0.2", "--phi1", "0.3", "--phi2", "1.087", "--phi3", "0.3",
-                 "--mu", "0.5", "--pc", "0.1"],
-                DependentModelConfig(
-                    rho=0.2, phi1=0.3, phi2=1.087, phi3=0.3, mu=0.5, target_censoring_pc=0.1
-                ),
+                 "--mu", "0.5"],
+                DependentModelConfig(rho=0.2, phi1=0.3, phi2=1.087, phi3=0.3, mu=0.5),
             ),
             # a flag without --mu runs at mu = 0: simulate does not calibrate
             (["--rho", "0.2"], DependentModelConfig(rho=0.2)),
         ],
-        ids=["all-six", "rho-only"],
+        ids=["all-five", "rho-only"],
     )
     def test_dependent_simulate_flags_set_the_design(self, tmp_path, flags, cfg):
         argv = [
@@ -829,7 +858,7 @@ class TestCli:
             '    "analytic_censoring_fraction": 0.10008949481827883,\n'
             '    "calibration_seed": 727001,\n    "mu": 0.6640625,\n    "phi1": 0.3,\n'
             '    "phi2": 1.087,\n    "phi3": 0.3,\n    "rho": 0.1,\n'
-            '    "target_censoring_pc": 0.1,\n    "target_truncation_rate": 0.3,\n'
+            '    "target_truncation_rate": 0.3,\n'
             '    "tolerance": 0.005\n  },\n  "specrisk_version": "0.1.0"\n}\n'
         )
 
@@ -840,20 +869,19 @@ class TestCli:
         assert payload["config"] == {"command": "calibrate"}
         assert list(payload["results"]) == [
             "analytic_censoring_fraction", "calibration_seed", "mu", "phi1", "phi2", "phi3",
-            "rho", "target_censoring_pc", "target_truncation_rate", "tolerance",
+            "rho", "target_truncation_rate", "tolerance",
         ]
 
     def test_calibrate_defaults_are_the_standard_dependent_design(self, tmp_path):
         # the flag defaults and default_dependent_config read the same constants
-        from specrisk.harness import default_dependent_config
+        from specrisk.harness import TARGET_TRUNCATION_RATE, default_dependent_config
 
         assert main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
         results = json.loads((tmp_path / "cal" / "calibration.json").read_text())["results"]
         cfg = default_dependent_config()
         assert results["mu"] == cfg.mu
         assert (results["rho"], results["phi2"]) == (cfg.rho, cfg.phi2)
-        assert results["target_truncation_rate"] == cfg.target_truncation_rate
-        assert results["target_censoring_pc"] == cfg.target_censoring_pc
+        assert results["target_truncation_rate"] == TARGET_TRUNCATION_RATE
 
     def test_environment_does_not_set_defaults(self, tmp_path, monkeypatch):
         # every input is a flag: a variable named like a flag changes nothing

@@ -20,9 +20,7 @@ from specrisk.harness import ExperimentPlan, run_dependent_experiment
 from specrisk.rng import derive_rng, derive_seed
 from specrisk.severity import ORACLE_CHUNK, sample_dependent_marginal
 
-CFG = DependentModelConfig(
-    rho=0.1, phi2=1.087, mu=0.664, target_truncation_rate=0.30, target_censoring_pc=0.10
-)
+CFG = DependentModelConfig(rho=0.1, phi2=1.087, mu=0.664)
 K_GRID = (0.0, 1e-9, 1.0, 5.0, 20.0, 200.0)
 
 

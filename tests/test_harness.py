@@ -194,9 +194,7 @@ class TestIidExperiment:
 
 
 class TestDependentExperiment:
-    CFG = DependentModelConfig(
-        rho=0.1, phi2=1.087, mu=0.664, target_truncation_rate=0.30, target_censoring_pc=0.10
-    )
+    CFG = DependentModelConfig(rho=0.1, phi2=1.087, mu=0.664)
 
     def test_runs_and_is_deterministic(self):
         plan = ExperimentPlan(
@@ -229,8 +227,9 @@ class TestDependentExperiment:
         assert 0.3 < res.metadata["mu"] < 1.0
 
     def test_default_config_calibration(self):
+        # the model's defaults, with mu solved for
         cfg = default_dependent_config()
-        assert cfg.target_truncation_rate == 0.30
+        assert cfg == DependentModelConfig(mu=cfg.mu)
         assert abs(cfg.mu - 0.664) < 0.05
 
 

@@ -108,11 +108,7 @@ def sort_order_samples():
 
 @pytest.mark.parametrize("name", _SORT_ORDER_NAMES)
 class TestSortedOrder:
-    """The composite-key sort against ``lexsort``: the same permutation, exactly."""
-
-    def test_matches_lexsort(self, sort_order_samples, name):
-        s = sort_order_samples[name]
-        assert np.array_equal(s.sorted_order(), np.lexsort((-s.delta, s.y)))
+    """The sorted sample and its fit against a build by one binary search per position."""
 
     def test_sorted_sample_matches_lexsort_build(self, sort_order_samples, name):
         sample = sort_order_samples[name]
@@ -133,13 +129,6 @@ class TestSortedOrder:
         assert np.array_equal(d.knots, ref.knots)
         assert np.array_equal(d.values, ref.values)
         assert d.zero_factor_count == ref.zero_factor_count
-
-
-def test_sorted_order_matches_lexsort_on_small_tied_samples():
-    rng = np.random.default_rng(29)
-    for _ in range(300):
-        s = random_ltrc_sample(rng, int(rng.integers(1, 80)), tie_prob=float(rng.random()))
-        assert np.array_equal(s.sorted_order(), np.lexsort((-s.delta, s.y)))
 
 
 def _assert_matches_bruteforce(dist, sample):

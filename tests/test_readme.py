@@ -38,12 +38,21 @@ def test_library_quickstart_runs(capsys):
     assert ci_low <= point <= ci_high
 
 
-def test_every_flag_named_is_an_option():
+def _named_flags() -> set[str]:
     # the Install block's flags are pip's
     text = README.replace(_section("Install"), "")
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+
+def test_every_flag_named_is_an_option():
+    named = _named_flags()
     assert named, "no flag found in README"
     assert sorted(named - _parser_options(_build_parser())) == []
+
+
+def test_every_option_is_named():
+    options = _parser_options(_build_parser()) - {"-h", "--help", "--version"}
+    assert sorted(options - _named_flags()) == []
 
 
 _MODULES = {

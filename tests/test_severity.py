@@ -1,5 +1,6 @@
 """Tests for severity models, window transforms, generators and oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -265,10 +266,17 @@ class TestDependentModel:
             want = float(stats.norm.sf(0.5 * phi2 / math.hypot(phi1, phi3)))
             assert dependent_censoring_fraction(phi1, phi2, phi3) == want
 
-    def test_config_validates_pc_target(self):
-        with pytest.raises(ValueError, match="censoring fraction"):
-            DependentModelConfig(rho=0.1, phi2=0.445, target_censoring_pc=0.10)
-        DependentModelConfig(rho=0.1, phi2=1.087, target_censoring_pc=0.10)
+    def test_config_is_the_five_model_parameters(self):
+        # the censoring fraction follows from the phis: no target to meet
+        names = [f.name for f in dataclasses.fields(DependentModelConfig)]
+        assert names == ["rho", "phi1", "phi2", "phi3", "mu"]
+        DependentModelConfig(rho=0.1, phi2=0.445)
+
+    @pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+    def test_config_refuses_phi_not_positive_and_finite(self, name):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be strictly positive and finite"):
+                DependentModelConfig(**{name: bad})
 
     def test_sampling_exact_size_and_retention(self):
         cfg = DependentModelConfig(rho=0.1, mu=0.66)
