@@ -59,6 +59,16 @@ class TestSampleTypes:
             assert not got.flags.writeable
 
 
+def _stable_sort_order(sample):
+    """The order ``np.lexsort((-delta, y))`` defines, by Python's stable sort of (y, -delta).
+
+    Python compares -0.0 and 0.0 as equal, and its sort keeps equal keys in
+    index order, so this is the order by y, uncensored first, then by index.
+    """
+    y, delta = sample.y.tolist(), sample.delta.tolist()
+    return np.array(sorted(range(len(y)), key=lambda i: (y[i], -delta[i])), dtype=np.intp)
+
+
 def _lexsort_sorted_sample(sample):
     """The sorted sample built by ``np.lexsort`` and one binary search per position."""
     order = np.lexsort((-sample.delta, sample.y))
@@ -108,7 +118,12 @@ def sort_order_samples():
 
 @pytest.mark.parametrize("name", _SORT_ORDER_NAMES)
 class TestSortedOrder:
-    """The sorted sample and its fit against a build by one binary search per position."""
+    """The sort order against a stable sort, and the sorted sample and its fit
+    against a build by one binary search per position."""
+
+    def test_matches_lexsort(self, sort_order_samples, name):
+        s = sort_order_samples[name]
+        assert np.array_equal(s.sorted_order(), _stable_sort_order(s))
 
     def test_sorted_sample_matches_lexsort_build(self, sort_order_samples, name):
         sample = sort_order_samples[name]
@@ -129,6 +144,13 @@ class TestSortedOrder:
         assert np.array_equal(d.knots, ref.knots)
         assert np.array_equal(d.values, ref.values)
         assert d.zero_factor_count == ref.zero_factor_count
+
+
+def test_sorted_order_matches_lexsort_on_small_tied_samples():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        s = random_ltrc_sample(rng, int(rng.integers(1, 80)), tie_prob=float(rng.random()))
+        assert np.array_equal(s.sorted_order(), _stable_sort_order(s))
 
 
 def _assert_matches_bruteforce(dist, sample):
